@@ -1,7 +1,8 @@
 """Coefficient-level composition helpers for monomial matrix polynomials.
 
-Internal support for the experiment drivers and the test suite; matrix
-coefficient lists are ndarrays of shape (deg+1, r, r), low-to-high.
+Internal support for the constructions, the experiment drivers and the test
+suite; matrix coefficient lists are ndarrays of shape (deg+1, r, r),
+low-to-high.
 """
 
 from __future__ import annotations

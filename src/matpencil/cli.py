@@ -1,7 +1,7 @@
 """Command line interface: construction, solving, verification, and the three
 experiment drivers, with CSV/SVG/JSON artifact emission.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 malformed input or usage error, 2 numerical check failed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from . import experiments, jsonio, mandelbrot
 from .eigensolve import generalized_eigen, residuals
-from .errors import ContractError, ResourceLimitError, StructuralError
+from .errors import (ContractError, DegenerateInputError, ResourceLimitError, SpectrumError,
+                     StructuralError, VerificationError)
 from .matpoly import height_report
 from .oracle import det_equality
 from .pencil import verify_triple
@@ -270,12 +271,12 @@ def main(argv=None) -> int:
         parser.error("--emit needs --out")
     try:
         return args.fn(args)
-    except (ContractError, StructuralError) as exc:
+    except (ContractError, StructuralError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ResourceLimitError as exc:
+    except (SpectrumError, DegenerateInputError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

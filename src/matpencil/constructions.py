@@ -4,20 +4,19 @@ Five composition rules (left/right scalar shift, two product layouts, the
 lower-degree addition, and the composite z*a*d0*b + c0) plus three elementary
 triples (second companion, barycentric Lagrange, Chebyshev colleague).  Every
 constructor's output satisfies det(zD - A) = det of the composed polynomial
-and carries X, Y realizing its inverse as a resolvent; the elementary
-constructors pin their sign conventions against a one-point oracle check at
-build time.
+and carries X, Y realizing its inverse as a resolvent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._compose import mono_add
 from .errors import ContractError, StructuralError, VerificationError
-from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, eval_at
-from .pencil import Pencil, StandardTriple, pivot_condition, resolvent_eval, verify_triple
-
-_ORACLE_POINTS = (1.875 + 0.734j, -1.625 + 1.191j, 0.4375 - 1.953j, 2.0625 + 0.2188j)
+from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly
+from .matpoly import eval_at  # noqa: F401  (unused here; bench/spans.py patches this name)
+from .pencil import Pencil, StandardTriple, pivot_condition, verify_triple
+from .pencil import resolvent_eval  # noqa: F401  (unused here; bench/spans.py patches this name)
 
 
 def _square(mat, r: int, name: str) -> np.ndarray:
@@ -147,9 +146,7 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly,
 def _padded_sum(a: MatPoly, c: MatPoly) -> MatPoly:
     if a.basis.kind != MONOMIAL:
         raise ContractError("verification of an addition needs monomial a")
-    data = np.array(a.data, dtype=complex)
-    data[: c.grade + 1] += np.asarray(c.data, dtype=complex)
-    return MatPoly.monomial_poly(data)
+    return MatPoly.monomial_poly(mono_add(a.data, c.data))
 
 
 def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
@@ -189,29 +186,6 @@ def _blockdiag(*mats) -> np.ndarray:
     return out
 
 
-def _pin_signs(t: StandardTriple, p, where: str) -> StandardTriple:
-    """Flip the sign of Y once if the resolvent comes out negated; else error.
-
-    Sign conventions of companion layouts differ between sources; a single
-    oracle point settles ours at construction time.
-    """
-    for z in _ORACLE_POINTS:
-        az = eval_at(p, z)
-        if pivot_condition(t.pencil.at(z)) > 1e10 or pivot_condition(az) > 1e10:
-            continue
-        want = np.linalg.inv(az)
-        scale = np.linalg.norm(want)
-        got = resolvent_eval(t, z)
-        if np.linalg.norm(got - want) <= 1e-6 * scale:
-            return t
-        flipped = StandardTriple(t.X, t.pencil, -t.Y, weighted=t.weighted, grade=t.grade)
-        got = resolvent_eval(flipped, z)
-        if np.linalg.norm(got - want) <= 1e-6 * scale:
-            return flipped
-        raise VerificationError(f"{where}: resolvent mismatch is not a sign flip")
-    raise VerificationError(f"{where}: no oracle point avoided the spectrum")
-
-
 def frobenius_triple(p: MatPoly) -> StandardTriple:
     """Second companion triple of a monomial polynomial (grade >= 1).
 
@@ -241,8 +215,7 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     monic = bool(np.array_equal(coeffs[s], np.eye(r)))
     weighted = (not monic) and s >= 2  # for s = 1, D Y = alpha_s Y: only the plain form holds
     meta = {"blocks": [r] * s, "hessenberg": True}
-    t = StandardTriple(X, Pencil(D, A, meta), Y, weighted=weighted, grade=s)
-    return _pin_signs(t, p, "second companion")
+    return StandardTriple(X, Pencil(D, A, meta), Y, weighted=weighted, grade=s)
 
 
 def lagrange_triple(p: MatPoly) -> StandardTriple:
@@ -274,8 +247,7 @@ def lagrange_triple(p: MatPoly) -> StandardTriple:
     for k in range(m):
         Y[k * r:(k + 1) * r, :] = np.eye(r)
     meta = {"blocks": [r] * (m + 1), "zero_D_block": True}
-    t = StandardTriple(X, Pencil(-A1, -A0, meta), Y, weighted=False, grade=p.grade)
-    return _pin_signs(t, p, "lagrange pencil")
+    return StandardTriple(X, Pencil(-A1, -A0, meta), Y, weighted=False, grade=p.grade)
 
 
 def chebyshev_triple(p: MatPoly) -> StandardTriple:
@@ -295,10 +267,9 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
         raise ContractError("grade must be at least 1")
     b = np.asarray(p.data, dtype=complex)
     if n == 1:
-        t = StandardTriple(np.eye(r, dtype=complex),
-                           Pencil(b[1].copy(), -b[0], {"blocks": [r]}),
-                           np.eye(r, dtype=complex), weighted=False, grade=1)
-        return _pin_signs(t, p, "colleague pencil")
+        return StandardTriple(np.eye(r, dtype=complex),
+                              Pencil(b[1].copy(), -b[0], {"blocks": [r]}),
+                              np.eye(r, dtype=complex), weighted=False, grade=1)
     N = n * r
     B0 = np.zeros((N, N), dtype=complex)
     B1 = np.eye(N, dtype=complex)
@@ -322,5 +293,4 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     Y[:r, :] = np.eye(r)
     weighted = pivot_condition(b[n]) > 1e12  # singular leading block
     meta = {"blocks": [r] * n, "hessenberg": True}
-    t = StandardTriple(X, Pencil(B1, B0, meta), Y, weighted=weighted, grade=n)
-    return _pin_signs(t, p, "colleague pencil")
+    return StandardTriple(X, Pencil(B1, B0, meta), Y, weighted=weighted, grade=n)

@@ -15,10 +15,14 @@ import scipy.linalg
 
 from .errors import ContractError, SpectrumError
 from .matpoly import eval_at
-from .pencil import Pencil, as_rng, pivot_condition
+from .pencil import COND_CAP, Pencil, as_rng, pivot_condition
 
 BACKEND = "shift-invert + numpy eigvals"
 BACKEND_QZ = "lapack qz"
+
+INF_TOL = 1e-12       # relative cutoff below which an eigenvalue is classed infinite
+SHIFT_CANDIDATES = 5  # shift draws always tried
+MAX_DRAWS = 50        # shift draws at most, while none is admissible
 
 
 @dataclass(eq=False)
@@ -36,62 +40,62 @@ class EigenReport:
         return len(self.finite) + self.infinite_count
 
 
-def generalized_eigen(p: Pencil, rng=None, inf_tol: float = 1e-12,
-                      shift_candidates: int = 5, max_draws: int = 50,
-                      cond_cap: float = 1e12, backend: str = "shift-invert") -> EigenReport:
+def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> EigenReport:
     """All eigenvalues of det(zD - A) = 0, split into finite and infinite.
 
-    The default reduction picks the best-conditioned of `shift_candidates`
-    random shift draws on |z| = 2 (continuing up to `max_draws` until one is
-    admissible), forms W = (sigma D - A)^-1 D, and maps W's spectrum back by
-    z = sigma - 1/mu.  `inf_tol` is relative to the max row sum of W.
-    backend="qz" instead calls the LAPACK QZ solver on (A, D) directly,
-    classifying |beta| below inf_tol * |(alpha, beta)| as infinite.
+    The default reduction picks the best-conditioned of SHIFT_CANDIDATES
+    random shift draws on |z| = 2 (continuing up to MAX_DRAWS until one has
+    pivot condition at most COND_CAP), forms W = (sigma D - A)^-1 D, and maps
+    W's spectrum back by z = sigma - 1/mu.  INF_TOL is relative to the max row
+    sum of W.  backend="qz" instead calls the LAPACK QZ solver on (A, D)
+    directly, classifying |beta| below INF_TOL * |(alpha, beta)| as infinite.
     """
     if backend == "qz":
-        return _qz_eigen(p, inf_tol)
+        return _qz_eigen(p)
     if backend != "shift-invert":
         raise ContractError(f"unknown backend {backend!r}")
     rng = as_rng(rng)
     D = p.D.astype(complex)
     A = p.A.astype(complex)
     best = None
-    for draw in range(max_draws):
+    for draw in range(MAX_DRAWS):
         sigma = 2.0 * np.exp(2j * np.pi * rng.random())
         cond = pivot_condition(sigma * D - A)
         if best is None or cond < best[1]:
             best = (sigma, cond)
-        if draw + 1 >= shift_candidates and best[1] <= cond_cap:
+        if draw + 1 >= SHIFT_CANDIDATES and best[1] <= COND_CAP:
             break
-    if best[1] > cond_cap:
+    if best[1] > COND_CAP:
         raise SpectrumError(
-            f"no admissible shift in {max_draws} draws; the pencil looks singular"
+            f"no admissible shift in {MAX_DRAWS} draws; the pencil looks singular"
         )
     sigma = best[0]
     w = np.linalg.solve(sigma * D - A, D)
     mu = np.linalg.eigvals(w)
     scale = float(np.abs(w).sum(axis=1).max())
-    cutoff = inf_tol * max(scale, 1e-300)
+    cutoff = INF_TOL * max(scale, 1e-300)
     infinite = np.abs(mu) < cutoff
     finite = sigma - 1.0 / mu[~infinite]
     return EigenReport(finite, int(infinite.sum()), None, sigma)
 
 
-def _qz_eigen(p: Pencil, inf_tol: float) -> EigenReport:
+def _qz_eigen(p: Pencil) -> EigenReport:
     alpha, beta = scipy.linalg.eig(p.A.astype(complex), p.D.astype(complex),
                                    right=False, homogeneous_eigvals=True)
-    infinite = np.abs(beta) <= inf_tol * (np.abs(alpha) + np.abs(beta))
+    infinite = np.abs(beta) <= INF_TOL * (np.abs(alpha) + np.abs(beta))
     finite = alpha[~infinite] / beta[~infinite]
     return EigenReport(finite, int(infinite.sum()), None, 0j, backend=BACKEND_QZ)
 
 
+def sigma_ratio(mat: np.ndarray) -> float:
+    """sigma_min / sigma_max of one matrix (0 for the zero matrix)."""
+    s = np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)
+    return 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
+
+
 def residuals(p, eigs) -> np.ndarray:
     """sigma_min / sigma_max of p evaluated at each candidate eigenvalue."""
-    out = np.zeros(len(eigs))
-    for i, z in enumerate(eigs):
-        s = np.linalg.svd(eval_at(p, z), compute_uv=False)
-        out[i] = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
-    return out
+    return np.array([sigma_ratio(eval_at(p, z)) for z in eigs])
 
 
 @dataclass(eq=False)

@@ -4,7 +4,6 @@ linearization comparison, and the mixed Lagrange/Chebyshev build.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 from . import fixtures
 from ._compose import composite_coeffs
 from .constructions import composite, frobenius_triple, chebyshev_triple, lagrange_triple
-from .eigensolve import EigenReport, generalized_eigen, match_roots
+from .eigensolve import EigenReport, generalized_eigen, match_roots, sigma_ratio
 from .errors import ContractError
 from .matpoly import MatPoly, height_report
 from .oracle import interp_charpoly, scalar_roots
@@ -35,25 +34,17 @@ class FamilyLevelReport:
     eigen: EigenReport
 
 
-def family_triple(k_max: int, constants: list | None = None) -> list[StandardTriple]:
+def family_triple(k_max: int) -> list[StandardTriple]:
     """Triples for h_1 .. h_{k_max}: start from the companion of z I + c_0 and
     square through the composite rule with d0 = I."""
     if not 1 <= k_max <= 64:
         raise ContractError("k_max out of range")
-    cs = fixtures.FAMILY_CONSTANTS if constants is None else constants
-    c0 = np.asarray(cs[0 % len(cs)], dtype=float)
-    h1 = MatPoly.monomial_poly(np.stack([c0, np.eye(4)]))
+    h1 = MatPoly.monomial_poly(np.stack([fixtures.family_constant(0), np.eye(4)]))
     out = [frobenius_triple(h1)]
     for k in range(1, k_max):
         t = out[-1]
-        ck = np.asarray(cs[k % len(cs)], dtype=float)
-        out.append(composite(t, t, np.eye(4), ck))
+        out.append(composite(t, t, np.eye(4), fixtures.family_constant(k)))
     return out
-
-
-def sigma_ratio(mat: np.ndarray) -> float:
-    s = np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)
-    return 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
 
 
 # Extended precision for residual evaluation where coefficient magnitudes
@@ -70,28 +61,21 @@ def _horner_wide(coeffs: np.ndarray, z: complex) -> np.ndarray:
     return acc
 
 
-def run_family(k_max: int = 6, rng=None, constants: list | None = None,
-               desk_cap: int = FAMILY_DESK_CAP) -> list[FamilyLevelReport]:
+def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     """Solve the recursive family for k = 1..k_max and report residuals.
 
     Residuals evaluate h_k at each eigenvalue through the defining recurrence
     (never through expanded coefficients) and take sigma_min / sigma_max.
     """
-    if not 1 <= k_max <= desk_cap:
-        raise ContractError(f"k_max must be within 1..{desk_cap}")
-    if constants is not None:
-        for i, c in enumerate(constants):
-            if abs(np.linalg.det(np.asarray(c, dtype=complex))) < 1e-12:
-                print(f"warning: constant #{i} is singular; expect high-multiplicity "
-                      "zero eigenvalues and numerical artifacts", file=sys.stderr)
+    if not 1 <= k_max <= FAMILY_DESK_CAP:
+        raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
     rng = as_rng(rng)
     reports = []
-    evaluate = fixtures.family_eval if constants is None else _custom_family_eval(constants)
-    for k, triple in enumerate(family_triple(k_max, constants), start=1):
+    for k, triple in enumerate(family_triple(k_max), start=1):
         t0 = time.perf_counter()
         eig = generalized_eigen(triple.pencil, rng=rng)
         elapsed = time.perf_counter() - t0
-        res = np.array([sigma_ratio(evaluate(k, z)) for z in eig.finite])
+        res = np.array([sigma_ratio(fixtures.family_eval(k, z)) for z in eig.finite])
         eig.residuals = res
         hr = height_report(triple.pencil.A)
         reports.append(FamilyLevelReport(
@@ -99,15 +83,6 @@ def run_family(k_max: int = 6, rng=None, constants: list | None = None,
             float(res.max()) if res.size else 0.0,
             hr.height, hr.t_metric, elapsed, eig))
     return reports
-
-
-def _custom_family_eval(constants):
-    def evaluate(k, z):
-        h = z * np.eye(4, dtype=complex) + np.asarray(constants[0 % len(constants)], dtype=complex)
-        for j in range(1, k):
-            h = z * (h @ h) + np.asarray(constants[j % len(constants)], dtype=complex)
-        return h
-    return evaluate
 
 
 @dataclass

@@ -107,10 +107,6 @@ def family_eval(k: int, z: complex) -> np.ndarray:
     return h
 
 
-def family_grade(k: int) -> int:
-    return 2 ** k - 1
-
-
 def mixed_lagrange_poly() -> MatPoly:
     return MatPoly.lagrange_poly(MIXED_NODES, MIXED_WEIGHTS, MIXED_SAMPLES)
 

@@ -50,17 +50,25 @@ def matpoly_to_json(p: MatPoly) -> dict:
             "data": [matrix_to_json(m) for m in p.data]}
 
 
+def _field(obj, key: str):
+    """obj[key], with a missing key or a non-object reported as malformed input."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise StructuralError(f"expected an object with key {key!r}, got {obj!r:.80}")
+    return obj[key]
+
+
 def matpoly_from_json(obj: dict) -> MatPoly:
-    basis = obj["basis"]
-    data = np.stack([matrix_from_json(m) for m in obj["data"]])
+    basis = _field(obj, "basis")
+    data = np.stack([matrix_from_json(m) for m in _field(obj, "data")])
     if isinstance(basis, str):
         spec = BasisSpec(basis)
-    elif "lagrange" in basis:
-        spec = BasisSpec.lagrange(vector_from_json(basis["lagrange"]["nodes"]),
-                                  vector_from_json(basis["lagrange"]["weights"]))
+    elif isinstance(basis, dict) and "lagrange" in basis:
+        lag = basis["lagrange"]
+        spec = BasisSpec.lagrange(vector_from_json(_field(lag, "nodes")),
+                                  vector_from_json(_field(lag, "weights")))
     else:
         raise StructuralError(f"unknown basis {basis!r}")
-    return MatPoly(spec, int(obj["dim"]), int(obj["grade"]), data)
+    return MatPoly(spec, int(_field(obj, "dim")), int(_field(obj, "grade")), data)
 
 
 def pencil_to_json(p: Pencil) -> dict:
@@ -71,7 +79,7 @@ def pencil_to_json(p: Pencil) -> dict:
 
 
 def pencil_from_json(obj: dict) -> Pencil:
-    return Pencil(matrix_from_json(obj["D"]), matrix_from_json(obj["A"]),
+    return Pencil(matrix_from_json(_field(obj, "D")), matrix_from_json(_field(obj, "A")),
                   obj.get("block_meta"))
 
 
@@ -84,8 +92,9 @@ def triple_to_json(t: StandardTriple) -> dict:
 
 
 def triple_from_json(obj: dict) -> StandardTriple:
-    return StandardTriple(matrix_from_json(obj["X"]), pencil_from_json(obj["pencil"]),
-                          matrix_from_json(obj["Y"]), bool(obj["weighted"]),
+    return StandardTriple(matrix_from_json(_field(obj, "X")),
+                          pencil_from_json(_field(obj, "pencil")),
+                          matrix_from_json(_field(obj, "Y")), bool(_field(obj, "weighted")),
                           obj.get("grade"))
 
 
@@ -121,6 +130,8 @@ def build_expression(node: dict):
     The returned polynomial evaluates the same composition pointwise for
     verification.
     """
+    if not isinstance(node, dict):
+        raise StructuralError(f"expression node must be an object, got {node!r:.80}")
     for name, builder in _LEAVES.items():
         if name in node:
             p = matpoly_from_json(node[name])
@@ -128,10 +139,10 @@ def build_expression(node: dict):
     op = node.get("op")
     if op is None:
         raise StructuralError(f"expression node has no op or leaf: {list(node)}")
-    ta, pa = build_expression(node["a"])
+    ta, pa = build_expression(_field(node, "a"))
     if op in ("shift_left", "shift_right"):
-        d0 = matrix_from_json(node["d0"])
-        c0 = matrix_from_json(node["c0"])
+        d0 = matrix_from_json(_field(node, "d0"))
+        c0 = matrix_from_json(_field(node, "c0"))
         if op == "shift_left":
             t = constructions.scalar_shift_left(ta, d0, c0)
             fn = lambda z: z * (d0 @ eval_at(pa, z)) + c0
@@ -140,18 +151,18 @@ def build_expression(node: dict):
             fn = lambda z: z * (eval_at(pa, z) @ d0) + c0
         return t, CallablePoly(ta.r, pa.grade + 1, fn)
     if op == "add":
-        c = matpoly_from_json(node["c"])
+        c = matpoly_from_json(_field(node, "c"))
         t = constructions.add_lower_degree(ta, c)
         fn = lambda z: eval_at(pa, z) + eval_at(c, z)
         return t, CallablePoly(ta.r, pa.grade, fn)
-    tb, pb = build_expression(node["b"])
+    tb, pb = build_expression(_field(node, "b"))
     if op == "product":
         t = constructions.product(ta, tb, node.get("variant", "F2"))
         fn = lambda z: eval_at(pa, z) @ eval_at(pb, z)
         return t, CallablePoly(ta.r, pa.grade + pb.grade, fn)
     if op == "composite":
-        d0 = matrix_from_json(node["d0"])
-        c0 = matrix_from_json(node["c0"])
+        d0 = matrix_from_json(_field(node, "d0"))
+        c0 = matrix_from_json(_field(node, "c0"))
         t = constructions.composite(ta, tb, d0, c0)
         fn = lambda z: z * (eval_at(pa, z) @ d0 @ eval_at(pb, z)) + c0
         return t, CallablePoly(ta.r, pa.grade + pb.grade + 1, fn)

@@ -9,14 +9,15 @@ no floating point is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ._exact import fraction_inverse, hessenberg_det
 from .errors import ContractError, ResourceLimitError
 
-DEFAULT_MAX_LEVEL = 14
+#: highest level built (dim 8191); the int64 inverse at level 15 would take 2 GiB
+MAX_LEVEL = 14
+_VALIDATE_PRODUCT_UP_TO = 1024
 
 #: matrices and inverses are stored as int64; their entries are -1/0/1 and all
 #: integer products taken here are bounded by the dimension, far below 2^63.
@@ -36,12 +37,12 @@ class MandelbrotMatrix:
     triple_Y: np.ndarray  # first unit column vector
 
 
-def mandelbrot_matrix(n: int, max_level: int = DEFAULT_MAX_LEVEL) -> MandelbrotMatrix:
+def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
     """Build M_n exactly (entries 0 or -1, upper Hessenberg)."""
     if n < 2:
         raise ContractError("the family starts at level 2")
-    if n > max_level:
-        raise ResourceLimitError(f"level {n} exceeds the cap {max_level} (dim {mandelbrot_dim(n)})")
+    if n > MAX_LEVEL:
+        raise ResourceLimitError(f"level {n} exceeds the cap {MAX_LEVEL} (dim {mandelbrot_dim(n)})")
     m = np.array([[-1]], dtype=_INT)
     for level in range(2, n):
         d = m.shape[0]
@@ -113,8 +114,7 @@ class InverseStructureReport:
     height1: bool
 
 
-def inverse_structure(n: int, max_level: int = DEFAULT_MAX_LEVEL,
-                      validate_product_up_to: int = 1024) -> InverseStructureReport:
+def inverse_structure(n: int) -> InverseStructureReport:
     """Exact inverse of M_n by the recursive block formula.
 
     Given inv = M_k^-1 with first column C and last row R, the next level is
@@ -125,13 +125,13 @@ def inverse_structure(n: int, max_level: int = DEFAULT_MAX_LEVEL,
 
     The recursion is validated along the way: the extracted first column and
     last row must equal [0; 1; C] and [R, 1, 0], and for dimensions up to
-    `validate_product_up_to` the full product M_n @ inverse is checked to be
+    _VALIDATE_PRODUCT_UP_TO the full product M_n @ inverse is checked to be
     the identity (exact int64 arithmetic).
     """
     if n < 2:
         raise ContractError("the family starts at level 2")
-    if n > max_level:
-        raise ResourceLimitError(f"level {n} exceeds the cap {max_level}")
+    if n > MAX_LEVEL:
+        raise ResourceLimitError(f"level {n} exceeds the cap {MAX_LEVEL}")
     inv = np.array([[-1]], dtype=_INT)
     col = np.array([[-1]], dtype=_INT)
     row = np.array([[-1]], dtype=_INT)
@@ -158,8 +158,8 @@ def inverse_structure(n: int, max_level: int = DEFAULT_MAX_LEVEL,
         col, row = new_col, new_row
 
     d = inv.shape[0]
-    if d <= validate_product_up_to:
-        m = mandelbrot_matrix(n, max_level=max_level).entries
+    if d <= _VALIDATE_PRODUCT_UP_TO:
+        m = mandelbrot_matrix(n).entries
         if not np.array_equal(m @ inv, np.eye(d, dtype=_INT)):
             raise AssertionError(f"M_{n} times its computed inverse is not the identity")
     corner = int(inv[d - 1, 0])

@@ -184,16 +184,17 @@ def eval_at(p, z: complex) -> np.ndarray:
 
 
 def det_poly(p: MatPoly) -> np.ndarray:
-    """Coefficients (low-to-high) of det a(z), by sampling and inverse DFT.
+    """Coefficients (low-to-high) of det a(z), by sampling and inverse DFT."""
+    return _interp_roots_of_unity(lambda z: np.linalg.det(eval_at(p, z)), p.dim * p.grade)
 
-    Samples det(a(z)) at the (r*s+1)-th roots of unity; the Vandermonde system
-    is then unitary up to scaling, so the interpolation is well conditioned.
-    """
-    m = p.dim * p.grade
+
+def _interp_roots_of_unity(det_at, degree: int) -> np.ndarray:
+    """Coefficients (low-to-high) of det_at, a polynomial of degree <= `degree`,
+    from its values at the (degree+1)-th roots of unity, where the Vandermonde
+    system is unitary up to scaling (a well-conditioned inverse DFT)."""
     # negative angles so the sample vector is the DFT of the coefficient vector
-    pts = np.exp(-2j * np.pi * np.arange(m + 1) / (m + 1))
-    vals = np.array([np.linalg.det(eval_at(p, z)) for z in pts])
-    return np.fft.ifft(vals)
+    pts = np.exp(-2j * np.pi * np.arange(degree + 1) / (degree + 1))
+    return np.fft.ifft(np.array([det_at(z) for z in pts]))
 
 
 def det_poly_exact(p: MatPoly) -> list:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._exact import interp_int
 from .errors import ContractError
-from .matpoly import eval_at
+from .matpoly import _interp_roots_of_unity, eval_at
 from .pencil import Pencil, StandardTriple, pencil_det_at, _is_exact, _rel_det_dev
 
 
@@ -30,9 +30,7 @@ def interp_charpoly(p: Pencil):
         xs = list(range(n + 1))
         ys = [pencil_det_at(p, x) for x in xs]
         return interp_int(xs, ys)
-    pts = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    vals = np.array([np.linalg.det(p.at(z)) for z in pts])
-    return np.fft.ifft(vals)
+    return _interp_roots_of_unity(lambda z: np.linalg.det(p.at(z)), n)
 
 
 @dataclass

@@ -213,9 +213,6 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
 def is_block_upper_hessenberg(mat: np.ndarray, r: int) -> bool:
     """True when every entry below the first r x r block subdiagonal is zero."""
     mat = np.asarray(mat)
-    n = mat.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i // r > j // r + 1 and mat[i, j] != 0:
-                return False
-    return True
+    block = np.arange(mat.shape[0]) // r
+    below = block[:, None] > block[None, :] + 1
+    return not np.any(mat[below])

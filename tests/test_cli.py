@@ -101,3 +101,42 @@ def test_malformed_json_exit_code(capsys, tmp_path):
         main(["eig", str(path)])
     assert info.value.code == 1
     assert "malformed JSON" in capsys.readouterr().err
+
+
+def _zero_poly_json():
+    return jsonio.matpoly_to_json(mp.MatPoly.monomial_poly(np.zeros((2, 1, 1))))
+
+
+def test_expression_missing_key_exit_code(capsys, tmp_path):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps({"op": "product", "a": {"frobenius": _zero_poly_json()}}))
+    code, _, err = run(capsys, "build", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "'b'" in err and len(err.splitlines()) == 1
+
+
+def test_eig_singular_pencil_exit_code(capsys, tmp_path):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(jsonio.pencil_to_json(mp.Pencil(np.zeros((1, 1)),
+                                                               np.zeros((1, 1))))))
+    code, _, err = run(capsys, "eig", str(path))
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_zero_polynomial_exit_code(capsys, tmp_path):
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps({"frobenius": _zero_poly_json()}))
+    code, _, err = run(capsys, "verify", "--expr", str(path))
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_build_zero_polynomial_is_a_valid_linearization(capsys, tmp_path):
+    # zD - A = [0] for a(z) = 0: singular, yet the identities hold trivially
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps({"frobenius": _zero_poly_json()}))
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == 0
+    triple = jsonio.triple_from_json(json.loads(out))
+    assert triple.N == 1 and not triple.pencil.D.any() and not triple.pencil.A.any()

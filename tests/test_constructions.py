@@ -5,7 +5,7 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import ContractError
 
-from helpers import (composite_coeffs, mono_add, mono_mul, rand_mat, rand_mono,
+from helpers import (composite_coeffs, mono_add, mono_mul, rand_lagrange, rand_mat, rand_mono,
                      shift_left_coeffs, shift_right_coeffs)
 
 
@@ -243,6 +243,41 @@ def test_chebyshev_singular_leading_is_weighted_and_verifies():
     t = mp.chebyshev_triple(p)
     assert t.weighted
     assert mp.verify_triple(t, p, rng=8).passed
+
+
+# The elementary constructors return their layouts as built, with no run-time
+# sign repair, so these sweeps are what guard X (zD - A)^-1 [D] Y = a^-1(z).
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "nonmonic"])
+@pytest.mark.parametrize("s", range(1, 7))
+def test_frobenius_sign_convention(s, monic, r):
+    p = rand_mono(np.random.default_rng((131, s, monic, r)), r, s, monic=monic)
+    t = mp.frobenius_triple(p)
+    assert t.weighted == (not monic and s >= 2)
+    assert mp.verify_triple(t, p, tol=1e-8, rng=s).passed
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("nodes", range(2, 8))
+def test_lagrange_sign_convention(nodes, r):
+    p = rand_lagrange(np.random.default_rng((141, nodes, r)), r, nodes - 1)
+    assert mp.verify_triple(mp.lagrange_triple(p), p, tol=1e-8, rng=nodes).passed
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("singular", [False, True], ids=["regular_lead", "singular_lead"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chebyshev_sign_convention(n, singular, r):
+    rng = np.random.default_rng((151, n, singular, r))
+    coeffs = np.stack([rand_mat(rng, r) for _ in range(n + 1)])
+    if singular:
+        coeffs[n, -1, :] = 0.0  # rank r - 1 leading block
+    p = mp.MatPoly.chebyshev_poly(coeffs)
+    t = mp.chebyshev_triple(p)
+    if n >= 2:
+        assert t.weighted == singular
+    assert mp.verify_triple(t, p, tol=1e-8, rng=n).passed
 
 
 # --- structure properties ----------------------------------------------------

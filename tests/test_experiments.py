@@ -71,13 +71,6 @@ def test_family_cap():
         experiments.run_family(9)
 
 
-def test_family_warns_on_singular_constant(capsys):
-    singular = [np.zeros((4, 4))] + [c.copy() for c in fixtures.FAMILY_CONSTANTS[1:]]
-    singular[0][0, 1] = 1.0  # rank deficient
-    experiments.run_family(1, rng=0, constants=singular)
-    assert "singular" in capsys.readouterr().err
-
-
 def test_quintic_counts():
     rep = experiments.run_random_quintic(rng=0)
     assert rep.algebraic_counts == (35, 0)

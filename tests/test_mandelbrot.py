@@ -106,7 +106,7 @@ def test_level_bounds():
     with pytest.raises(ResourceLimitError):
         mp.mandelbrot_matrix(15)
     with pytest.raises(ResourceLimitError):
-        mp.mandelbrot_matrix(6, max_level=5)
+        mp.inverse_structure(15)
 
 
 def test_determinant_is_unimodular():

@@ -124,3 +124,16 @@ def test_verify_triple_rejects_dimension_mismatch():
     p = mp.MatPoly.monomial_poly(np.stack([np.eye(2), np.eye(2)]))
     with pytest.raises(StructuralError):
         mp.verify_triple(t, p, rng=0)
+
+
+def test_block_hessenberg_mask_matches_entrywise_loop():
+    def loop(mat, r):
+        n = mat.shape[0]
+        return all(mat[i, j] == 0 for i in range(n) for j in range(n) if i // r > j // r + 1)
+
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 5, 7, 12):
+        for r in (1, 2, 3):
+            for _ in range(20):
+                mat = np.triu(rng.integers(-1, 2, (n, n)), -rng.integers(0, n + 1))
+                assert mp.is_block_upper_hessenberg(mat, r) == loop(mat, r)

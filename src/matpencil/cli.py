@@ -141,7 +141,9 @@ def cmd_build(args) -> int:
 
 def cmd_eig(args) -> int:
     obj = _load_json(args.pencil)
-    pencil = jsonio.pencil_from_json(obj.get("pencil", obj))
+    if isinstance(obj, dict) and "pencil" in obj:  # a triple file holds its pencil
+        obj = obj["pencil"]
+    pencil = jsonio.pencil_from_json(obj)
     rng = np.random.default_rng(args.seed)
     report = generalized_eigen(pencil, rng=rng)
     if args.poly:
@@ -172,8 +174,11 @@ def cmd_verify(args) -> int:
 def cmd_height(args) -> int:
     path = Path(args.matrix)
     if path.suffix == ".csv":
-        rows = [[int(v) for v in line.split(",")] for line in path.read_text().split() if line]
-        mat = np.array(rows)
+        try:
+            mat = np.array([[int(v) for v in line.split(",")]
+                            for line in path.read_text().split() if line])
+        except ValueError:
+            raise StructuralError(f"{path}: CSV cells must be integers in rows of one length")
     else:
         mat = jsonio.matrix_from_json(_load_json(args.matrix))
     rep = height_report(mat)

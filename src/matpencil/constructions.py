@@ -5,6 +5,9 @@ lower-degree addition, and the composite z*a*d0*b + c0) plus three elementary
 triples (second companion, barycentric Lagrange, Chebyshev colleague).  Every
 constructor's output satisfies det(zD - A) = det of the composed polynomial
 and carries X, Y realizing its inverse as a resolvent.
+
+One dtype rule (`matpoly._common`) covers every output: X, Y, D and A are float64
+when all inputs are real or integer, and complex128 once any input is complex.
 """
 
 from __future__ import annotations
@@ -13,41 +16,43 @@ import numpy as np
 
 from ._compose import mono_add
 from .errors import ContractError, StructuralError, VerificationError
-from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly
+from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, _common
 from .matpoly import eval_at  # noqa: F401  (unused here; bench/spans.py patches this name)
 from .pencil import Pencil, StandardTriple, pivot_condition, verify_triple
 from .pencil import resolvent_eval  # noqa: F401  (unused here; bench/spans.py patches this name)
 
 
 def _square(mat, r: int, name: str) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
+    (arr,) = _common(mat)
     if arr.shape != (r, r):
         raise StructuralError(f"{name} must be {r}x{r}, got {arr.shape}")
     return arr
+
+
+def _matrices(t: StandardTriple) -> tuple:
+    return t.X, t.pencil.D, t.pencil.A, t.Y
 
 
 def as_unweighted(t: StandardTriple) -> StandardTriple:
     """Fold the weight D into Y: X (zD-A)^-1 D Y = X (zD-A)^-1 (DY)."""
     if not t.weighted:
         return t
-    return StandardTriple(t.X.copy(), Pencil(t.pencil.D.copy(), t.pencil.A.copy(),
-                                             t.pencil.block_meta),
-                          t.pencil.D.astype(complex) @ t.Y.astype(complex),
-                          weighted=False, grade=t.grade)
+    X, D, A, Y = _common(*_matrices(t))
+    return StandardTriple(X.copy(), Pencil(D.copy(), A.copy(), t.pencil.block_meta),
+                          D @ Y, weighted=False, grade=t.grade)
 
 
 def scalar_shift_left(ta: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for e1(z) = z * d0 * a(z) + c0."""
     ta = as_unweighted(ta)
     r, n = ta.r, ta.N
-    d0 = _square(d0, r, "d0")
-    c0 = _square(c0, r, "c0")
-    A = ta.pencil.A.astype(complex)
-    E1 = np.block([[np.zeros((r, r)), c0 @ ta.X],
-                   [-ta.Y.astype(complex), A]])
-    D1 = _blockdiag(d0, ta.pencil.D.astype(complex))
-    X = np.hstack([np.zeros((r, r)), -ta.X])
-    Y = np.vstack([np.eye(r), np.zeros((n, r))]).astype(complex)
+    Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
+                                    _square(c0, r, "c0"))
+    E1 = np.block([[np.zeros((r, r)), c0 @ Xa],
+                   [-Ya, A]])
+    D1 = _blockdiag(d0, Da)
+    X = np.hstack([np.zeros((r, r)), -Xa])
+    Y = np.vstack([np.eye(r, dtype=A.dtype), np.zeros((n, r))])
     meta = {"blocks": [r, n]}
     grade = None if ta.grade is None else ta.grade + 1
     return StandardTriple(X, Pencil(D1, E1, meta), Y, weighted=False, grade=grade)
@@ -57,14 +62,13 @@ def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for e2(z) = z * a(z) * d0 + c0."""
     ta = as_unweighted(ta)
     r, n = ta.r, ta.N
-    d0 = _square(d0, r, "d0")
-    c0 = _square(c0, r, "c0")
-    A = ta.pencil.A.astype(complex)
-    E2 = np.block([[A, ta.Y.astype(complex) @ c0],
-                   [-ta.X.astype(complex), np.zeros((r, r))]])
-    D2 = _blockdiag(ta.pencil.D.astype(complex), d0)
-    X = np.hstack([np.zeros((r, n)), np.eye(r)]).astype(complex)
-    Y = np.vstack([-ta.Y.astype(complex), np.zeros((r, r))])
+    Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
+                                    _square(c0, r, "c0"))
+    E2 = np.block([[A, Ya @ c0],
+                   [-Xa, np.zeros((r, r))]])
+    D2 = _blockdiag(Da, d0)
+    X = np.hstack([np.zeros((r, n), A.dtype), np.eye(r)])
+    Y = np.vstack([-Ya, np.zeros((r, r))])
     meta = {"blocks": [n, r]}
     grade = None if ta.grade is None else ta.grade + 1
     return StandardTriple(X, Pencil(D2, E2, meta), Y, weighted=False, grade=grade)
@@ -82,20 +86,19 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
     if ta.r != tb.r:
         raise StructuralError("factors must share the polynomial dimension r")
     na, nb, r = ta.N, tb.N, ta.r
-    A = ta.pencil.A.astype(complex)
-    B = tb.pencil.A.astype(complex)
-    couple = tb.Y.astype(complex) @ ta.X.astype(complex)
+    Xa, Da, A, Ya, Xb, Db, B, Yb = _common(*_matrices(ta), *_matrices(tb))
+    couple = Yb @ Xa
     if variant == "F1":
         F = np.block([[A, np.zeros((na, nb))], [couple, B]])
-        D = _blockdiag(ta.pencil.D.astype(complex), tb.pencil.D.astype(complex))
-        X = np.hstack([np.zeros((r, na)), tb.X])
-        Y = np.vstack([ta.Y.astype(complex), np.zeros((nb, r))])
+        D = _blockdiag(Da, Db)
+        X = np.hstack([np.zeros((r, na)), Xb])
+        Y = np.vstack([Ya, np.zeros((nb, r))])
         meta = {"blocks": [na, nb]}
     elif variant == "F2":
         F = np.block([[B, couple], [np.zeros((na, nb)), A]])
-        D = _blockdiag(tb.pencil.D.astype(complex), ta.pencil.D.astype(complex))
-        X = np.hstack([tb.X, np.zeros((r, na))])
-        Y = np.vstack([np.zeros((nb, r)), ta.Y.astype(complex)])
+        D = _blockdiag(Db, Da)
+        X = np.hstack([Xb, np.zeros((r, na))])
+        Y = np.vstack([np.zeros((nb, r)), Ya])
         meta = {"blocks": [nb, na]}
     else:
         raise ContractError(f"variant must be 'F1' or 'F2', got {variant!r}")
@@ -121,20 +124,16 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly,
         raise StructuralError("dimension mismatch between triple and added polynomial")
     if c.grade >= ta.grade:
         raise ContractError(f"deg c = {c.grade} must be below deg a = {ta.grade}")
-    A = ta.pencil.A.astype(complex)
-    X = ta.X.astype(complex)
-    Y = ta.Y.astype(complex)
+    X, D, A, Y, cs = _common(*_matrices(ta), c.data)
     G = A.copy()
-    power = Y.copy()  # A^k Y, starting at k = 0
+    power = Y  # A^k Y, starting at k = 0
     for k in range(c.grade + 1):
-        ck = np.asarray(c.data[k], dtype=complex)
-        if np.any(ck != 0):
-            G -= power @ ck @ X
+        if np.any(cs[k] != 0):
+            G -= power @ cs[k] @ X
         if k < c.grade:
             power = A @ power
-    out = StandardTriple(X, Pencil(ta.pencil.D.astype(complex).copy(), G,
-                                   ta.pencil.block_meta),
-                         Y, weighted=ta.weighted, grade=ta.grade)
+    out = StandardTriple(X.copy(), Pencil(D.copy(), G, ta.pencil.block_meta),
+                         Y.copy(), weighted=ta.weighted, grade=ta.grade)
     if a_poly is not None:
         summed = _padded_sum(a_poly, c)
         report = verify_triple(out, summed, tol=tol, rng=np.random.default_rng(0))
@@ -156,18 +155,14 @@ def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
     if ta.r != tb.r:
         raise StructuralError("components must share the polynomial dimension r")
     r, na, nb = ta.r, ta.N, tb.N
-    d0 = _square(d0, r, "d0")
-    c0 = _square(c0, r, "c0")
-    A = ta.pencil.A.astype(complex)
-    B = tb.pencil.A.astype(complex)
-    Xa, Ya = ta.X.astype(complex), ta.Y.astype(complex)
-    Xb, Yb = tb.X.astype(complex), tb.Y.astype(complex)
+    Xa, Da, A, Ya, Xb, Db, B, Yb, d0, c0 = _common(
+        *_matrices(ta), *_matrices(tb), _square(d0, r, "d0"), _square(c0, r, "c0"))
     H = np.block([
         [A, np.zeros((na, r)), -Ya @ c0 @ Xb],
         [-Xa, np.zeros((r, r)), np.zeros((r, nb))],
         [np.zeros((nb, na)), -Yb, B],
     ])
-    D = _blockdiag(ta.pencil.D.astype(complex), d0, tb.pencil.D.astype(complex))
+    D = _blockdiag(Da, d0, Db)
     X = np.hstack([np.zeros((r, na + r)), Xb])
     Y = np.vstack([Ya, np.zeros((r + nb, r))])
     meta = {"blocks": [na, r, nb], "zero_middle_A_block": True}
@@ -176,8 +171,9 @@ def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
 
 
 def _blockdiag(*mats) -> np.ndarray:
+    mats = _common(*mats)
     n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=mats[0].dtype)
     at = 0
     for m in mats:
         k = m.shape[0]
@@ -199,18 +195,19 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     s, r = p.grade, p.dim
     if s < 1:
         raise ContractError("grade must be at least 1")
-    coeffs = np.asarray(p.data, dtype=complex)
+    (coeffs,) = _common(p.data)
+    dt = coeffs.dtype
     n = s * r
-    A = np.zeros((n, n), dtype=complex)
+    A = np.zeros((n, n), dtype=dt)
     for i in range(1, s):
         A[i * r:(i + 1) * r, (i - 1) * r:i * r] = np.eye(r)
     for i in range(s):
         A[i * r:(i + 1) * r, (s - 1) * r:] = -coeffs[i]
-    D = np.eye(n, dtype=complex)
+    D = np.eye(n, dtype=dt)
     D[(s - 1) * r:, (s - 1) * r:] = coeffs[s]
-    X = np.zeros((r, n), dtype=complex)
+    X = np.zeros((r, n), dtype=dt)
     X[:, (s - 1) * r:] = np.eye(r)
-    Y = np.zeros((n, r), dtype=complex)
+    Y = np.zeros((n, r), dtype=dt)
     Y[:r, :] = np.eye(r)
     monic = bool(np.array_equal(coeffs[s], np.eye(r)))
     weighted = (not monic) and s >= 2  # for s = 1, D Y = alpha_s Y: only the plain form holds
@@ -227,23 +224,23 @@ def lagrange_triple(p: MatPoly) -> StandardTriple:
     """
     if p.basis.kind != LAGRANGE:
         raise ContractError("lagrange triple needs a lagrange-basis polynomial")
-    nodes = p.basis.nodes
-    weights = p.basis.weights
+    data, nodes, weights = _common(p.data, p.basis.nodes, p.basis.weights)
+    dt = data.dtype
     if nodes.size < 2:
         raise ContractError("need at least two nodes")
     r = p.dim
     m = nodes.size  # = grade + 1
     n = (m + 1) * r
-    A0 = np.zeros((n, n), dtype=complex)
+    A0 = np.zeros((n, n), dtype=dt)
     for k in range(m):
         A0[k * r:(k + 1) * r, k * r:(k + 1) * r] = -nodes[k] * np.eye(r)
-        A0[k * r:(k + 1) * r, m * r:] = np.asarray(p.data[k], dtype=complex)
+        A0[k * r:(k + 1) * r, m * r:] = data[k]
         A0[m * r:, k * r:(k + 1) * r] = -weights[k] * np.eye(r)
-    A1 = np.zeros((n, n), dtype=complex)
+    A1 = np.zeros((n, n), dtype=dt)
     A1[: m * r, : m * r] = -np.eye(m * r)
-    X = np.zeros((r, n), dtype=complex)
+    X = np.zeros((r, n), dtype=dt)
     X[:, m * r:] = np.eye(r)
-    Y = np.zeros((n, r), dtype=complex)
+    Y = np.zeros((n, r), dtype=dt)
     for k in range(m):
         Y[k * r:(k + 1) * r, :] = np.eye(r)
     meta = {"blocks": [r] * (m + 1), "zero_D_block": True}
@@ -265,14 +262,15 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     n, r = p.grade, p.dim
     if n < 1:
         raise ContractError("grade must be at least 1")
-    b = np.asarray(p.data, dtype=complex)
+    (b,) = _common(p.data)
+    dt = b.dtype
     if n == 1:
-        return StandardTriple(np.eye(r, dtype=complex),
+        return StandardTriple(np.eye(r, dtype=dt),
                               Pencil(b[1].copy(), -b[0], {"blocks": [r]}),
-                              np.eye(r, dtype=complex), weighted=False, grade=1)
+                              np.eye(r, dtype=dt), weighted=False, grade=1)
     N = n * r
-    B0 = np.zeros((N, N), dtype=complex)
-    B1 = np.eye(N, dtype=complex)
+    B0 = np.zeros((N, N), dtype=dt)
+    B1 = np.eye(N, dtype=dt)
     B1[(n - 1) * r:, (n - 1) * r:] = 2.0 * b[n]
     half = 0.5 * np.eye(r)
     for i in range(n - 1):  # superdiagonal, skipping the slot the last column owns
@@ -287,9 +285,9 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     if n >= 3:
         B0[2 * r:, :] *= 2.0
         B1[2 * r:, :] *= 2.0
-    X = np.zeros((r, N), dtype=complex)
+    X = np.zeros((r, N), dtype=dt)
     X[:, (n - 1) * r:] = np.eye(r)
-    Y = np.zeros((N, r), dtype=complex)
+    Y = np.zeros((N, r), dtype=dt)
     Y[:r, :] = np.eye(r)
     weighted = pivot_condition(b[n]) > 1e12  # singular leading block
     meta = {"blocks": [r] * n, "hessenberg": True}

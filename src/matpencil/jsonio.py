@@ -22,10 +22,18 @@ def complex_to_json(z) -> list:
     return [z.real, z.imag]
 
 
+_REAL = (int, float)
+
+
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
+    """A number or an [re, im] pair; anything else is malformed input."""
+    if isinstance(v, _REAL):
         return complex(v)
-    return complex(v[0], v[1])
+    if isinstance(v, list) and len(v) == 2:
+        re, im = v
+        if isinstance(re, _REAL) and isinstance(im, _REAL):
+            return complex(re, im)
+    raise StructuralError(f"expected a number or an [re, im] pair, got {v!r:.80}")
 
 
 def matrix_to_json(mat) -> list:
@@ -33,10 +41,16 @@ def matrix_to_json(mat) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise StructuralError(f"expected a matrix as a list of rows, got {rows!r:.80}")
+    if len({len(row) for row in rows}) > 1:
+        raise StructuralError("matrix rows differ in length")
     return np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex)
 
 
 def vector_from_json(vals) -> np.ndarray:
+    if not isinstance(vals, list):
+        raise StructuralError(f"expected a list of numbers, got {vals!r:.80}")
     return np.array([complex_from_json(x) for x in vals], dtype=complex)
 
 
@@ -57,9 +71,22 @@ def _field(obj, key: str):
     return obj[key]
 
 
+def _int_field(obj, key: str) -> int:
+    try:
+        return int(_field(obj, key))
+    except (TypeError, ValueError):
+        raise StructuralError(f"{key} must be an integer, got {obj[key]!r:.80}") from None
+
+
 def matpoly_from_json(obj: dict) -> MatPoly:
     basis = _field(obj, "basis")
-    data = np.stack([matrix_from_json(m) for m in _field(obj, "data")])
+    mats = _field(obj, "data")
+    if not isinstance(mats, list) or not mats:
+        raise StructuralError(f"data must be a non-empty list of matrices, got {mats!r:.80}")
+    mats = [matrix_from_json(m) for m in mats]
+    if len({m.shape for m in mats}) > 1:
+        raise StructuralError("data matrices differ in shape")
+    data = np.stack(mats)
     if isinstance(basis, str):
         spec = BasisSpec(basis)
     elif isinstance(basis, dict) and "lagrange" in basis:
@@ -68,7 +95,7 @@ def matpoly_from_json(obj: dict) -> MatPoly:
                                   vector_from_json(_field(lag, "weights")))
     else:
         raise StructuralError(f"unknown basis {basis!r}")
-    return MatPoly(spec, int(_field(obj, "dim")), int(_field(obj, "grade")), data)
+    return MatPoly(spec, _int_field(obj, "dim"), _int_field(obj, "grade"), data)
 
 
 def pencil_to_json(p: Pencil) -> dict:

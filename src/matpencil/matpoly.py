@@ -19,6 +19,15 @@ LAGRANGE = "lagrange"
 CHEBYSHEV = "chebyshev"
 
 
+def _common(*arrays) -> list[np.ndarray]:
+    """The inputs in one dtype, np.result_type(float, *inputs): float64 for
+    real or integer data, complex128 once any input is complex.  An input
+    already in that dtype is returned without a copy."""
+    arrays = [np.asarray(a) for a in arrays]
+    dtype = np.result_type(float, *arrays)
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
 @dataclass(eq=False)
 class BasisSpec:
     """Which basis a MatPoly's data lives in.
@@ -38,8 +47,7 @@ class BasisSpec:
         if self.kind == LAGRANGE:
             if self.nodes is None or self.weights is None:
                 raise StructuralError("lagrange basis needs nodes and weights")
-            self.nodes = np.asarray(self.nodes, dtype=complex).ravel()
-            self.weights = np.asarray(self.weights, dtype=complex).ravel()
+            self.nodes, self.weights = (a.ravel() for a in _common(self.nodes, self.weights))
             if self.nodes.size != self.weights.size:
                 raise StructuralError("node/weight count mismatch")
             if len(set(self.nodes.tolist())) != self.nodes.size:
@@ -260,7 +268,6 @@ def height_report(mat) -> HeightReport:
     height = float(mags.max()) if arr.size else 0.0
     nz = mags[mags > 0]
     t_metric = float(nz.min() / height) if nz.size else None
-    flat = arr.ravel()
-    is_01 = bool(all(x == 0 or x == -1 for x in flat))
-    is_h1 = bool(all(x == 0 or x == -1 or x == 1 for x in flat))
-    return HeightReport(height, t_metric, is_01, is_h1)
+    zero_or_minus_one = (arr == 0) | (arr == -1)
+    return HeightReport(height, t_metric, bool(np.all(zero_or_minus_one)),
+                        bool(np.all(zero_or_minus_one | (arr == 1))))

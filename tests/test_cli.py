@@ -140,3 +140,46 @@ def test_build_zero_polynomial_is_a_valid_linearization(capsys, tmp_path):
     assert code == 0
     triple = jsonio.triple_from_json(json.loads(out))
     assert triple.N == 1 and not triple.pencil.D.any() and not triple.pencil.A.any()
+
+
+def _one_line_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    return err
+
+
+def test_eig_top_level_array_exit_code(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text("[1, 2]")
+    _one_line_error(capsys, "eig", str(path))
+
+
+def test_eig_reads_pencil_of_triple_file(capsys, tmp_path):
+    t = mp.frobenius_triple(mp.MatPoly.monomial_poly([2.0, 1.0]))  # z + 2
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(jsonio.triple_to_json(t)))
+    code, out, _ = run(capsys, "eig", str(path))
+    assert code == 0
+    np.testing.assert_allclose(json.loads(out)["finite"], [[-2.0, 0.0]], atol=1e-12)
+
+
+def test_height_non_integer_csv_cell_exit_code(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n")
+    assert "CSV" in _one_line_error(capsys, "height", str(path))
+
+
+@pytest.mark.parametrize("text", ["[[ [1] ]]", "[[null]]", "[[1, 2], [3]]", "[1, 2]",
+                                  '[["x"]]'],
+                         ids=["short_pair", "null", "ragged", "not_rows", "string"])
+def test_height_malformed_json_matrix_exit_code(capsys, tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    _one_line_error(capsys, "height", str(path))
+
+
+def test_eig_null_entry_exit_code(capsys, tmp_path):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"D": [[1]], "A": [[None]]}))
+    _one_line_error(capsys, "eig", str(path))

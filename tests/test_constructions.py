@@ -373,3 +373,64 @@ def test_weighted_inputs_accepted_by_all_composers():
     assert mp.verify_triple(mp.product(ta, tb, "F1"), pab, n_points=6, rng=2).passed
     ph = mp.MatPoly.monomial_poly(composite_coeffs(a.data, d0, b.data, c0))
     assert mp.verify_triple(mp.composite(ta, tb, d0, c0), ph, n_points=6, rng=3).passed
+
+
+# --- dtype rule --------------------------------------------------------------
+
+# A non-monic 2x2 quadratic (so the companion triple is weighted and every
+# composer unweights it first), and Lagrange nodes 0, 1 with integer weights.
+_DTYPE_COEFFS = np.array([[[2, -1], [1, 3]], [[0, 1], [-1, 2]], [[1, 0], [0, 2]]])
+
+
+def _build(kind, dtype):
+    coeffs = _DTYPE_COEFFS.astype(dtype)
+    m = coeffs[0]
+    ta = mp.frobenius_triple(mp.MatPoly.monomial_poly(coeffs))
+    if kind == "frobenius":
+        return ta
+    if kind == "lagrange":
+        nodes, weights = np.array([0, 1]).astype(dtype), np.array([-1, 1]).astype(dtype)
+        return mp.lagrange_triple(mp.MatPoly.lagrange_poly(nodes, weights, coeffs[:2]))
+    if kind == "chebyshev":
+        return mp.chebyshev_triple(mp.MatPoly.chebyshev_poly(coeffs))
+    if kind == "shift_left":
+        return mp.scalar_shift_left(ta, m, m.T)
+    if kind == "shift_right":
+        return mp.scalar_shift_right(ta, m, m.T)
+    if kind == "product":
+        return mp.product(ta, ta, "F1")
+    if kind == "add_lower_degree":
+        return mp.add_lower_degree(ta, mp.MatPoly.monomial_poly(coeffs[:1]))
+    return mp.composite(ta, ta, m, m.T)
+
+
+_KINDS = ["frobenius", "lagrange", "chebyshev", "shift_left", "shift_right", "product",
+          "add_lower_degree", "composite"]
+
+
+def _parts(t):
+    return {"X": t.X, "Y": t.Y, "D": t.pencil.D, "A": t.pencil.A}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("dtype, want", [(np.int64, np.float64), (np.float64, np.float64),
+                                         (np.complex128, np.complex128)])
+def test_constructor_dtype_rule(kind, dtype, want):
+    t = _build(kind, dtype)
+    assert t.weighted == (kind in ("frobenius", "add_lower_degree"))
+    for name, arr in _parts(t).items():
+        assert arr.dtype == want, f"{kind}: {name} is {arr.dtype}"
+    # real data gives the same triple as the same data carried as complex
+    ref = _parts(_build(kind, np.complex128))
+    for name, arr in _parts(t).items():
+        np.testing.assert_allclose(arr, ref[name], rtol=0, atol=1e-12)
+
+
+def test_mixed_real_complex_composite_is_complex():
+    rng = np.random.default_rng(131)
+    real = mp.frobenius_triple(mp.MatPoly.monomial_poly(_DTYPE_COEFFS.astype(float)))
+    cplx = mp.frobenius_triple(rand_mono(rng, 2, 2))
+    eye = np.eye(2)
+    for t in (mp.composite(real, cplx, eye, eye), mp.composite(real, real, eye, 1j * eye),
+              mp.product(cplx, real), mp.scalar_shift_left(real, eye, rand_mat(rng, 2))):
+        assert all(arr.dtype == np.complex128 for arr in _parts(t).values())

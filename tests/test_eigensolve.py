@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -124,3 +128,52 @@ def test_residuals_of_family_level5_expanded():
     eig = experiments.run_family(5, rng=np.random.default_rng(0))[-1].eigen
     assert len(eig.finite) == 124
     assert mp.residuals(p5, eig.finite).max() <= 1e-10
+
+
+def test_match_roots_is_minimum_weight_not_greedy():
+    # greedy takes the closest pair (1, 0.55) first and is left with (0, 1.6)
+    rep = mp.match_roots([0.0, 1.0], [0.55, 1.6])
+    assert rep.pairs == [(0, 0), (1, 1)]
+    assert rep.max_error == pytest.approx(0.6)
+    np.testing.assert_allclose(rep.forward_errors, [0.55, 0.6])
+    assert rep.unmatched_eigs == [] and rep.unmatched_refs == []
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # only match_roots needs it, and it adds set-up time and memory to every run
+    code = "import sys, matpencil; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_identity_d_is_solved_as_standard_eigenproblem():
+    from matpencil import eigensolve, experiments
+    for t in experiments.family_triple(5):
+        p = t.pencil
+        assert p.A.dtype == p.D.dtype == np.float64
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        rep = mp.generalized_eigen(p, rng=rng)
+        assert rng.bit_generator.state == state  # no shift drawn
+        assert rep.backend == eigensolve.BACKEND_STANDARD
+        assert rep.infinite_count == 0 and rep.shift_used == 0j and rep.total == p.N
+        qz = mp.generalized_eigen(mp.Pencil(p.D.astype(complex), p.A.astype(complex)),
+                                  backend="qz")
+        assert qz.total == p.N
+        assert mp.match_roots(rep.finite, qz.finite).max_error <= 1e-10
+
+
+def test_real_qz_agrees_with_complex_qz_on_quintic():
+    from matpencil import fixtures
+    a = mp.MatPoly.monomial_poly(np.stack(fixtures.QUINTIC_A))
+    b = mp.MatPoly.monomial_poly(np.stack(fixtures.quintic_b_coeffs()))
+    p = mp.composite(mp.frobenius_triple(a), mp.frobenius_triple(b), np.eye(5), np.eye(5)).pencil
+    assert p.A.dtype == p.D.dtype == np.float64
+    real = mp.generalized_eigen(p, backend="qz")
+    cplx = mp.generalized_eigen(mp.Pencil(p.D.astype(complex), p.A.astype(complex)),
+                                backend="qz")
+    assert (len(real.finite), real.infinite_count) == (len(cplx.finite), cplx.infinite_count)
+    assert real.total == 35
+    assert mp.match_roots(real.finite, cplx.finite).max_error <= 1e-9

@@ -93,3 +93,27 @@ def test_expression_mixed_basis_leaves():
     triple, poly = jsonio.build_expression(node)
     assert triple.N == 27
     assert mp.verify_triple(triple, poly, rng=10).passed
+
+
+@pytest.mark.parametrize("value", ["x", [1], [1, 2, 3], None, ["1", 0], {"re": 1}],
+                         ids=["string", "short_pair", "long_pair", "null", "string_part",
+                              "object"])
+def test_malformed_number_is_structural_error(value):
+    from matpencil.errors import StructuralError
+    with pytest.raises(StructuralError):
+        jsonio.complex_from_json(value)
+    with pytest.raises(StructuralError):
+        jsonio.matrix_from_json([[value]])
+    with pytest.raises(StructuralError):
+        jsonio.vector_from_json([value])
+
+
+@pytest.mark.parametrize("patch", [{"dim": "x"}, {"grade": None}, {"data": 5}, {"data": []},
+                                   {"data": [[[1]], [[1, 0], [0, 1]]]}],
+                         ids=["dim", "grade", "data_number", "data_empty", "data_shapes"])
+def test_malformed_matpoly_is_structural_error(patch):
+    from matpencil.errors import StructuralError
+    obj = {"basis": "monomial", "dim": 1, "grade": 1, "data": [[[1]], [[1]]]}
+    assert jsonio.matpoly_from_json(obj).grade == 1
+    with pytest.raises(StructuralError):
+        jsonio.matpoly_from_json({**obj, **patch})

@@ -121,3 +121,26 @@ def test_structural_errors():
     with pytest.raises(StructuralError):
         mp.MatPoly.lagrange_poly([0.0, 1.0, 2.0], mp.barycentric_weights([0.0, 1.0, 2.0]),
                                  np.zeros((2, 1, 1)))  # node count vs sample count
+
+
+def test_height_flags_match_entrywise_reference():
+    from matpencil import experiments
+
+    def reference(arr):
+        flat = np.asarray(arr).ravel()
+        return (all(x == 0 or x == -1 for x in flat),
+                all(x == 0 or x == -1 or x == 1 for x in flat))
+
+    rng = np.random.default_rng(12)
+    mats = [rng.integers(lo, 2, (r, r)) for lo in (-2, -1, 0) for r in (1, 3, 5)]
+    mats += [rng.integers(-1, 1, (3, 3)) + 1j * rng.integers(-1, 2, (3, 3)) for _ in range(5)]
+    mats += [rng.integers(-1, 2, (4, 4)).astype(complex), np.zeros((0, 0)),
+             np.array([[np.nan, 0.0]])]
+    mats += [t.pencil.A for t in experiments.family_triple(6)]
+    seen = set()
+    for m in mats:
+        rep = mp.height_report(m)
+        got = (rep.is_bohemian_01, rep.is_height1_integer)
+        assert got == reference(m)
+        seen.add(got)
+    assert seen == {(True, True), (False, True), (False, False)}

@@ -29,8 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_text(path) -> str:
+    """The file's text; a missing or unreadable file is malformed input."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise StructuralError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _load_json(path: str) -> dict:
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -174,9 +182,10 @@ def cmd_verify(args) -> int:
 def cmd_height(args) -> int:
     path = Path(args.matrix)
     if path.suffix == ".csv":
+        text = _read_text(path)
         try:
             mat = np.array([[int(v) for v in line.split(",")]
-                            for line in path.read_text().split() if line])
+                            for line in text.split() if line])
         except ValueError:
             raise StructuralError(f"{path}: CSV cells must be integers in rows of one length")
     else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, SpectrumError
 from .matpoly import _common, eval_at
@@ -50,10 +49,11 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
     is drawn from rng, none is infinite, and shift_used is 0.  Otherwise the
     default reduction picks the best-conditioned of SHIFT_CANDIDATES
     random shift draws on |z| = 2 (continuing up to MAX_DRAWS until one has
-    pivot condition at most COND_CAP), forms W = (sigma D - A)^-1 D, and maps
-    W's spectrum back by z = sigma - 1/mu.  INF_TOL is relative to the max row
-    sum of W.  backend="qz" instead calls the LAPACK QZ solver on (A, D)
-    directly, classifying |beta| below INF_TOL * |(alpha, beta)| as infinite.
+    1-norm condition number at most COND_CAP), forms W = (sigma D - A)^-1 D,
+    and maps W's spectrum back by z = sigma - 1/mu.  INF_TOL is relative to
+    the max row sum of W.  backend="qz" instead calls the LAPACK QZ solver on
+    (A, D) directly, classifying |beta| below INF_TOL * |(alpha, beta)| as
+    infinite.
     Both backends keep a real pencil real.
     """
     if backend == "qz":
@@ -95,6 +95,10 @@ def _is_identity(mat: np.ndarray) -> bool:
 
 
 def _qz_eigen(p: Pencil) -> EigenReport:
+    # Imported here: scipy.linalg adds about 28 MB to every program that loads
+    # this package, and only the QZ backend needs it.
+    import scipy.linalg
+
     A, D = _common(p.A, p.D)
     alpha, beta = scipy.linalg.eig(A, D, right=False, homogeneous_eigvals=True)
     infinite = np.abs(beta) <= INF_TOL * (np.abs(alpha) + np.abs(beta))
@@ -102,15 +106,17 @@ def _qz_eigen(p: Pencil) -> EigenReport:
     return EigenReport(finite, int(infinite.sum()), None, 0j, backend=BACKEND_QZ)
 
 
-def sigma_ratio(mat: np.ndarray) -> float:
-    """sigma_min / sigma_max of one matrix (0 for the zero matrix)."""
+def sigma_ratio(mat: np.ndarray):
+    """sigma_min / sigma_max of one matrix (a float) or of every matrix in a
+    stack (an array); 0 for a zero matrix."""
     s = np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)
-    return 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
+    top = s[..., 0]
+    return (s[..., -1] / np.where(top == 0.0, 1.0, top))[()]  # zero matrix: 0 / 1
 
 
 def residuals(p, eigs) -> np.ndarray:
     """sigma_min / sigma_max of p evaluated at each candidate eigenvalue."""
-    return np.array([sigma_ratio(eval_at(p, z)) for z in eigs])
+    return sigma_ratio(eval_at(p, np.asarray(eigs)))
 
 
 @dataclass(eq=False)

@@ -154,8 +154,8 @@ def build_expression(node: dict):
     Leaves are {"frobenius"|"lagrange"|"chebyshev": <matpoly>}; interior nodes
     carry "op" in {composite, product, shift_left, shift_right, add} with
     child expressions under "a"/"b" and constant matrices under "d0"/"c0"/"c".
-    The returned polynomial evaluates the same composition pointwise for
-    verification.
+    The returned polynomial evaluates the same composition, at one point or a
+    stack of points, for verification.
     """
     if not isinstance(node, dict):
         raise StructuralError(f"expression node must be an object, got {node!r:.80}")
@@ -172,10 +172,10 @@ def build_expression(node: dict):
         c0 = matrix_from_json(_field(node, "c0"))
         if op == "shift_left":
             t = constructions.scalar_shift_left(ta, d0, c0)
-            fn = lambda z: z * (d0 @ eval_at(pa, z)) + c0
+            fn = lambda z: z[..., None, None] * (d0 @ eval_at(pa, z)) + c0
         else:
             t = constructions.scalar_shift_right(ta, d0, c0)
-            fn = lambda z: z * (eval_at(pa, z) @ d0) + c0
+            fn = lambda z: z[..., None, None] * (eval_at(pa, z) @ d0) + c0
         return t, CallablePoly(ta.r, pa.grade + 1, fn)
     if op == "add":
         c = matpoly_from_json(_field(node, "c"))
@@ -191,6 +191,6 @@ def build_expression(node: dict):
         d0 = matrix_from_json(_field(node, "d0"))
         c0 = matrix_from_json(_field(node, "c0"))
         t = constructions.composite(ta, tb, d0, c0)
-        fn = lambda z: z * (eval_at(pa, z) @ d0 @ eval_at(pb, z)) + c0
+        fn = lambda z: z[..., None, None] * (eval_at(pa, z) @ d0 @ eval_at(pb, z)) + c0
         return t, CallablePoly(ta.r, pa.grade + pb.grade + 1, fn)
     raise StructuralError(f"unknown expression op {op!r}")

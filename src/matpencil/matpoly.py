@@ -113,7 +113,7 @@ class MatPoly:
         if self.basis.kind == LAGRANGE and self.basis.nodes.size != self.grade + 1:
             raise StructuralError("lagrange node count must be grade + 1")
 
-    def eval(self, z: complex) -> np.ndarray:
+    def eval(self, z) -> np.ndarray:
         return eval_at(self, z)
 
     @classmethod
@@ -139,14 +139,18 @@ class CallablePoly:
 
     Used where a polynomial exists only as a composition (e.g. a product of
     polynomials in different bases) and coefficient data is not wanted.
+
+    fn is called once per evaluation with z as an array (0-d for one point)
+    and must return the stack of shape z.shape + (dim, dim); a scalar factor
+    broadcasts as z[..., None, None].
     """
 
     dim: int
     grade: int
     fn: object
 
-    def eval(self, z: complex) -> np.ndarray:
-        return np.asarray(self.fn(z))
+    def eval(self, z) -> np.ndarray:
+        return np.asarray(self.fn(np.asarray(z)))
 
 
 def _as_stack(mats) -> np.ndarray:
@@ -158,51 +162,61 @@ def _as_stack(mats) -> np.ndarray:
     return arr
 
 
-def eval_at(p, z: complex) -> np.ndarray:
-    """Evaluate a (duck-typed) matrix polynomial at the scalar z."""
+def eval_at(p, z) -> np.ndarray:
+    """Evaluate a (duck-typed) matrix polynomial at z.
+
+    A scalar z gives one dim x dim matrix; an array of points gives the stack
+    of shape z.shape + (dim, dim).
+    """
     if not isinstance(p, MatPoly):
         return p.eval(z)
+    z = np.asarray(z)
+    zz = z[..., None, None]
     kind = p.basis.kind
     if kind == MONOMIAL:
-        acc = np.zeros((p.dim, p.dim), dtype=complex)
+        acc = np.zeros(z.shape + (p.dim, p.dim), dtype=complex)
         for coeff in p.data[::-1]:
-            acc = acc * z + coeff
+            acc = acc * zz + coeff
         return acc
     if kind == CHEBYSHEV:
         # three-term recurrence T_{k+1} = 2 z T_k - T_{k-1}
-        acc = np.array(p.data[0], dtype=complex)
+        acc = np.zeros(z.shape + (p.dim, p.dim), dtype=complex) + p.data[0]
         if p.grade >= 1:
-            t_prev, t_cur = 1.0, z
+            t_prev, t_cur = 1.0, zz
             acc = acc + t_cur * p.data[1]
             for k in range(2, p.grade + 1):
-                t_prev, t_cur = t_cur, 2 * z * t_cur - t_prev
+                t_prev, t_cur = t_cur, 2 * zz * t_cur - t_prev
                 acc = acc + t_cur * p.data[k]
         return acc
-    # barycentric Lagrange: a(z) = w(z) * sum beta_k a_k / (z - tau_k)
-    nodes = p.basis.nodes
-    hits = np.nonzero(z == nodes)[0]
-    if hits.size:
-        return np.array(p.data[hits[0]], dtype=complex)
-    diffs = z - nodes
-    w = np.prod(diffs)
-    acc = np.zeros((p.dim, p.dim), dtype=complex)
-    for beta, d, sample in zip(p.basis.weights, diffs, p.data):
-        acc += (beta / d) * sample
-    return w * acc
+    # barycentric Lagrange: a(z) = w(z) * sum beta_k a_k / (z - tau_k), and
+    # a(tau_k) is the stored sample a_k
+    diffs = z[..., None] - p.basis.nodes
+    hit = diffs == 0
+    w = np.prod(diffs, axis=-1)
+    diffs[hit] = 1.0
+    coef = p.basis.weights / diffs
+    acc = np.zeros(z.shape + (p.dim, p.dim), dtype=complex)
+    for k, sample in enumerate(p.data):
+        acc += coef[..., k, None, None] * sample
+    acc *= w[..., None, None]
+    at_node = hit.any(axis=-1)
+    acc[at_node] = p.data[hit.argmax(axis=-1)[at_node]]
+    return acc
 
 
 def det_poly(p: MatPoly) -> np.ndarray:
     """Coefficients (low-to-high) of det a(z), by sampling and inverse DFT."""
-    return _interp_roots_of_unity(lambda z: np.linalg.det(eval_at(p, z)), p.dim * p.grade)
+    return _interp_roots_of_unity(lambda pts: np.linalg.det(eval_at(p, pts)), p.dim * p.grade)
 
 
 def _interp_roots_of_unity(det_at, degree: int) -> np.ndarray:
     """Coefficients (low-to-high) of det_at, a polynomial of degree <= `degree`,
     from its values at the (degree+1)-th roots of unity, where the Vandermonde
-    system is unitary up to scaling (a well-conditioned inverse DFT)."""
+    system is unitary up to scaling (a well-conditioned inverse DFT).  det_at
+    maps the array of points to the array of their values."""
     # negative angles so the sample vector is the DFT of the coefficient vector
     pts = np.exp(-2j * np.pi * np.arange(degree + 1) / (degree + 1))
-    return np.fft.ifft(np.array([det_at(z) for z in pts]))
+    return np.fft.ifft(det_at(pts))
 
 
 def det_poly_exact(p: MatPoly) -> list:

@@ -30,7 +30,7 @@ def interp_charpoly(p: Pencil):
         xs = list(range(n + 1))
         ys = [pencil_det_at(p, x) for x in xs]
         return interp_int(xs, ys)
-    return _interp_roots_of_unity(lambda z: np.linalg.det(p.at(z)), n)
+    return _interp_roots_of_unity(lambda pts: np.linalg.det(p.at(pts)), n)
 
 
 @dataclass
@@ -53,11 +53,8 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
     if n_points is None:
         n_points = max(p.N, q.dim * q.grade) + 1
     pts = 2.0 * np.exp(2j * np.pi * (np.arange(n_points) + 0.28571) / n_points)
-    worst = 0.0
-    for z in pts:
-        dev = _rel_det_dev(np.linalg.slogdet(p.at(z)),
-                           np.linalg.slogdet(eval_at(q, z)))
-        worst = max(worst, dev)
+    dev = _rel_det_dev(np.linalg.slogdet(p.at(pts)), np.linalg.slogdet(eval_at(q, pts)))
+    worst = float(np.max(dev, initial=0.0))
     return DetEquality(worst <= tol, worst, n_points)
 
 

@@ -6,18 +6,16 @@ construction in this package is verified against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from ._exact import exact_det
 from .errors import DegenerateInputError, SpectrumError, StructuralError
 from .matpoly import eval_at
 
-#: pivot-ratio threshold above which zD - A counts as numerically singular
+#: 1-norm condition number above which zD - A counts as numerically singular
 COND_CAP = 1e12
 
 
@@ -41,8 +39,9 @@ class Pencil:
     def N(self) -> int:
         return self.D.shape[0]
 
-    def at(self, z: complex) -> np.ndarray:
-        return z * self.D.astype(complex) - self.A.astype(complex)
+    def at(self, z) -> np.ndarray:
+        """z*D - A; an array of points gives the stack of shape z.shape + (N, N)."""
+        return np.asarray(z)[..., None, None] * self.D.astype(complex) - self.A.astype(complex)
 
 
 @dataclass(eq=False)
@@ -94,38 +93,42 @@ def pencil_det_at(p: Pencil, z: complex):
     return sign * np.exp(logdet)
 
 
-def pivot_condition(mat: np.ndarray) -> float:
-    """Cheap condition estimate: ratio of largest to smallest LU pivot magnitude."""
-    if mat.shape[0] == 0:
-        return 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, _ = scipy.linalg.lu_factor(mat, check_finite=False)
-    piv = np.abs(np.diag(lu))
-    if piv.min() == 0.0 or not np.isfinite(piv.max()):
-        return np.inf
-    return float(piv.max() / piv.min())
+def pivot_condition(mat: np.ndarray):
+    """1-norm condition number ||M||_1 ||M^-1||_1 of one matrix (a float) or of
+    every matrix in a stack (an array); a singular matrix reads inf."""
+    mat = np.asarray(mat)
+    if mat.shape[-1] == 0:
+        return np.ones(mat.shape[:-2])[()]
+    cond = np.linalg.cond(mat, 1)
+    # cond reads NaN for a matrix with NaN entries; inf keeps it above every cap
+    return np.where(np.isnan(cond), np.inf, cond)[()]
 
 
-def resolvent_eval(t: StandardTriple, z: complex, cond_cap: float = COND_CAP) -> np.ndarray:
-    """X (zD - A)^-1 Y, with the extra D factor before Y when t is weighted."""
-    m = t.pencil.at(z)
-    if pivot_condition(m) > cond_cap:
-        raise SpectrumError(f"z = {z} is too close to the pencil spectrum")
+def _resolvent(t: StandardTriple, m: np.ndarray) -> np.ndarray:
+    """X m^-1 Y (X m^-1 D Y when t is weighted) for m = zD - A or a stack of them."""
     rhs = t.pencil.D.astype(complex) @ t.Y.astype(complex) if t.weighted else t.Y.astype(complex)
     return t.X.astype(complex) @ np.linalg.solve(m, rhs)
 
 
+def resolvent_eval(t: StandardTriple, z, cond_cap: float = COND_CAP) -> np.ndarray:
+    """X (zD - A)^-1 Y, with the extra D factor before Y when t is weighted;
+    an array of points gives a stack."""
+    m = t.pencil.at(z)
+    if np.any(pivot_condition(m) > cond_cap):
+        raise SpectrumError(f"z = {z} is too close to the pencil spectrum")
+    return _resolvent(t, m)
+
+
 def is_regular(p: Pencil, rng=None, tol: float = 1e-10) -> bool:
-    """Sampled regularity test: det(zD - A) above tolerance at some point."""
+    """Sampled regularity test: det(zD - A) above tolerance at some point.
+
+    Always draws its N + 1 points from rng, in one call.
+    """
     rng = as_rng(rng)
     scale = max(1.0, float(np.abs(p.A).max()), float(np.abs(p.D).max()))
-    for _ in range(p.N + 1):
-        z = 2.0 * np.exp(2j * np.pi * rng.random())
-        sign, logdet = np.linalg.slogdet(p.at(z))
-        if sign != 0 and logdet > np.log(tol * scale):
-            return True
-    return False
+    z = 2.0 * np.exp(2j * np.pi * rng.random(p.N + 1))
+    sign, logdet = np.linalg.slogdet(p.at(z))
+    return bool(np.any((sign != 0) & (logdet > np.log(tol * scale))))
 
 
 def as_rng(rng) -> np.random.Generator:
@@ -134,18 +137,17 @@ def as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _rel_det_dev(det_pencil: tuple, det_poly: tuple) -> float:
-    """|dp - dq| / max(1, |dq|) from (sign, log|.|) pairs, overflow-safe."""
+def _rel_det_dev(det_pencil: tuple, det_poly: tuple) -> np.ndarray:
+    """|dp - dq| / max(1, |dq|) from the (sign, log|.|) pairs slogdet returns,
+    one deviation per point; overflow-safe."""
     sp, lp = det_pencil
     sq, lq = det_poly
-    if sp == 0 and sq == 0:
-        return 0.0
-    top = max(lp, lq)
-    num = abs(sp * np.exp(lp - top) - sq * np.exp(lq - top))
-    log_scale = top - max(0.0, lq)
-    if log_scale > 700.0:
-        return np.inf
-    return float(num * np.exp(log_scale))
+    both_zero = (sp == 0) & (sq == 0)
+    top = np.where(both_zero, 0.0, np.maximum(lp, lq))
+    num = np.abs(sp * np.exp(lp - top) - sq * np.exp(lq - top))
+    log_scale = top - np.maximum(0.0, lq)
+    dev = np.where(log_scale > 700.0, np.inf, num * np.exp(np.minimum(log_scale, 700.0)))
+    return np.where(both_zero, 0.0, dev)
 
 
 @dataclass
@@ -172,9 +174,13 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     """Check det(zD - A) = det a(z) and resolvent = a^-1(z) at sampled points.
 
     Points are drawn uniformly on |z| = 2 and rejected while the shifted
-    pencil's condition estimate exceeds 1/tol, so the resolvent stays
-    computable.  Deviations are relative; the determinant one is normalized by
-    max(1, |det a|) so huge determinants do not drown the comparison.
+    pencil's 1-norm condition number exceeds 1/tol, so the resolvent stays
+    computable; DegenerateInputError after 100 * n_points draws.  Draws come
+    in chunks no larger than the number of points still missing, so the
+    accepted points and the rng state are those of drawing one at a time.
+    Deviations are relative; the determinant one is normalized by
+    max(1, |det a|) so huge determinants do not drown the comparison.  The
+    resolvent is compared at the points where a(z) is also well-conditioned.
     """
     if t.r != p.dim:
         raise StructuralError(f"triple has r = {t.r} but polynomial has dim {p.dim}")
@@ -182,32 +188,32 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
         n_points = max(t.N, p.dim * p.grade) + 1
     rng = as_rng(rng)
     cond_cap = 1.0 / tol
-    points = []
+    points = np.empty(0, dtype=complex)
     attempts = 0
-    while len(points) < n_points:
-        attempts += 1
-        if attempts > 100 * n_points:
+    while points.size < n_points:
+        k = min(n_points - points.size, 100 * n_points - attempts)
+        if k <= 0:
             raise DegenerateInputError(
                 f"could not find {n_points} admissible sample points in {attempts} draws"
             )
-        z = 2.0 * np.exp(2j * np.pi * rng.random())
-        if pivot_condition(t.pencil.at(z)) <= cond_cap:
-            points.append(z)
+        z = 2.0 * np.exp(2j * np.pi * rng.random(k))
+        attempts += k
+        points = np.concatenate([points, z[pivot_condition(t.pencil.at(z)) <= cond_cap]])
 
-    det_dev = 0.0
+    m = t.pencil.at(points)
+    az = eval_at(p, points)
+    det_dev = float(np.max(_rel_det_dev(np.linalg.slogdet(m), np.linalg.slogdet(az)),
+                           initial=0.0))
     res_dev = None
-    for z in points:
-        az = eval_at(p, z)
-        dev = _rel_det_dev(np.linalg.slogdet(t.pencil.at(z)), np.linalg.slogdet(az))
-        det_dev = max(det_dev, dev)
-        if pivot_condition(az) <= cond_cap:
-            inv = np.linalg.inv(az)
-            got = resolvent_eval(t, z, cond_cap=cond_cap)
-            dev = float(np.linalg.norm(got - inv) / np.linalg.norm(inv))
-            res_dev = dev if res_dev is None else max(res_dev, dev)
+    good = pivot_condition(az) <= cond_cap
+    if np.any(good):
+        inv = np.linalg.inv(az[good])
+        err = _resolvent(t, m[good]) - inv
+        res_dev = float(np.max(np.linalg.norm(err, axis=(-2, -1))
+                               / np.linalg.norm(inv, axis=(-2, -1))))
 
     passed = det_dev <= tol and res_dev is not None and res_dev <= tol
-    return VerifyReport(det_dev, res_dev, tol, points, passed)
+    return VerifyReport(det_dev, res_dev, tol, points.tolist(), passed)
 
 
 def is_block_upper_hessenberg(mat: np.ndarray, r: int) -> bool:

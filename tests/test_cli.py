@@ -183,3 +183,11 @@ def test_eig_null_entry_exit_code(capsys, tmp_path):
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps({"D": [[1]], "A": [[None]]}))
     _one_line_error(capsys, "eig", str(path))
+
+
+@pytest.mark.parametrize("argv", [["height", "missing.csv"], ["height", "missing.json"],
+                                  ["eig", "missing.json"], ["verify", "--expr", "missing.json"]],
+                         ids=["height_csv", "height_json", "eig", "verify_expr"])
+def test_missing_input_file_exit_code(capsys, tmp_path, argv):
+    argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    assert "No such file" in _one_line_error(capsys, *argv)

@@ -177,3 +177,37 @@ def test_real_qz_agrees_with_complex_qz_on_quintic():
     assert (len(real.finite), real.infinite_count) == (len(cplx.finite), cplx.infinite_count)
     assert real.total == 35
     assert mp.match_roots(real.finite, cplx.finite).max_error <= 1e-9
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # only the QZ backend needs it; it loads on the first QZ solve
+    code = ("import sys, numpy as np, matpencil as mp\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "p = mp.Pencil(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))\n"
+            "print(sorted(mp.generalized_eigen(p, backend='qz').finite.real.tolist()))\n"
+            "print('scipy.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split("\n")[:3] == ["False", "[2.0, 3.0]", "True"]
+
+
+def test_residuals_match_per_point_loop():
+    from matpencil import eigensolve, fixtures
+    rng = np.random.default_rng(14)
+    cases = [(mp.MatPoly.monomial_poly(np.stack([rand_mat(rng, 3) for _ in range(4)])),
+              rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)),
+             (mp.MatPoly.chebyshev_poly(np.stack([rand_mat(rng, 2) for _ in range(3)])),
+              [0.5, -1.0, 2j]),
+             (mp.MatPoly.monomial_poly(np.zeros((2, 2, 2))), [1.0, 1j])]
+    h = fixtures.family_constant(0).astype(complex)
+    cases.append((mp.MatPoly.monomial_poly(np.stack([h, np.eye(4)])),
+                  mp.generalized_eigen(mp.Pencil(np.eye(4), -h)).finite))
+    for p, eigs in cases:
+        want = np.array([eigensolve.sigma_ratio(mp.eval_at(p, z)) for z in eigs])
+        got = mp.residuals(p, eigs)
+        assert got.shape == want.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    assert mp.residuals(cases[0][0], []).shape == (0,)
+    assert isinstance(eigensolve.sigma_ratio(np.eye(2)), float)
+    assert eigensolve.sigma_ratio(np.zeros((2, 2))) == 0.0

@@ -117,3 +117,23 @@ def test_malformed_matpoly_is_structural_error(patch):
     assert jsonio.matpoly_from_json(obj).grade == 1
     with pytest.raises(StructuralError):
         jsonio.matpoly_from_json({**obj, **patch})
+
+
+@pytest.mark.parametrize("op", ["shift_left", "shift_right", "add", "product", "composite"])
+def test_expression_poly_evaluates_a_stack_of_points(op):
+    rng = np.random.default_rng(13)
+    a, b, c = rand_mono(rng, 2, 2), rand_mono(rng, 2, 1), rand_mono(rng, 2, 1)
+    node = {"op": op, "a": {"frobenius": jsonio.matpoly_to_json(a)},
+            "b": {"chebyshev": jsonio.matpoly_to_json(mp.MatPoly.chebyshev_poly(b.data))},
+            "c": jsonio.matpoly_to_json(c),
+            "d0": jsonio.matrix_to_json(rand_mat(rng, 2)),
+            "c0": jsonio.matrix_to_json(rand_mat(rng, 2))}
+    _, poly = jsonio.build_expression(node)
+    z = np.concatenate([2.0 * np.exp(2j * np.pi * rng.random(5)), [0.0, 1.5]])
+    want = np.stack([mp.eval_at(poly, complex(x)) for x in z])
+    got = mp.eval_at(poly, z)
+    assert got.shape == (z.size, 2, 2)
+    # same arithmetic, possibly through a vectorized loop: equal up to rounding
+    tol = 64 * np.finfo(float).eps * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    np.testing.assert_array_equal(mp.eval_at(poly, z[0]), mp.eval_at(poly, complex(z[0])))

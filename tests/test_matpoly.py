@@ -5,7 +5,7 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import StructuralError
 
-from helpers import chebyshev_to_monomial, rand_mono
+from helpers import chebyshev_to_monomial, rand_lagrange, rand_mono
 
 
 def test_eval_monomial_scalar():
@@ -144,3 +144,38 @@ def test_height_flags_match_entrywise_reference():
         assert got == reference(m)
         seen.add(got)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _points_with_node(rng, nodes):
+    circle = 2.0 * np.exp(2j * np.pi * rng.random(6))
+    inside = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    return np.concatenate([circle, inside, nodes[-1:], [0.5, -1.0]])
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev", "lagrange", "lagrange_real"])
+@pytest.mark.parametrize("r,s", [(1, 0), (1, 3), (2, 1), (3, 4)])
+def test_eval_at_array_equals_stacked_scalar_calls(kind, r, s):
+    rng = np.random.default_rng(10 * r + s)
+    if kind == "monomial":
+        p = rand_mono(rng, r, s)
+    elif kind == "chebyshev":
+        p = mp.MatPoly.chebyshev_poly(rand_mono(rng, r, s).data)
+    elif kind == "lagrange":
+        p = rand_lagrange(rng, r, s)
+    else:  # real nodes, weights and samples
+        nodes = np.linspace(-1.0, 1.0, s + 1) if s else np.array([0.25])
+        p = mp.MatPoly.lagrange_poly(nodes, mp.barycentric_weights(nodes).real,
+                                     rng.standard_normal((s + 1, r, r)))
+    nodes = p.basis.nodes if p.basis.kind == "lagrange" else np.array([0.3, 0.7])
+    z = _points_with_node(rng, nodes)
+    want = np.stack([mp.eval_at(p, complex(x)) for x in z])
+    got = mp.eval_at(p, z)
+    assert got.shape == (z.size, r, r)
+    # The arithmetic is the same, but numpy may run a contiguous stack through
+    # a vectorized (fused multiply-add) loop and one point through a scalar
+    # loop, so the two may differ by rounding: a few units of float64 epsilon.
+    tol = 16 * (s + 1) * np.finfo(float).eps * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    np.testing.assert_array_equal(mp.eval_at(p, z.reshape(2, -1)), got.reshape(2, -1, r, r))
+    if p.basis.kind == "lagrange":  # a point equal to a node returns that node's sample
+        np.testing.assert_array_equal(got[9], p.data[-1])

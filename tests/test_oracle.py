@@ -103,3 +103,39 @@ def test_oracle_roots_agree_with_eigensolver():
     eig = mp.generalized_eigen(t.pencil, rng=rng)
     refs = mp.scalar_roots(mp.interp_charpoly(t.pencil))
     assert mp.match_roots(eig.finite, refs).max_error <= 1e-6
+
+
+def test_stacked_determinant_checks_match_per_point_loops():
+    def rel_dev(dp, dq):
+        return abs(dp - dq) / max(1.0, abs(dq))
+
+    rng = np.random.default_rng(15)
+    for r, s in ((1, 4), (2, 3), (3, 2)):
+        p = rand_mono(rng, r, s)
+        t = mp.frobenius_triple(p)
+        bad = mp.Pencil(t.pencil.D, t.pencil.A + 1e-3)
+        n = max(t.N, r * s) + 1
+        pts = 2.0 * np.exp(2j * np.pi * (np.arange(n) + 0.28571) / n)
+        for pencil in (t.pencil, bad):
+            want = max(rel_dev(np.linalg.det(pencil.at(z)), np.linalg.det(mp.eval_at(p, z)))
+                       for z in pts)
+            got = mp.det_equality(pencil, p)
+            assert got.points == n
+            assert got.max_deviation == pytest.approx(want, rel=1e-6, abs=1e-13)
+        # the same interpolation from one point at a time
+        roots = np.exp(-2j * np.pi * np.arange(r * s + 1) / (r * s + 1))
+        want = np.fft.ifft([np.linalg.det(mp.eval_at(p, z)) for z in roots])
+        np.testing.assert_allclose(mp.det_poly(p), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+        want = np.fft.ifft([np.linalg.det(t.pencil.at(z))
+                            for z in np.exp(-2j * np.pi * np.arange(t.N + 1) / (t.N + 1))])
+        np.testing.assert_allclose(mp.interp_charpoly(t.pencil), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def test_det_equality_fails_on_nan_pencil():
+    # one maximum over the stack propagates a NaN deviation; it must not read 0
+    p = mp.MatPoly.monomial_poly([1.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        eq = mp.det_equality(mp.Pencil([[1.0]], [[np.nan]]), p)
+    assert not eq.ok and np.isnan(eq.max_deviation)

@@ -137,3 +137,121 @@ def test_block_hessenberg_mask_matches_entrywise_loop():
             for _ in range(20):
                 mat = np.triu(rng.integers(-1, 2, (n, n)), -rng.integers(0, n + 1))
                 assert mp.is_block_upper_hessenberg(mat, r) == loop(mat, r)
+
+
+def _sequential_verify(t, p, n_points, tol, rng):
+    """verify_triple as one draw and one small matrix per point: the reference
+    the stacked version must reproduce."""
+    from matpencil.errors import DegenerateInputError
+    cond_cap = 1.0 / tol
+    points = []
+    attempts = 0
+    while len(points) < n_points:
+        attempts += 1
+        if attempts > 100 * n_points:
+            raise DegenerateInputError("no admissible points")
+        z = 2.0 * np.exp(2j * np.pi * rng.random())
+        if mp.pivot_condition(t.pencil.at(z)) <= cond_cap:
+            points.append(z)
+    det_dev, res_dev = 0.0, None
+    for z in points:
+        az = mp.eval_at(p, z)
+        dp, dq = np.linalg.det(t.pencil.at(z)), np.linalg.det(az)
+        det_dev = max(det_dev, abs(dp - dq) / max(1.0, abs(dq)))
+        if mp.pivot_condition(az) <= cond_cap:
+            inv = np.linalg.inv(az)
+            got = mp.resolvent_eval(t, z, cond_cap=cond_cap)
+            dev = np.linalg.norm(got - inv) / np.linalg.norm(inv)
+            res_dev = dev if res_dev is None else max(res_dev, dev)
+    return points, attempts, det_dev, res_dev
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.1, 1 / 6], ids=["cap_1e8", "cap_10", "cap_6"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_triple_matches_sequential_reference(seed, tol):
+    # a(z) = z^2 + 1e-3 z - 4: kappa_1(zD - A) runs from 4.5 to about 2e4 on
+    # |z| = 2, so caps 10 and 6 reject about a third and a half of the draws
+    p = mp.MatPoly.monomial_poly([-4.0, 1e-3, 1.0])
+    t = mp.frobenius_triple(p)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    points, attempts, det_dev, res_dev = _sequential_verify(t, p, 10, tol, ref_rng)
+    rep = mp.verify_triple(t, p, n_points=10, tol=tol, rng=rng)
+    assert rep.points == points
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if tol > 1e-8:
+        assert attempts > len(points)  # some draws were rejected
+    assert rep.det_deviation == pytest.approx(det_dev, rel=1e-6, abs=1e-15)
+    assert rep.resolvent_deviation == pytest.approx(res_dev, rel=1e-6, abs=1e-15)
+
+
+def test_verify_triple_stacked_deviations_match_sequential_reference():
+    from helpers import rand_mono
+    rng = np.random.default_rng(21)
+    for r, s in ((1, 3), (2, 2), (3, 2)):
+        a, b = rand_mono(rng, r, s), rand_mono(rng, r, 1)
+        t = mp.product(mp.frobenius_triple(a), mp.frobenius_triple(b), "F2")
+        p = mp.CallablePoly(r, s + 1, lambda z, a=a, b=b: mp.eval_at(a, z) @ mp.eval_at(b, z))
+        ref_rng, rng_t = np.random.default_rng(r), np.random.default_rng(r)
+        points, _, det_dev, res_dev = _sequential_verify(t, p, 7, 1e-8, ref_rng)
+        rep = mp.verify_triple(t, p, n_points=7, tol=1e-8, rng=rng_t)
+        assert rep.points == points and rep.passed
+        # both deviations sit at rounding level, where a stack and one point
+        # at a time may differ in the last bits
+        assert rep.det_deviation == pytest.approx(det_dev, rel=0.5, abs=1e-14)
+        assert rep.resolvent_deviation == pytest.approx(res_dev, rel=0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_points", [1, 3, 7])
+def test_verify_triple_degenerate_after_exactly_100n_draws(n_points):
+    from matpencil.errors import DegenerateInputError
+    zero = np.zeros((2, 2))
+    t = mp.StandardTriple(np.eye(2), mp.Pencil(zero, zero), np.eye(2), grade=1)
+    p = mp.MatPoly.monomial_poly(np.stack([np.eye(2), np.eye(2)]))
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(DegenerateInputError, match=f"in {100 * n_points} draws"):
+        mp.verify_triple(t, p, n_points=n_points, rng=rng)
+    for _ in range(100 * n_points):
+        ref.random()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_pivot_condition_is_one_norm_condition_number():
+    from matpencil.pencil import COND_CAP
+    assert mp.pivot_condition(np.array([[1.0, 1e13], [0.0, 1.0]])) > COND_CAP  # pivot ratio 1
+    assert mp.pivot_condition(np.array([[1.0, 2.0], [2.0, 4.0]])) == np.inf
+    assert mp.pivot_condition(np.zeros((3, 3))) == np.inf
+    assert mp.pivot_condition(np.array([[np.nan, 1.0], [0.0, 1.0]])) == np.inf
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    want = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
+    assert mp.pivot_condition(m) == pytest.approx(want, rel=1e-12)
+    stack = np.stack([np.eye(2), np.diag([1.0, 1e-3]), [[1.0, 1e13], [0.0, 1.0]],
+                      np.zeros((2, 2))])
+    got = mp.pivot_condition(stack)
+    assert got.shape == (4,)
+    np.testing.assert_array_equal(got, [mp.pivot_condition(x) for x in stack])
+    assert got[0] == 1.0 and got[1] == pytest.approx(1e3) and got[3] == np.inf
+
+
+def test_is_regular_matches_per_point_loop():
+    def loop(p, rng, tol=1e-10):
+        scale = max(1.0, float(np.abs(p.A).max()), float(np.abs(p.D).max()))
+        for _ in range(p.N + 1):
+            z = 2.0 * np.exp(2j * np.pi * rng.random())
+            sign, logdet = np.linalg.slogdet(p.at(z))
+            if sign != 0 and logdet > np.log(tol * scale):
+                return True
+        return False
+
+    rng = np.random.default_rng(6)
+    zero = np.zeros((3, 3))
+    singular = mp.Pencil(np.diag([1.0, 0.0, 0.0]), np.diag([2.0, 0.0, 1.0]))
+    pencils = [mandelbrot_triple(3).pencil, mp.Pencil(zero, zero), singular,
+               mp.Pencil(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))]
+    for p in pencils:
+        for seed in range(3):
+            got_rng = np.random.default_rng(seed)
+            assert mp.is_regular(p, rng=got_rng) == loop(p, np.random.default_rng(seed))
+            ref = np.random.default_rng(seed)
+            ref.random(p.N + 1)  # always N + 1 draws
+            assert got_rng.bit_generator.state == ref.bit_generator.state

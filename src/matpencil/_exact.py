@@ -1,10 +1,13 @@
 """Exact integer and rational linear algebra used by the big-integer code paths.
 
 Everything here works on plain Python ints / Fractions (arbitrary precision);
-no floating point enters these routines.
+no floating point enters these routines.  `hessenberg_det` also takes a numpy
+array, whose entries it turns into Python ints before any arithmetic.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def is_upper_hessenberg(rows):
@@ -15,25 +18,55 @@ def is_upper_hessenberg(rows):
 def hessenberg_det(rows):
     """Determinant of an upper Hessenberg matrix via the leading-minor recurrence.
 
-    O(n^2) exact multiplications instead of O(n^3) elimination.  Expanding the
-    k-th leading minor along its last column, the cofactor of entry (i, k) is
-    the (i-1)-th minor times the product of the subdiagonal entries between
-    rows i and k.
+    Takes a list of lists or a 2-D numpy integer or object array; entries
+    below the subdiagonal are ignored.  Expanding the (k+1)-th leading minor
+    along its last column k, the cofactor of a nonzero entry (r, k) is the
+    r-th minor times the product of the subdiagonal entries s_{r+1} .. s_k.
+    Those products are quotients of prefix products that restart at every
+    zero subdiagonal entry (a zero s_j cancels every term with r < j), so
+    only the nonzero entries are visited: O(n + nnz) exact multiplications
+    on Python ints or Fractions.
     """
-    n = len(rows)
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    n = len(a)
     if n == 0:
         return 1
-    minors = [1, rows[0][0]]
-    for k in range(2, n + 1):
-        total = rows[k - 1][k - 1] * minors[k - 1]
-        prod = 1
-        sign = -1
-        for i in range(k - 1, 0, -1):
-            prod = prod * rows[i][i - 1]
-            total = total + sign * rows[i - 1][k - 1] * minors[i - 1] * prod
-            sign = -sign
+    # nonzeros in column-major order: C order sorted stably by column keeps
+    # rows ascending (a flat scan of a boolean mask is numpy's fastest way to find them)
+    r_idx, c_idx = np.divmod(np.flatnonzero(a.astype(bool)), n)
+    order = np.argsort(c_idx, kind="stable")
+    r_idx, c_idx = r_idx[order], c_idx[order]
+    vals = [int(v) if isinstance(v, np.integer) else v for v in a[r_idx, c_idx].tolist()]
+    bounds = np.searchsorted(c_idx, np.arange(n + 1)).tolist()  # column k: bounds[k]:bounds[k+1]
+    r_idx = r_idx.tolist()
+    minors = [1]   # minors[k]: determinant of the leading k x k block
+    prefix = [1]   # prefix[j]: s_{start+1} * ... * s_j
+    start = 0      # last j <= k with s_j == 0, or 0
+    sub = 0        # s_k = entry (k, k-1), read from column k-1
+    for k in range(n):
+        if k:
+            if sub:
+                prefix.append(prefix[k - 1] * sub)
+            else:
+                prefix.append(1)
+                start = k
+        total, sub = 0, 0
+        for pos in range(bounds[k], bounds[k + 1]):
+            r, v = r_idx[pos], vals[pos]
+            if r == k + 1:
+                sub = v
+            elif start <= r <= k:
+                term = v * minors[r]
+                if r < k:
+                    term = term * _exact_quotient(prefix[k], prefix[r])
+                total = total - term if (k - r) & 1 else total + term
         minors.append(total)
     return minors[n]
+
+
+def _exact_quotient(num, den):
+    """num / den for a den that divides num; stays an int for ints."""
+    return num // den if isinstance(num, int) and isinstance(den, int) else num / den
 
 
 def bareiss_det(rows):

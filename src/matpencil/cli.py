@@ -96,7 +96,8 @@ def eigen_svg(report, size: int = 640) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _emit(args, stem: str, report):
+def _emit(args, stem: str, report, **fields):
+    """Write the requested artifacts; `fields` are extra keys of the JSON one."""
     if not args.emit:
         return
     out = _outdir(args)
@@ -105,7 +106,8 @@ def _emit(args, stem: str, report):
     if "svg" in args.emit:
         (out / f"{stem}.svg").write_text(eigen_svg(report))
     if "json" in args.emit:
-        (out / f"{stem}.json").write_text(jsonio.dumps(jsonio.eigenreport_to_json(report)))
+        (out / f"{stem}.json").write_text(
+            jsonio.dumps({**jsonio.eigenreport_to_json(report), **fields}))
 
 
 def cmd_mandelbrot(args) -> int:
@@ -218,8 +220,9 @@ def cmd_quintic(args) -> int:
     print(f"expanded companion max residual:     {rep.frobenius_max_residual:.3e} "
           f"(finite {rep.frobenius_counts[0]}, infinite {rep.frobenius_counts[1]})")
     print(f"ratio (expanded / glued):            {rep.ratio:.1f}x")
-    _emit(args, "quintic_glued", rep.algebraic_eigen)
-    _emit(args, "quintic_expanded", rep.frobenius_eigen)
+    print(f"residuals evaluated in:              {rep.residual_dtype}")
+    _emit(args, "quintic_glued", rep.algebraic_eigen, residual_dtype=rep.residual_dtype)
+    _emit(args, "quintic_expanded", rep.frobenius_eigen, residual_dtype=rep.residual_dtype)
     return 0
 
 

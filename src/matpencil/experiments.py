@@ -49,7 +49,9 @@ def family_triple(k_max: int) -> list[StandardTriple]:
 
 # Extended precision for residual evaluation where coefficient magnitudes
 # (~1e5) would otherwise put the double-precision evaluation floor above the
-# differences being measured.  Falls back to double where unsupported.
+# differences being measured.  Falls back to double where unsupported, which
+# changes what the quintic comparison measures: QuinticComparison.residual_dtype
+# records which one ran.
 _WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 
@@ -94,6 +96,7 @@ class QuinticComparison:
     frobenius_counts: tuple
     algebraic_eigen: EigenReport
     frobenius_eigen: EigenReport
+    residual_dtype: str  # dtype z a(z) b(z) + I was evaluated in: complex256, or complex128
 
 
 def run_random_quintic(rng=None) -> QuinticComparison:
@@ -134,7 +137,7 @@ def run_random_quintic(rng=None) -> QuinticComparison:
         worst_direct / worst_glued if worst_glued else np.inf,
         (len(eig_glued.finite), eig_glued.infinite_count),
         (len(eig_direct.finite), eig_direct.infinite_count),
-        eig_glued, eig_direct)
+        eig_glued, eig_direct, np.dtype(_WIDE).name)
 
 
 @dataclass

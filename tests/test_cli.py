@@ -191,3 +191,21 @@ def test_eig_null_entry_exit_code(capsys, tmp_path):
 def test_missing_input_file_exit_code(capsys, tmp_path, argv):
     argv = argv[:-1] + [str(tmp_path / argv[-1])]
     assert "No such file" in _one_line_error(capsys, *argv)
+
+
+def test_mandelbrot_level12_end_to_end(capsys):
+    code, out, _ = run(capsys, "mandelbrot", "12")
+    assert code == 0
+    assert "M_12: dim 2047" in out
+    assert ("corner of inverse: -1; inverse height 1: True; zero block: True; "
+            "charpoly identity on -3..3: True") in out
+
+
+def test_quintic_reports_residual_dtype(capsys, tmp_path):
+    from matpencil import experiments
+    wide = np.dtype(experiments._WIDE).name
+    code, out, _ = run(capsys, "--emit", "json", "--out", str(tmp_path), "quintic")
+    assert code == 0
+    assert f"residuals evaluated in:              {wide}" in out
+    for stem in ("quintic_glued", "quintic_expanded"):
+        assert json.loads((tmp_path / f"{stem}.json").read_text())["residual_dtype"] == wide

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import matpencil as mp
-from matpencil.errors import ContractError, ResourceLimitError
+from matpencil.errors import ContractError, ResourceLimitError, VerificationError
 from matpencil.mandelbrot import inverse_fraction_fallback, mandelbrot_dim
 
 
@@ -116,3 +118,165 @@ def test_determinant_is_unimodular():
         assert det in (-1, 1)
         # sign consistent with the recurrence at 0: det(-M) = p_n(0) = 1
         assert det == (-1) ** mandelbrot_dim(n)
+
+
+# ---------------------------------------------------------------------------
+# int8 storage, in-place assembly and the sparse Hessenberg determinant,
+# each against the code it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_hessenberg_det(rows):
+    """The O(n^2) leading-minor recurrence over every entry (reference)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    minors = [1, rows[0][0]]
+    for k in range(2, n + 1):
+        total = rows[k - 1][k - 1] * minors[k - 1]
+        prod = 1
+        sign = -1
+        for i in range(k - 1, 0, -1):
+            prod = prod * rows[i][i - 1]
+            total = total + sign * rows[i - 1][k - 1] * minors[i - 1] * prod
+            sign = -sign
+        minors.append(total)
+    return minors[n]
+
+
+def _int64_matrix_reference(n):
+    """M_n by the two-copy recursion in int64, one new matrix per level."""
+    m = np.array([[-1]], dtype=np.int64)
+    for _ in range(2, n):
+        d = m.shape[0]
+        big = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.int64)
+        big[:d, :d] = m
+        big[d + 1:, d + 1:] = m
+        big[0, 2 * d] = -1
+        big[d, d - 1] = -1
+        big[d + 1, d] = -1
+        m = big
+    return m
+
+
+def _int64_inverse_reference(n):
+    """M_n^-1 by the recursive block formula in int64 with full-size temporaries."""
+    inv = col = row = np.array([[-1]], dtype=np.int64)
+    for _ in range(2, n):
+        d = inv.shape[0]
+        cr = col @ row
+        block = inv + cr
+        big = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.int64)
+        big[:d, :d] = block
+        big[:d, d:d + 1] = col
+        big[d, :d] = -row
+        big[d, d] = -1
+        big[d, d + 1:] = row
+        big[d + 1:, :d] = -cr
+        big[d + 1:, d:d + 1] = -col
+        big[d + 1:, d + 1:] = block
+        inv, col, row = big, big[:, :1], big[-1:, :]
+    return inv
+
+
+def _random_hessenberg(rng, n, fractions):
+    def entry():
+        if rng.random() < 0.4:  # zeros, on the subdiagonal too
+            return 0
+        x = int(rng.integers(-5, 6))
+        return Fraction(x, int(rng.integers(1, 5))) if fractions else x
+    return [[entry() if i <= j + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_hessenberg_det_matches_dense_recurrence(fractions):
+    from matpencil._exact import hessenberg_det
+    rng = np.random.default_rng(11 + fractions)
+    for n in range(13):
+        for _ in range(25):
+            rows = _random_hessenberg(rng, n, fractions)
+            want = _dense_hessenberg_det(rows)
+            assert hessenberg_det(rows) == want
+            assert hessenberg_det(np.array(rows, dtype=object).reshape(n, n)) == want
+            if not fractions:
+                got = hessenberg_det(np.array(rows, dtype=np.int64).reshape(n, n))
+                assert got == want and type(got) is int
+
+
+def test_hessenberg_det_of_numpy_integers_is_an_exact_python_int():
+    from matpencil._exact import hessenberg_det
+    for dtype in (np.int8, np.int64):
+        got = hessenberg_det(np.diag(np.full(40, 7, dtype=dtype)))
+        assert got == 7 ** 40 > 2 ** 63 and type(got) is int
+    # numpy scalars inside an object array are widened too
+    rows = np.empty((40, 40), dtype=object)
+    rows[:] = np.int64(0)
+    for i in range(40):
+        rows[i, i] = np.int64(7)
+        if i:
+            rows[i, i - 1] = np.int64(1)
+    assert hessenberg_det(rows) == 7 ** 40
+
+
+def test_matrix_and_inverse_equal_int64_recursions():
+    for n in range(2, 13):
+        m = mp.mandelbrot_matrix(n)
+        assert m.entries.dtype == np.int8
+        assert np.array_equal(m.entries, _int64_matrix_reference(n))
+        rep = mp.inverse_structure(n)
+        ref = _int64_inverse_reference(n)
+        assert rep.inverse.dtype == rep.first_col.dtype == rep.last_row.dtype == np.int8
+        assert np.array_equal(rep.inverse, ref)
+        assert np.array_equal(rep.first_col, ref[:, :1])
+        assert np.array_equal(rep.last_row, ref[-1:, :])
+
+
+def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
+    from matpencil import mandelbrot
+    # points whose zI - M does not fit int8 take the exact object path
+    points = [-129, -128, 126, 127, 1000, 2 ** 70, Fraction(1, 3)]
+    assert mp.charpoly_identity(5, points)
+    real = mandelbrot.mandelbrot_matrix
+
+    def no_glue(n):
+        m = real(n)
+        m.entries[0, m.dim - 1] = 0  # drop the top-right glue entry
+        return m
+
+    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", no_glue)
+    for z in [2, *points]:
+        assert not mp.charpoly_identity(5, [z])
+
+
+def test_broken_matrix_fails_the_product_check(monkeypatch, capsys):
+    from matpencil import mandelbrot
+    from matpencil.cli import main
+    real = mandelbrot.mandelbrot_matrix
+
+    def flipped(n):
+        m = real(n)
+        m.entries[1, 0] = 0
+        return m
+
+    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", flipped)
+    with pytest.raises(VerificationError, match="not the identity"):
+        mandelbrot.inverse_structure(6)
+    assert main(["mandelbrot", "6"]) == 2
+    assert "error: M_6 times its computed inverse" in capsys.readouterr().err
+
+
+def test_inverse_outside_unit_range_raises_below_the_top_level(monkeypatch):
+    from matpencil import mandelbrot
+    # report every square block from 3 x 3 up as out of range: the top
+    # level reads height1 False, a level below it stops the recursion
+    monkeypatch.setattr(mandelbrot, "_in_unit_range", lambda a: min(a.shape) < 3)
+    assert mandelbrot.inverse_structure(3).height1
+    assert not mandelbrot.inverse_structure(4).height1
+    with pytest.raises(VerificationError, match="M_4"):
+        mandelbrot.inverse_structure(5)
+
+
+def test_fraction_fallback_rejects_a_non_integer_inverse(monkeypatch):
+    from matpencil import mandelbrot
+    monkeypatch.setattr(mandelbrot, "fraction_inverse", lambda rows: [[Fraction(1, 2)]])
+    with pytest.raises(VerificationError, match="non-integer"):
+        inverse_fraction_fallback(2)

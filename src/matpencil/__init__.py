@@ -10,11 +10,9 @@ oracles, including the exact-integer Mandelbrot matrix family.
 from .errors import (ContractError, DegenerateInputError, ResourceLimitError,
                      SpectrumError, StructuralError, VerificationError)
 from .matpoly import (BasisSpec, CallablePoly, HeightReport, MatPoly,
-                      barycentric_weights, det_poly, det_poly_exact, eval_at,
-                      height_report, partial_fraction_residual)
+                      barycentric_weights, det_poly, eval_at, height_report)
 from .pencil import (Pencil, StandardTriple, VerifyReport, is_block_upper_hessenberg,
-                     is_regular, pencil_det_at, pivot_condition, resolvent_eval,
-                     verify_triple)
+                     pencil_det_at, pivot_condition, resolvent_eval, verify_triple)
 from .constructions import (add_lower_degree, as_unweighted, chebyshev_triple,
                             composite, frobenius_triple, lagrange_triple, product,
                             scalar_shift_left, scalar_shift_right)
@@ -23,7 +21,6 @@ from .mandelbrot import (InverseStructureReport, MandelbrotMatrix, charpoly_iden
                          mandelbrot_poly_at, mandelbrot_poly_coeffs)
 from .eigensolve import (EigenReport, MatchReport, generalized_eigen, match_roots,
                          residuals)
-from .oracle import (ControllabilityReport, controllability_matrix, det_equality,
-                     interp_charpoly, scalar_roots)
+from .oracle import det_equality, interp_charpoly, scalar_roots
 
 __version__ = "0.1.0"

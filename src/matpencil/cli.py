@@ -171,9 +171,8 @@ def cmd_verify(args) -> int:
     else:
         triple = jsonio.triple_from_json(_load_json(args.triple))
         poly = jsonio.matpoly_from_json(_load_json(args.poly))
-    points = args.points or max(triple.N, poly.dim * poly.grade) + 1
-    det = det_equality(triple.pencil, poly, n_points=points, tol=args.tol)
-    rep = verify_triple(triple, poly, n_points=min(points, 8), tol=args.tol, rng=rng)
+    det = det_equality(triple.pencil, poly, n_points=args.points, tol=args.tol)
+    rep = verify_triple(triple, poly, n_points=min(det.points, 8), tol=args.tol, rng=rng)
     ok = det.ok and rep.passed
     print(f"det identity: {'pass' if det.ok else 'FAIL'} "
           f"(max deviation {det.max_deviation:.3e} over {det.points} points)")

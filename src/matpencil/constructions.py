@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._compose import mono_add
-from .errors import ContractError, StructuralError, VerificationError
+from .errors import ContractError, StructuralError
 from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, _common
-from .matpoly import eval_at  # noqa: F401  (unused here; bench/spans.py patches this name)
-from .pencil import Pencil, StandardTriple, pivot_condition, verify_triple
-from .pencil import resolvent_eval  # noqa: F401  (unused here; bench/spans.py patches this name)
+from .pencil import Pencil, StandardTriple, pivot_condition
+# unused here; bench/spans.py patches these names
+from .matpoly import eval_at  # noqa: F401
+from .pencil import resolvent_eval, verify_triple  # noqa: F401
 
 
 def _square(mat, r: int, name: str) -> np.ndarray:
@@ -106,13 +106,11 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
     return StandardTriple(X, Pencil(D, F, meta), Y, weighted=False, grade=grade)
 
 
-def add_lower_degree(ta: StandardTriple, c: MatPoly,
-                     a_poly: MatPoly | None = None, tol: float = 1e-8) -> StandardTriple:
+def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
     """Triple for a(z) + c(z), deg c < deg a, by correcting A in place.
 
     G = A - sum_k A^k Y c_k X keeps the pencil size and the (X, Y, weighted)
-    data of the input.  When `a_poly` is supplied, the output is verified
-    against a + c and a failure raises instead of returning a bad triple.
+    data of the input.
     """
     if c.basis.kind != MONOMIAL:
         raise ContractError("the added polynomial must be in the monomial basis")
@@ -132,20 +130,8 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly,
             G -= power @ cs[k] @ X
         if k < c.grade:
             power = A @ power
-    out = StandardTriple(X.copy(), Pencil(D.copy(), G, ta.pencil.block_meta),
-                         Y.copy(), weighted=ta.weighted, grade=ta.grade)
-    if a_poly is not None:
-        summed = _padded_sum(a_poly, c)
-        report = verify_triple(out, summed, tol=tol, rng=np.random.default_rng(0))
-        if not report.passed:
-            raise VerificationError(f"lower-degree addition failed its check: {report}")
-    return out
-
-
-def _padded_sum(a: MatPoly, c: MatPoly) -> MatPoly:
-    if a.basis.kind != MONOMIAL:
-        raise ContractError("verification of an addition needs monomial a")
-    return MatPoly.monomial_poly(mono_add(a.data, c.data))
+    return StandardTriple(X.copy(), Pencil(D.copy(), G, ta.pencil.block_meta),
+                          Y.copy(), weighted=ta.weighted, grade=ta.grade)
 
 
 def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, SpectrumError
+from .errors import ContractError, SpectrumError, StructuralError
 from .matpoly import _common, eval_at
 from .pencil import COND_CAP, Pencil, as_rng, pivot_condition
 
@@ -54,8 +54,11 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
     the max row sum of W.  backend="qz" instead calls the LAPACK QZ solver on
     (A, D) directly, classifying |beta| below INF_TOL * |(alpha, beta)| as
     infinite.
-    Both backends keep a real pencil real.
+    Both backends keep a real pencil real.  A pencil with a NaN or infinite
+    entry raises StructuralError.
     """
+    if not (np.isfinite(p.D).all() and np.isfinite(p.A).all()):
+        raise StructuralError("the pencil has a non-finite entry")
     if backend == "qz":
         return _qz_eigen(p)
     if backend != "shift-invert":
@@ -65,8 +68,7 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
         finite = np.linalg.eigvals(A).astype(complex, copy=False)
         return EigenReport(finite, 0, None, 0j, backend=BACKEND_STANDARD)
     rng = as_rng(rng)
-    D = p.D.astype(complex)
-    A = p.A.astype(complex)
+    D, A = p.D, p.A
     best = None
     for draw in range(MAX_DRAWS):
         sigma = 2.0 * np.exp(2j * np.pi * rng.random())

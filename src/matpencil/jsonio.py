@@ -72,10 +72,11 @@ def _field(obj, key: str):
 
 
 def _int_field(obj, key: str) -> int:
-    try:
-        return int(_field(obj, key))
-    except (TypeError, ValueError):
-        raise StructuralError(f"{key} must be an integer, got {obj[key]!r:.80}") from None
+    """obj[key], which must be a JSON integer (not a float, not a boolean)."""
+    value = _field(obj, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructuralError(f"{key} must be an integer, got {value!r:.80}")
+    return value
 
 
 def matpoly_from_json(obj: dict) -> MatPoly:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import fraction_inverse, hessenberg_det
+from ._exact import hessenberg_det
 from .errors import ContractError, ResourceLimitError, VerificationError
 
 #: highest level built (dim 8191); the int8 inverse at level 15 would take 256 MiB
@@ -200,16 +200,3 @@ def _is_inverse(m: np.ndarray, inv: np.ndarray) -> bool:
     for i, j, v in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
         prod[i] += v * inv64[j]
     return np.array_equal(prod, np.eye(len(prod), dtype=np.int64))
-
-
-def inverse_fraction_fallback(n: int) -> np.ndarray:
-    """Independent exact inverse via Gauss-Jordan over Fractions (small levels)."""
-    m = mandelbrot_matrix(n).entries.tolist()
-    inv = fraction_inverse(m)
-    out = np.zeros((len(inv), len(inv)), dtype=np.int64)  # wide: assumes no bound
-    for i, r in enumerate(inv):
-        for j, x in enumerate(r):
-            if x.denominator != 1:
-                raise VerificationError("inverse has a non-integer entry")
-            out[i, j] = int(x)
-    return out

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import exact_det, interp_int
 from .errors import StructuralError
 
 MONOMIAL = "monomial"
@@ -77,14 +76,6 @@ def barycentric_weights(nodes) -> np.ndarray:
         diff = nodes[k] - np.delete(nodes, k)
         w[k] = 1.0 / np.prod(diff)
     return w
-
-
-def partial_fraction_residual(nodes, weights, z) -> float:
-    """|1/w(z) - sum beta_k/(z - tau_k)| at a non-node test point z."""
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    weights = np.asarray(weights, dtype=complex).ravel()
-    w = np.prod(z - nodes)
-    return abs(1.0 / w - np.sum(weights / (z - nodes)))
 
 
 @dataclass(eq=False)
@@ -217,49 +208,6 @@ def _interp_roots_of_unity(det_at, degree: int) -> np.ndarray:
     # negative angles so the sample vector is the DFT of the coefficient vector
     pts = np.exp(-2j * np.pi * np.arange(degree + 1) / (degree + 1))
     return np.fft.ifft(det_at(pts))
-
-
-def det_poly_exact(p: MatPoly) -> list:
-    """Exact big-integer coefficients of det a(z) for integer monomial input.
-
-    Evaluates at the integer points 0..r*s and interpolates exactly.
-    """
-    if p.basis.kind != MONOMIAL:
-        raise StructuralError("exact determinant path needs a monomial polynomial")
-    coeffs = _int_stack(p.data)
-    m = p.dim * p.grade
-    xs = list(range(m + 1))
-    ys = []
-    for x in xs:
-        mat = [[0] * p.dim for _ in range(p.dim)]
-        for k in range(p.grade, -1, -1):
-            for i in range(p.dim):
-                row = mat[i]
-                crow = coeffs[k][i]
-                for j in range(p.dim):
-                    row[j] = row[j] * x + crow[j]
-        ys.append(exact_det(mat))
-    return interp_int(xs, ys)
-
-
-def _int_stack(data) -> list:
-    out = []
-    for mat in data:
-        rows = []
-        for row in np.asarray(mat).tolist():
-            ints = []
-            for x in row:
-                if isinstance(x, complex):
-                    if x.imag != 0 or x.real != int(x.real):
-                        raise StructuralError("entries are not exact integers")
-                    x = x.real
-                if isinstance(x, float):
-                    if x != int(x):
-                        raise StructuralError("entries are not exact integers")
-                ints.append(int(x))
-            rows.append(ints)
-        out.append(rows)
-    return out
 
 
 @dataclass

@@ -2,8 +2,7 @@
 
 These work only from Pencil and MatPoly values (never through the
 construction code they are used to check): interpolated characteristic
-polynomials, pointwise determinant equality, scalar root extraction, and the
-block Krylov nonsingularity check.
+polynomials, pointwise determinant equality, and scalar root extraction.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from ._exact import interp_int
 from .errors import ContractError
 from .matpoly import _interp_roots_of_unity, eval_at
-from .pencil import Pencil, StandardTriple, pencil_det_at, _is_exact, _rel_det_dev
+from .pencil import Pencil, pencil_det_at, _check_sampling, _is_exact, _rel_det_dev
 
 
 def interp_charpoly(p: Pencil):
@@ -48,10 +47,12 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
 
     Defaults to max(N, r*grade) + 1 fixed points on |z| = 2 (two polynomials of
     degree <= max(N, r*grade) agreeing there agree everywhere).  Deviations are
-    normalized by max(1, |det q|).
+    normalized by max(1, |det q|).  ContractError for n_points < 1 or a tol
+    that is not finite and positive.
     """
     if n_points is None:
         n_points = max(p.N, q.dim * q.grade) + 1
+    _check_sampling(n_points, tol)
     pts = 2.0 * np.exp(2j * np.pi * (np.arange(n_points) + 0.28571) / n_points)
     dev = _rel_det_dev(np.linalg.slogdet(p.at(pts)), np.linalg.slogdet(eval_at(q, pts)))
     worst = float(np.max(dev, initial=0.0))
@@ -75,30 +76,3 @@ def scalar_roots(coeffs, trim_tol: float = 1e-10):
     if deg == 0:
         raise ContractError("polynomial is constant after trimming")
     return np.roots(arr[: deg + 1][::-1])
-
-
-@dataclass
-class ControllabilityReport:
-    V: np.ndarray
-    cond_estimate: float
-    nonsingular: bool
-
-
-def controllability_matrix(t: StandardTriple, s: int | None = None) -> ControllabilityReport:
-    """Block Krylov matrix [Y, AY, ..., A^(s-1) Y] with a nonsingularity check."""
-    if s is None:
-        if t.grade is None:
-            raise ContractError("pass s explicitly when the triple has no grade")
-        s = t.grade
-    A = t.pencil.A.astype(complex)
-    block = t.Y.astype(complex)
-    cols = [block]
-    for _ in range(s - 1):
-        block = A @ block
-        cols.append(block)
-    v = np.hstack(cols)
-    if v.shape[0] == v.shape[1]:
-        sv = np.linalg.svd(v, compute_uv=False)
-        cond = np.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
-        return ControllabilityReport(v, cond, cond < 1e12)
-    return ControllabilityReport(v, np.inf, False)

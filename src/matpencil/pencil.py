@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import exact_det
-from .errors import DegenerateInputError, SpectrumError, StructuralError
-from .matpoly import eval_at
+from .errors import ContractError, DegenerateInputError, SpectrumError, StructuralError
+from .matpoly import _common, eval_at
 
 #: 1-norm condition number above which zD - A counts as numerically singular
 COND_CAP = 1e12
@@ -40,8 +40,12 @@ class Pencil:
         return self.D.shape[0]
 
     def at(self, z) -> np.ndarray:
-        """z*D - A; an array of points gives the stack of shape z.shape + (N, N)."""
-        return np.asarray(z)[..., None, None] * self.D.astype(complex) - self.A.astype(complex)
+        """z*D - A; an array of points gives the stack of shape z.shape + (N, N).
+
+        The dtype follows `matpoly._common` over z, D and A: float64 for real
+        points on a real pencil, complex128 once any of them is complex."""
+        (z,) = _common(z)
+        return z[..., None, None] * self.D - self.A
 
 
 @dataclass(eq=False)
@@ -89,7 +93,9 @@ def pencil_det_at(p: Pencil, z: complex):
         a = p.A.tolist()
         rows = [[z * d[i][j] - a[i][j] for j in range(p.N)] for i in range(p.N)]
         return exact_det(rows)
-    sign, logdet = np.linalg.slogdet(p.at(z))
+    m = p.at(z)
+    # a rational (object) pencil at a point that is not exact: no LAPACK dtype
+    sign, logdet = np.linalg.slogdet(m.astype(complex) if m.dtype == object else m)
     return sign * np.exp(logdet)
 
 
@@ -106,8 +112,8 @@ def pivot_condition(mat: np.ndarray):
 
 def _resolvent(t: StandardTriple, m: np.ndarray) -> np.ndarray:
     """X m^-1 Y (X m^-1 D Y when t is weighted) for m = zD - A or a stack of them."""
-    rhs = t.pencil.D.astype(complex) @ t.Y.astype(complex) if t.weighted else t.Y.astype(complex)
-    return t.X.astype(complex) @ np.linalg.solve(m, rhs)
+    rhs = t.pencil.D @ t.Y if t.weighted else t.Y
+    return t.X @ np.linalg.solve(m, rhs)
 
 
 def resolvent_eval(t: StandardTriple, z, cond_cap: float = COND_CAP) -> np.ndarray:
@@ -117,18 +123,6 @@ def resolvent_eval(t: StandardTriple, z, cond_cap: float = COND_CAP) -> np.ndarr
     if np.any(pivot_condition(m) > cond_cap):
         raise SpectrumError(f"z = {z} is too close to the pencil spectrum")
     return _resolvent(t, m)
-
-
-def is_regular(p: Pencil, rng=None, tol: float = 1e-10) -> bool:
-    """Sampled regularity test: det(zD - A) above tolerance at some point.
-
-    Always draws its N + 1 points from rng, in one call.
-    """
-    rng = as_rng(rng)
-    scale = max(1.0, float(np.abs(p.A).max()), float(np.abs(p.D).max()))
-    z = 2.0 * np.exp(2j * np.pi * rng.random(p.N + 1))
-    sign, logdet = np.linalg.slogdet(p.at(z))
-    return bool(np.any((sign != 0) & (logdet > np.log(tol * scale))))
 
 
 def as_rng(rng) -> np.random.Generator:
@@ -148,6 +142,15 @@ def _rel_det_dev(det_pencil: tuple, det_poly: tuple) -> np.ndarray:
     log_scale = top - np.maximum(0.0, lq)
     dev = np.where(log_scale > 700.0, np.inf, num * np.exp(np.minimum(log_scale, 700.0)))
     return np.where(both_zero, 0.0, dev)
+
+
+def _check_sampling(n_points: int, tol: float) -> None:
+    """ContractError unless there is at least one point and tol is a finite
+    positive number."""
+    if n_points < 1:
+        raise ContractError(f"need at least one sample point, got {n_points}")
+    if not 0 < tol < np.inf:  # also false for NaN
+        raise ContractError(f"tol must be a finite positive number, got {tol}")
 
 
 @dataclass
@@ -181,11 +184,13 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     Deviations are relative; the determinant one is normalized by
     max(1, |det a|) so huge determinants do not drown the comparison.  The
     resolvent is compared at the points where a(z) is also well-conditioned.
+    ContractError for n_points < 1 or a tol that is not finite and positive.
     """
     if t.r != p.dim:
         raise StructuralError(f"triple has r = {t.r} but polynomial has dim {p.dim}")
     if n_points is None:
         n_points = max(t.N, p.dim * p.grade) + 1
+    _check_sampling(n_points, tol)
     rng = as_rng(rng)
     cond_cap = 1.0 / tol
     points = np.empty(0, dtype=complex)

@@ -185,6 +185,30 @@ def test_eig_null_entry_exit_code(capsys, tmp_path):
     _one_line_error(capsys, "eig", str(path))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("layout", ['{"D": [[1, 0], [0, 1]], "A": [[%s, 0], [0, 1]]}',
+                                    '{"D": [[2, 0], [0, 1]], "A": [[%s, 0], [0, 1]]}',
+                                    '{"D": [[%s, 0], [0, 1]], "A": [[1, 0], [0, 1]]}'],
+                         ids=["D_identity", "D_not_identity", "in_D"])
+def test_eig_non_finite_entry_exit_code(capsys, tmp_path, layout, value):
+    # Python's json reads NaN and Infinity as floats
+    path = tmp_path / "pencil.json"
+    path.write_text(layout % value)
+    assert "non-finite" in _one_line_error(capsys, "eig", str(path))
+
+
+@pytest.mark.parametrize("option", [["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+                                    ["--tol", "inf"], ["--points", "-3"], ["--points", "0"]],
+                         ids=["tol_zero", "tol_negative", "tol_nan", "tol_inf",
+                              "points_negative", "points_zero"])
+def test_verify_bad_sampling_option_exit_code(capsys, tmp_path, option):
+    a = rand_mono(np.random.default_rng(0), 2, 2)
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps({"frobenius": jsonio.matpoly_to_json(a)}))
+    assert run(capsys, "verify", "--expr", str(path))[0] == 0
+    _one_line_error(capsys, *option, "verify", "--expr", str(path))
+
+
 @pytest.mark.parametrize("argv", [["height", "missing.csv"], ["height", "missing.json"],
                                   ["eig", "missing.json"], ["verify", "--expr", "missing.json"]],
                          ids=["height_csv", "height_json", "eig", "verify_expr"])

@@ -122,7 +122,7 @@ def test_add_verifies_nonmonic_input():
     rng = np.random.default_rng(51)
     a = rand_mono(rng, 2, 3)              # random leading coefficient
     c = rand_mono(rng, 2, 2)
-    t = mp.add_lower_degree(mp.frobenius_triple(a), c, a_poly=a)
+    t = mp.add_lower_degree(mp.frobenius_triple(a), c)
     assert t.weighted
     summed = mp.MatPoly.monomial_poly(mono_add(a.data, c.data))
     assert mp.verify_triple(t, summed, rng=4).passed
@@ -434,3 +434,28 @@ def test_mixed_real_complex_composite_is_complex():
     for t in (mp.composite(real, cplx, eye, eye), mp.composite(real, real, eye, 1j * eye),
               mp.product(cplx, real), mp.scalar_shift_left(real, eye, rand_mat(rng, 2))):
         assert all(arr.dtype == np.complex128 for arr in _parts(t).values())
+
+
+# The coefficient-level helpers follow the same rule, with each argument of
+# _DTYPE_COEFFS-derived data; the last argument alone is made complex below.
+_COMPOSE_ARGS = {
+    mono_mul: lambda c: (c, c[::-1]),
+    mono_add: lambda c: (c, c[:1]),
+    shift_left_coeffs: lambda c: (c, c[0], c[1]),
+    shift_right_coeffs: lambda c: (c, c[0], c[1]),
+    composite_coeffs: lambda c: (c, c[0], c[::-1], c[1]),
+}
+
+
+@pytest.mark.parametrize("helper", list(_COMPOSE_ARGS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("dtype, want", [(np.int64, np.float64), (np.float64, np.float64),
+                                         (np.complex128, np.complex128)])
+def test_compose_dtype_rule(helper, dtype, want):
+    args = _COMPOSE_ARGS[helper](_DTYPE_COEFFS.astype(dtype))
+    got = helper(*args)
+    assert got.dtype == want
+    ref = helper(*_COMPOSE_ARGS[helper](_DTYPE_COEFFS.astype(np.complex128)))
+    np.testing.assert_array_equal(got, ref)
+    # any complex input makes the output complex
+    mixed = helper(*args[:-1], 1j * args[-1])
+    assert mixed.dtype == np.complex128

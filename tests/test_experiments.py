@@ -78,6 +78,21 @@ def test_quintic_counts():
     assert rep.ratio > 1.0
 
 
+def test_quintic_solves_both_pencils_in_real_arithmetic(monkeypatch):
+    # the glued pencil and the expanded companion are both float64, so the
+    # comparison runs both through real QZ
+    seen = []
+    solve = experiments.generalized_eigen
+
+    def spy(p, **kwargs):
+        seen.append((p.D.dtype, p.A.dtype, kwargs.get("backend")))
+        return solve(p, **kwargs)
+
+    monkeypatch.setattr(experiments, "generalized_eigen", spy)
+    experiments.run_random_quintic(rng=0)
+    assert seen == [(np.float64, np.float64, "qz")] * 2
+
+
 def test_mixed_report_structure():
     rep = experiments.run_mixed_basis(rng=0)
     assert rep.dim == 27 and rep.blocks == [15, 3, 9]

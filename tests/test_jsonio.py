@@ -109,8 +109,11 @@ def test_malformed_number_is_structural_error(value):
 
 
 @pytest.mark.parametrize("patch", [{"dim": "x"}, {"grade": None}, {"data": 5}, {"data": []},
-                                   {"data": [[[1]], [[1, 0], [0, 1]]]}],
-                         ids=["dim", "grade", "data_number", "data_empty", "data_shapes"])
+                                   {"data": [[[1]], [[1, 0], [0, 1]]]},
+                                   {"grade": 2.7, "data": [[[1]], [[1]], [[1]]]},
+                                   {"dim": True}],
+                         ids=["dim", "grade", "data_number", "data_empty", "data_shapes",
+                              "grade_float", "dim_bool"])
 def test_malformed_matpoly_is_structural_error(patch):
     from matpencil.errors import StructuralError
     obj = {"basis": "monomial", "dim": 1, "grade": 1, "data": [[[1]], [[1]]]}

@@ -5,7 +5,10 @@ import pytest
 
 import matpencil as mp
 from matpencil.errors import ContractError, ResourceLimitError, VerificationError
-from matpencil.mandelbrot import inverse_fraction_fallback, mandelbrot_dim
+from matpencil.mandelbrot import mandelbrot_dim
+
+import helpers
+from helpers import inverse_fraction_fallback
 
 
 M3 = [[-1, 0, -1], [-1, 0, 0], [0, -1, -1]]
@@ -276,7 +279,6 @@ def test_inverse_outside_unit_range_raises_below_the_top_level(monkeypatch):
 
 
 def test_fraction_fallback_rejects_a_non_integer_inverse(monkeypatch):
-    from matpencil import mandelbrot
-    monkeypatch.setattr(mandelbrot, "fraction_inverse", lambda rows: [[Fraction(1, 2)]])
+    monkeypatch.setattr(helpers, "fraction_inverse", lambda rows: [[Fraction(1, 2)]])
     with pytest.raises(VerificationError, match="non-integer"):
         inverse_fraction_fallback(2)

@@ -47,7 +47,15 @@ def test_partial_fraction_identity_for_weights():
     assert np.allclose(weights, mp.barycentric_weights(nodes))
     for _ in range(10):
         z = rng.uniform(-3, 3) + 1j * rng.uniform(0.2, 3)
-        assert mp.partial_fraction_residual(nodes, weights, z) < 1e-12
+        # 1/w(z) = sum beta_k / (z - tau_k), w(z) = prod (z - tau_k)
+        assert abs(1.0 / np.prod(z - nodes) - np.sum(weights / (z - nodes))) < 1e-12
+
+
+def exact_det_poly(data):
+    """Exact coefficients of det p(z) for integer monomial data, interpolated
+    from the int64-cast Frobenius pencil of the same data."""
+    pencil = mp.frobenius_triple(mp.MatPoly.monomial_poly(data)).pencil
+    return mp.interp_charpoly(mp.Pencil(pencil.D.astype(np.int64), pencil.A.astype(np.int64)))
 
 
 def test_det_poly_trivial():
@@ -58,8 +66,7 @@ def test_det_poly_trivial():
 def test_det_poly_mandelbrot_cubic():
     p = mp.MatPoly.monomial_poly([float(c) for c in mp.mandelbrot_poly_coeffs(3)])
     np.testing.assert_allclose(mp.det_poly(p).real, [1, 1, 2, 1], atol=1e-12)
-    assert mp.det_poly_exact(mp.MatPoly.monomial_poly(np.array([[[1]], [[1]], [[2]], [[1]]]))) \
-        == [1, 1, 2, 1]
+    assert exact_det_poly(np.array([[[1]], [[1]], [[2]], [[1]]])) == [1, 1, 2, 1]
 
 
 def test_det_poly_matches_pointwise_determinant():
@@ -79,8 +86,7 @@ def test_det_poly_matches_pointwise_determinant():
 def test_det_poly_exact_random_integer_matrix():
     rng = np.random.default_rng(7)
     data = rng.integers(-4, 5, (3, 2, 2))
-    p = mp.MatPoly.monomial_poly(data)
-    exact = mp.det_poly_exact(p)
+    exact = exact_det_poly(data)
     approx = mp.det_poly(mp.MatPoly.monomial_poly(data.astype(float)))
     np.testing.assert_allclose(approx.real, exact, atol=1e-10)
 

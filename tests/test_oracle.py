@@ -5,7 +5,7 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import ContractError
 
-from helpers import composite_coeffs, rand_mono
+from helpers import composite_coeffs, controllability_matrix, rand_mono
 
 
 def test_interp_charpoly_exact_mandelbrot():
@@ -75,15 +75,15 @@ def test_scalar_roots_rejects_zero_polynomial():
 
 def test_controllability_examples():
     t = mp.frobenius_triple(mp.MatPoly.monomial_poly([1.0, 0.0, 1.0]))
-    rep = mp.controllability_matrix(t)
+    rep = controllability_matrix(t)
     assert rep.V.shape == (2, 2) and rep.nonsingular
 
     t1 = mp.frobenius_triple(mp.MatPoly.monomial_poly([1.0, 1.0]))
-    rep = mp.controllability_matrix(t1)
+    rep = controllability_matrix(t1)
     assert rep.V.tolist() == [[1.0]] and rep.nonsingular
 
     hollow = mp.StandardTriple(t.X, t.pencil, np.zeros((2, 1)), grade=2)
-    assert not mp.controllability_matrix(hollow).nonsingular
+    assert not controllability_matrix(hollow).nonsingular
 
 
 def test_controllability_of_random_companions():
@@ -92,7 +92,7 @@ def test_controllability_of_random_companions():
         r = int(rng.integers(1, 4))
         s = int(rng.integers(1, 4))
         p = rand_mono(rng, r, s, monic=bool(rng.integers(2)))
-        rep = mp.controllability_matrix(mp.frobenius_triple(p))
+        rep = controllability_matrix(mp.frobenius_triple(p))
         assert rep.cond_estimate < 1e12
 
 

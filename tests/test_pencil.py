@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import matpencil as mp
-from matpencil.errors import SpectrumError
+from matpencil.errors import ContractError, SpectrumError
 
 
 def mandelbrot_triple(n):
@@ -93,14 +93,6 @@ def test_resolvent_linear_in_x_and_y():
         scaled_x = mp.StandardTriple(c * t.X.astype(complex), t.pencil, t.Y)
         got = mp.resolvent_eval(scaled_x, z)
         assert np.linalg.norm(got - c * base) <= 1e-14 * np.linalg.norm(c * base)
-
-
-def test_constructed_pencils_are_regular():
-    rng = np.random.default_rng(4)
-    t3 = mandelbrot_triple(3)
-    assert mp.is_regular(t3.pencil, rng=rng)
-    toy = mp.MatPoly.lagrange_poly([0.0, 1.0], [-1.0, 1.0], [[[0.0]], [[1.0]]])
-    assert mp.is_regular(mp.lagrange_triple(toy).pencil, rng=rng)
 
 
 def test_det_identity_certified_at_enough_points():
@@ -233,25 +225,44 @@ def test_pivot_condition_is_one_norm_condition_number():
     assert got[0] == 1.0 and got[1] == pytest.approx(1e3) and got[3] == np.inf
 
 
-def test_is_regular_matches_per_point_loop():
-    def loop(p, rng, tol=1e-10):
-        scale = max(1.0, float(np.abs(p.A).max()), float(np.abs(p.D).max()))
-        for _ in range(p.N + 1):
-            z = 2.0 * np.exp(2j * np.pi * rng.random())
-            sign, logdet = np.linalg.slogdet(p.at(z))
-            if sign != 0 and logdet > np.log(tol * scale):
-                return True
-        return False
+@pytest.mark.parametrize("kwargs", [{"n_points": 0}, {"n_points": -3}, {"tol": 0.0},
+                                    {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}],
+                         ids=["points_zero", "points_negative", "tol_zero", "tol_negative",
+                              "tol_nan", "tol_inf"])
+def test_sampling_arguments_are_checked(kwargs):
+    t = mandelbrot_triple(3)
+    p3 = mp.MatPoly.monomial_poly([float(c) for c in mp.mandelbrot_poly_coeffs(3)])
+    assert mp.verify_triple(t, p3, rng=0).passed and mp.det_equality(t.pencil, p3).ok
+    with pytest.raises(ContractError):
+        mp.verify_triple(t, p3, rng=0, **kwargs)
+    with pytest.raises(ContractError):
+        mp.det_equality(t.pencil, p3, **kwargs)
 
-    rng = np.random.default_rng(6)
-    zero = np.zeros((3, 3))
-    singular = mp.Pencil(np.diag([1.0, 0.0, 0.0]), np.diag([2.0, 0.0, 1.0]))
-    pencils = [mandelbrot_triple(3).pencil, mp.Pencil(zero, zero), singular,
-               mp.Pencil(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))]
-    for p in pencils:
-        for seed in range(3):
-            got_rng = np.random.default_rng(seed)
-            assert mp.is_regular(p, rng=got_rng) == loop(p, np.random.default_rng(seed))
-            ref = np.random.default_rng(seed)
-            ref.random(p.N + 1)  # always N + 1 draws
-            assert got_rng.bit_generator.state == ref.bit_generator.state
+
+@pytest.mark.parametrize("pencil_dtype, z, want",
+                         [(np.int64, 2, np.float64), (np.float64, 0.5, np.float64),
+                          (np.float64, [0.5, -1.0], np.float64),
+                          (np.float64, 1 + 2j, np.complex128),
+                          (np.complex128, 0.5, np.complex128)])
+def test_pencil_at_and_resolvent_follow_the_dtype_rule(pencil_dtype, z, want):
+    t = mandelbrot_triple(3)
+    p = mp.Pencil(t.pencil.D.astype(pencil_dtype), t.pencil.A.astype(pencil_dtype))
+    got = p.at(z)
+    assert got.dtype == want
+    np.testing.assert_array_equal(got, t.pencil.at(np.asarray(z, dtype=complex)))
+    res = mp.resolvent_eval(mp.StandardTriple(t.X, p, t.Y), z)
+    assert res.dtype == want
+    np.testing.assert_allclose(res, mp.resolvent_eval(t, np.asarray(z, dtype=complex)),
+                               rtol=1e-14)
+
+
+def test_rational_pencil_det_at_exact_and_inexact_points():
+    from fractions import Fraction
+    half = Fraction(1, 2)
+    p = mp.Pencil(np.array([[1, 0], [0, half]], dtype=object),
+                  np.array([[half, 1], [0, 2]], dtype=object))
+    # det(zD - A) = (z - 1/2) (z/2 - 2)
+    assert mp.pencil_det_at(p, Fraction(1, 3)) == Fraction(-1, 6) * Fraction(-11, 6)
+    for z in (0.25, 1.5 - 0.5j):
+        assert mp.pencil_det_at(p, z) == pytest.approx((z - 0.5) * (z / 2 - 2), rel=1e-14)
+

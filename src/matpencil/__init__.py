@@ -10,11 +10,11 @@ oracles, including the exact-integer Mandelbrot matrix family.
 from .errors import (ContractError, DegenerateInputError, ResourceLimitError,
                      SpectrumError, StructuralError, VerificationError)
 from .matpoly import (BasisSpec, CallablePoly, HeightReport, MatPoly,
-                      barycentric_weights, det_poly, eval_at, height_report)
+                      barycentric_weights, eval_at, height_report)
 from .pencil import (Pencil, StandardTriple, VerifyReport, is_block_upper_hessenberg,
                      pencil_det_at, pivot_condition, resolvent_eval, verify_triple)
-from .constructions import (add_lower_degree, as_unweighted, chebyshev_triple,
-                            composite, frobenius_triple, lagrange_triple, product,
+from .constructions import (add_lower_degree, chebyshev_triple, composite,
+                            frobenius_triple, lagrange_triple, product,
                             scalar_shift_left, scalar_shift_right)
 from .mandelbrot import (InverseStructureReport, MandelbrotMatrix, charpoly_identity,
                          inverse_structure, mandelbrot_dim, mandelbrot_matrix,

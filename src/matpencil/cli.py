@@ -42,9 +42,8 @@ def _load_json(path: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        print(f"error: {path}: malformed JSON at line {exc.lineno} column {exc.colno}",
-              file=sys.stderr)
-        raise SystemExit(1)
+        raise StructuralError(
+            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}") from None
 
 
 def _outdir(args) -> Path:

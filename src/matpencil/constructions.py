@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ContractError, StructuralError
 from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, _common
-from .pencil import Pencil, StandardTriple, pivot_condition
+from .pencil import Pencil, StandardTriple
 # unused here; bench/spans.py patches these names
 from .matpoly import eval_at  # noqa: F401
-from .pencil import resolvent_eval, verify_triple  # noqa: F401
+from .pencil import pivot_condition, resolvent_eval, verify_triple  # noqa: F401
 
 
 def _square(mat, r: int, name: str) -> np.ndarray:
@@ -33,18 +33,8 @@ def _matrices(t: StandardTriple) -> tuple:
     return t.X, t.pencil.D, t.pencil.A, t.Y
 
 
-def as_unweighted(t: StandardTriple) -> StandardTriple:
-    """Fold the weight D into Y: X (zD-A)^-1 D Y = X (zD-A)^-1 (DY)."""
-    if not t.weighted:
-        return t
-    X, D, A, Y = _common(*_matrices(t))
-    return StandardTriple(X.copy(), Pencil(D.copy(), A.copy(), t.pencil.block_meta),
-                          D @ Y, weighted=False, grade=t.grade)
-
-
 def scalar_shift_left(ta: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for e1(z) = z * d0 * a(z) + c0."""
-    ta = as_unweighted(ta)
     r, n = ta.r, ta.N
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
@@ -55,12 +45,11 @@ def scalar_shift_left(ta: StandardTriple, d0, c0) -> StandardTriple:
     Y = np.vstack([np.eye(r, dtype=A.dtype), np.zeros((n, r))])
     meta = {"blocks": [r, n]}
     grade = None if ta.grade is None else ta.grade + 1
-    return StandardTriple(X, Pencil(D1, E1, meta), Y, weighted=False, grade=grade)
+    return StandardTriple(X, Pencil(D1, E1, meta), Y, grade=grade)
 
 
 def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for e2(z) = z * a(z) * d0 + c0."""
-    ta = as_unweighted(ta)
     r, n = ta.r, ta.N
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
@@ -71,7 +60,7 @@ def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
     Y = np.vstack([-Ya, np.zeros((r, r))])
     meta = {"blocks": [n, r]}
     grade = None if ta.grade is None else ta.grade + 1
-    return StandardTriple(X, Pencil(D2, E2, meta), Y, weighted=False, grade=grade)
+    return StandardTriple(X, Pencil(D2, E2, meta), Y, grade=grade)
 
 
 def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> StandardTriple:
@@ -81,8 +70,6 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
     F2 stacks the b-pencil first with the coupling block above, which is the
     layout that stays block upper Hessenberg under recursion.
     """
-    ta = as_unweighted(ta)
-    tb = as_unweighted(tb)
     if ta.r != tb.r:
         raise StructuralError("factors must share the polynomial dimension r")
     na, nb, r = ta.N, tb.N, ta.r
@@ -103,14 +90,14 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
     else:
         raise ContractError(f"variant must be 'F1' or 'F2', got {variant!r}")
     grade = None if None in (ta.grade, tb.grade) else ta.grade + tb.grade
-    return StandardTriple(X, Pencil(D, F, meta), Y, weighted=False, grade=grade)
+    return StandardTriple(X, Pencil(D, F, meta), Y, grade=grade)
 
 
 def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
     """Triple for a(z) + c(z), deg c < deg a, by correcting A in place.
 
-    G = A - sum_k A^k Y c_k X keeps the pencil size and the (X, Y, weighted)
-    data of the input.
+    G = A - sum_k A^k Y c_k X keeps the pencil size and the X, Y and D of the
+    input.
     """
     if c.basis.kind != MONOMIAL:
         raise ContractError("the added polynomial must be in the monomial basis")
@@ -131,13 +118,11 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
         if k < c.grade:
             power = A @ power
     return StandardTriple(X.copy(), Pencil(D.copy(), G, ta.pencil.block_meta),
-                          Y.copy(), weighted=ta.weighted, grade=ta.grade)
+                          Y.copy(), grade=ta.grade)
 
 
 def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for h(z) = z * a(z) * d0 * b(z) + c0, the glued three-block pencil."""
-    ta = as_unweighted(ta)
-    tb = as_unweighted(tb)
     if ta.r != tb.r:
         raise StructuralError("components must share the polynomial dimension r")
     r, na, nb = ta.r, ta.N, tb.N
@@ -151,9 +136,8 @@ def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
     D = _blockdiag(Da, d0, Db)
     X = np.hstack([np.zeros((r, na + r)), Xb])
     Y = np.vstack([Ya, np.zeros((r + nb, r))])
-    meta = {"blocks": [na, r, nb], "zero_middle_A_block": True}
     grade = None if None in (ta.grade, tb.grade) else ta.grade + tb.grade + 1
-    return StandardTriple(X, Pencil(D, H, meta), Y, weighted=False, grade=grade)
+    return StandardTriple(X, Pencil(D, H, {"blocks": [na, r, nb]}), Y, grade=grade)
 
 
 def _blockdiag(*mats) -> np.ndarray:
@@ -172,9 +156,8 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     """Second companion triple of a monomial polynomial (grade >= 1).
 
     Coefficient blocks sit in the last block column, identities on the block
-    subdiagonal; D = blockdiag(I, ..., I, alpha_s).  A singular or non-identity
-    leading coefficient yields the weighted flavour (for grade >= 2 the first
-    diagonal block of D is I, so both resolvent forms agree).
+    subdiagonal; D = blockdiag(I, ..., I, alpha_s).  Any leading coefficient,
+    singular included, gives X (zD - A)^-1 Y = a^-1(z).
     """
     if p.basis.kind != MONOMIAL:
         raise ContractError("second companion form needs monomial coefficients")
@@ -195,10 +178,7 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     X[:, (s - 1) * r:] = np.eye(r)
     Y = np.zeros((n, r), dtype=dt)
     Y[:r, :] = np.eye(r)
-    monic = bool(np.array_equal(coeffs[s], np.eye(r)))
-    weighted = (not monic) and s >= 2  # for s = 1, D Y = alpha_s Y: only the plain form holds
-    meta = {"blocks": [r] * s, "hessenberg": True}
-    return StandardTriple(X, Pencil(D, A, meta), Y, weighted=weighted, grade=s)
+    return StandardTriple(X, Pencil(D, A, {"blocks": [r] * s}), Y, grade=s)
 
 
 def lagrange_triple(p: MatPoly) -> StandardTriple:
@@ -229,8 +209,7 @@ def lagrange_triple(p: MatPoly) -> StandardTriple:
     Y = np.zeros((n, r), dtype=dt)
     for k in range(m):
         Y[k * r:(k + 1) * r, :] = np.eye(r)
-    meta = {"blocks": [r] * (m + 1), "zero_D_block": True}
-    return StandardTriple(X, Pencil(-A1, -A0, meta), Y, weighted=False, grade=p.grade)
+    return StandardTriple(X, Pencil(-A1, -A0, {"blocks": [r] * (m + 1)}), Y, grade=p.grade)
 
 
 def chebyshev_triple(p: MatPoly) -> StandardTriple:
@@ -253,7 +232,7 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     if n == 1:
         return StandardTriple(np.eye(r, dtype=dt),
                               Pencil(b[1].copy(), -b[0], {"blocks": [r]}),
-                              np.eye(r, dtype=dt), weighted=False, grade=1)
+                              np.eye(r, dtype=dt), grade=1)
     N = n * r
     B0 = np.zeros((N, N), dtype=dt)
     B1 = np.eye(N, dtype=dt)
@@ -275,6 +254,4 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     X[:, (n - 1) * r:] = np.eye(r)
     Y = np.zeros((N, r), dtype=dt)
     Y[:r, :] = np.eye(r)
-    weighted = pivot_condition(b[n]) > 1e12  # singular leading block
-    meta = {"blocks": [r] * n, "hessenberg": True}
-    return StandardTriple(X, Pencil(B1, B0, meta), Y, weighted=weighted, grade=n)
+    return StandardTriple(X, Pencil(B1, B0, {"blocks": [r] * n}), Y, grade=n)

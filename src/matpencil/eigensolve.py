@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, SpectrumError, StructuralError
 from .matpoly import _common, eval_at
-from .pencil import COND_CAP, Pencil, as_rng, pivot_condition
+from .pencil import COND_CAP, Pencil, _check_numeric, as_rng, pivot_condition
 
 BACKEND = "shift-invert + numpy eigvals"
 BACKEND_STANDARD = "numpy eigvals (D = I)"
@@ -54,9 +54,10 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
     the max row sum of W.  backend="qz" instead calls the LAPACK QZ solver on
     (A, D) directly, classifying |beta| below INF_TOL * |(alpha, beta)| as
     infinite.
-    Both backends keep a real pencil real.  A pencil with a NaN or infinite
-    entry raises StructuralError.
+    Both backends keep a real pencil real.  An object pencil, or one with a
+    NaN or infinite entry, raises StructuralError.
     """
+    _check_numeric(p.D, p.A)
     if not (np.isfinite(p.D).all() and np.isfinite(p.A).all()):
         raise StructuralError("the pencil has a non-finite entry")
     if backend == "qz":

@@ -113,17 +113,24 @@ def pencil_from_json(obj: dict) -> Pencil:
 
 def triple_to_json(t: StandardTriple) -> dict:
     out = {"X": matrix_to_json(t.X), "pencil": pencil_to_json(t.pencil),
-           "Y": matrix_to_json(t.Y), "weighted": bool(t.weighted)}
+           "Y": matrix_to_json(t.Y)}
     if t.grade is not None:
         out["grade"] = t.grade
     return out
 
 
 def triple_from_json(obj: dict) -> StandardTriple:
-    return StandardTriple(matrix_from_json(_field(obj, "X")),
-                          pencil_from_json(_field(obj, "pencil")),
-                          matrix_from_json(_field(obj, "Y")), bool(_field(obj, "weighted")),
-                          obj.get("grade"))
+    """A triple; an optional "weighted": true (resolvent X (zD-A)^-1 D Y, a form
+    older files carry) is read as the same resolvent with Y replaced by D Y."""
+    t = StandardTriple(matrix_from_json(_field(obj, "X")),
+                       pencil_from_json(_field(obj, "pencil")),
+                       matrix_from_json(_field(obj, "Y")), obj.get("grade"))
+    weighted = obj.get("weighted", False)
+    if not isinstance(weighted, bool):
+        raise StructuralError(f"weighted must be true or false, got {weighted!r:.80}")
+    if weighted:
+        t.Y = t.pencil.D @ t.Y
+    return t
 
 
 def eigenreport_to_json(rep: EigenReport) -> dict:

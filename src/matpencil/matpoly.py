@@ -1,8 +1,8 @@
 """Square matrix polynomials in monomial, barycentric Lagrange, or Chebyshev form.
 
 A MatPoly is the object whose eigenvalues (roots of det a(z)) everything else
-chases.  Operations here are pure: evaluation, determinant-polynomial
-extraction by interpolation, and entry-height metrics.
+chases.  Operations here are pure: evaluation, roots-of-unity interpolation,
+and entry-height metrics.
 """
 
 from __future__ import annotations
@@ -157,21 +157,24 @@ def eval_at(p, z) -> np.ndarray:
     """Evaluate a (duck-typed) matrix polynomial at z.
 
     A scalar z gives one dim x dim matrix; an array of points gives the stack
-    of shape z.shape + (dim, dim).
+    of shape z.shape + (dim, dim).  The dtype follows `_common` over z, the
+    data and, for the Lagrange basis, the nodes and weights: float64 for a
+    real polynomial at real points, complex128 once any of them is complex.
     """
     if not isinstance(p, MatPoly):
         return p.eval(z)
     z = np.asarray(z)
     zz = z[..., None, None]
     kind = p.basis.kind
+    extra = (p.basis.nodes, p.basis.weights) if kind == LAGRANGE else ()
+    acc = np.zeros(z.shape + (p.dim, p.dim), dtype=np.result_type(float, z, p.data, *extra))
     if kind == MONOMIAL:
-        acc = np.zeros(z.shape + (p.dim, p.dim), dtype=complex)
         for coeff in p.data[::-1]:
             acc = acc * zz + coeff
         return acc
     if kind == CHEBYSHEV:
         # three-term recurrence T_{k+1} = 2 z T_k - T_{k-1}
-        acc = np.zeros(z.shape + (p.dim, p.dim), dtype=complex) + p.data[0]
+        acc = acc + p.data[0]
         if p.grade >= 1:
             t_prev, t_cur = 1.0, zz
             acc = acc + t_cur * p.data[1]
@@ -186,18 +189,12 @@ def eval_at(p, z) -> np.ndarray:
     w = np.prod(diffs, axis=-1)
     diffs[hit] = 1.0
     coef = p.basis.weights / diffs
-    acc = np.zeros(z.shape + (p.dim, p.dim), dtype=complex)
     for k, sample in enumerate(p.data):
         acc += coef[..., k, None, None] * sample
     acc *= w[..., None, None]
     at_node = hit.any(axis=-1)
     acc[at_node] = p.data[hit.argmax(axis=-1)[at_node]]
     return acc
-
-
-def det_poly(p: MatPoly) -> np.ndarray:
-    """Coefficients (low-to-high) of det a(z), by sampling and inverse DFT."""
-    return _interp_roots_of_unity(lambda pts: np.linalg.det(eval_at(p, pts)), p.dim * p.grade)
 
 
 def _interp_roots_of_unity(det_at, degree: int) -> np.ndarray:

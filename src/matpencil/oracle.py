@@ -14,7 +14,8 @@ import numpy as np
 from ._exact import interp_int
 from .errors import ContractError
 from .matpoly import _interp_roots_of_unity, eval_at
-from .pencil import Pencil, pencil_det_at, _check_sampling, _is_exact, _rel_det_dev
+from .pencil import (Pencil, pencil_det_at, _check_numeric, _check_sampling, _is_exact,
+                     _rel_det_dev)
 
 
 def interp_charpoly(p: Pencil):
@@ -48,8 +49,9 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
     Defaults to max(N, r*grade) + 1 fixed points on |z| = 2 (two polynomials of
     degree <= max(N, r*grade) agreeing there agree everywhere).  Deviations are
     normalized by max(1, |det q|).  ContractError for n_points < 1 or a tol
-    that is not finite and positive.
+    that is not finite and positive, StructuralError for an object pencil.
     """
+    _check_numeric(p.D, p.A)
     if n_points is None:
         n_points = max(p.N, q.dim * q.grade) + 1
     _check_sampling(n_points, tol)

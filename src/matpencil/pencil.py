@@ -1,4 +1,4 @@
-"""Pencils z*D - A and standard triples X (zD - A)^-1 [D] Y.
+"""Pencils z*D - A and standard triples X (zD - A)^-1 Y.
 
 The determinant primitive and the resolvent primitive here are what every
 construction in this package is verified against.
@@ -21,7 +21,13 @@ COND_CAP = 1e12
 
 @dataclass(eq=False)
 class Pencil:
-    """The matrix pencil z*D - A (two equal-size square matrices)."""
+    """The matrix pencil z*D - A (two equal-size square matrices).
+
+    An object (e.g. Fraction) pencil is accepted by `pencil_det_at` and
+    `oracle.interp_charpoly` only; `resolvent_eval`, `verify_triple`,
+    `oracle.det_equality` and `eigensolve.generalized_eigen` are numeric-only
+    and raise StructuralError for one.
+    """
 
     D: np.ndarray
     A: np.ndarray
@@ -50,7 +56,7 @@ class Pencil:
 
 @dataclass(eq=False)
 class StandardTriple:
-    """(X, zD - A, Y) with X (zD-A)^-1 Y = a^-1(z); weighted inserts D before Y.
+    """(X, zD - A, Y) with X (zD-A)^-1 Y = a^-1(z).
 
     `grade` records the degree of the polynomial the pencil linearizes, which
     composition rules need for bookkeeping.
@@ -59,7 +65,6 @@ class StandardTriple:
     X: np.ndarray
     pencil: Pencil
     Y: np.ndarray
-    weighted: bool = False
     grade: int | None = None
 
     def __post_init__(self):
@@ -99,6 +104,13 @@ def pencil_det_at(p: Pencil, z: complex):
     return sign * np.exp(logdet)
 
 
+def _check_numeric(*arrays) -> None:
+    """StructuralError unless every array has a numeric dtype LAPACK can take."""
+    for arr in arrays:
+        if arr.dtype.kind not in "biufc":
+            raise StructuralError(f"this routine needs numeric data, got dtype {arr.dtype}")
+
+
 def pivot_condition(mat: np.ndarray):
     """1-norm condition number ||M||_1 ||M^-1||_1 of one matrix (a float) or of
     every matrix in a stack (an array); a singular matrix reads inf."""
@@ -111,14 +123,13 @@ def pivot_condition(mat: np.ndarray):
 
 
 def _resolvent(t: StandardTriple, m: np.ndarray) -> np.ndarray:
-    """X m^-1 Y (X m^-1 D Y when t is weighted) for m = zD - A or a stack of them."""
-    rhs = t.pencil.D @ t.Y if t.weighted else t.Y
-    return t.X @ np.linalg.solve(m, rhs)
+    """X m^-1 Y for m = zD - A or a stack of them."""
+    return t.X @ np.linalg.solve(m, t.Y)
 
 
 def resolvent_eval(t: StandardTriple, z, cond_cap: float = COND_CAP) -> np.ndarray:
-    """X (zD - A)^-1 Y, with the extra D factor before Y when t is weighted;
-    an array of points gives a stack."""
+    """X (zD - A)^-1 Y; an array of points gives a stack."""
+    _check_numeric(t.X, t.pencil.D, t.pencil.A, t.Y)
     m = t.pencil.at(z)
     if np.any(pivot_condition(m) > cond_cap):
         raise SpectrumError(f"z = {z} is too close to the pencil spectrum")
@@ -184,10 +195,12 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     Deviations are relative; the determinant one is normalized by
     max(1, |det a|) so huge determinants do not drown the comparison.  The
     resolvent is compared at the points where a(z) is also well-conditioned.
-    ContractError for n_points < 1 or a tol that is not finite and positive.
+    ContractError for n_points < 1 or a tol that is not finite and positive,
+    StructuralError for an object pencil or triple.
     """
     if t.r != p.dim:
         raise StructuralError(f"triple has r = {t.r} but polynomial has dim {p.dim}")
+    _check_numeric(t.X, t.pencil.D, t.pencil.A, t.Y)
     if n_points is None:
         n_points = max(t.N, p.dim * p.grade) + 1
     _check_sampling(n_points, tol)

@@ -9,11 +9,13 @@ import matpencil as mp
 from matpencil._compose import (composite_coeffs, mono_add, mono_mul,
                                 shift_left_coeffs, shift_right_coeffs)
 from matpencil.errors import VerificationError
+from matpencil.matpoly import _interp_roots_of_unity
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "composite_coeffs", "mono_add", "mono_mul", "shift_left_coeffs",
-           "shift_right_coeffs", "chebyshev_to_monomial", "ControllabilityReport",
-           "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback"]
+           "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
+           "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
+           "rational_pencil"]
 
 
 def rand_mat(rng, r):
@@ -42,6 +44,13 @@ def rand_lagrange(rng, r, s, min_sep=0.3):
     return mp.MatPoly.lagrange_poly(nodes, weights, samples)
 
 
+def rational_pencil():
+    """An object (Fraction) pencil with det(zD - A) = (z - 1/2) (z/2 - 2)."""
+    half = Fraction(1, 2)
+    return mp.Pencil(np.array([[1, 0], [0, half]], dtype=object),
+                     np.array([[half, 1], [0, 2]], dtype=object))
+
+
 def chebyshev_to_monomial(cheb_coeffs):
     """Scalar Chebyshev coefficients -> monomial coefficients (test oracle)."""
     t_prev, t_cur = [1.0], [0.0, 1.0]
@@ -56,6 +65,13 @@ def chebyshev_to_monomial(cheb_coeffs):
         for i, v in enumerate(t_k):
             out[i] += c * v
     return out
+
+
+def det_poly(p):
+    """Coefficients (low-to-high) of det p(z) from det(eval_at(p, .)) at the
+    roots of unity and an inverse DFT (test oracle)."""
+    return _interp_roots_of_unity(lambda pts: np.linalg.det(mp.eval_at(p, pts)),
+                                  p.dim * p.grade)
 
 
 @dataclass

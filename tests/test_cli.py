@@ -97,10 +97,9 @@ def test_usage_error_exit_code(capsys):
 def test_malformed_json_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(SystemExit) as info:
-        main(["eig", str(path)])
-    assert info.value.code == 1
-    assert "malformed JSON" in capsys.readouterr().err
+    # the same path as every other input error: one line on stderr, exit 1
+    err = _one_line_error(capsys, "eig", str(path))
+    assert err == f"error: {path}: malformed JSON at line 1 column 2\n"
 
 
 def _zero_poly_json():
@@ -162,6 +161,24 @@ def test_eig_reads_pencil_of_triple_file(capsys, tmp_path):
     code, out, _ = run(capsys, "eig", str(path))
     assert code == 0
     np.testing.assert_allclose(json.loads(out)["finite"], [[-2.0, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("weighted, code", [(True, 0), (False, 2), (None, 2), ("yes", 1)],
+                         ids=["true", "false", "absent", "string"])
+def test_verify_reads_weighted_triple_file(capsys, tmp_path, weighted, code):
+    # a(z) = 2z + 1; with "weighted": true the file's resolvent is
+    # X (zD - A)^-1 D Y = 1 / (2z + 1), without it 0.5 / (2z + 1)
+    triple = {"X": [[1]], "pencil": {"D": [[2]], "A": [[-1]]}, "Y": [[0.5]], "grade": 1}
+    if weighted is not None:
+        triple["weighted"] = weighted
+    poly = {"basis": "monomial", "dim": 1, "grade": 1, "data": [[[1]], [[2]]]}
+    (tmp_path / "t.json").write_text(json.dumps(triple))
+    (tmp_path / "p.json").write_text(json.dumps(poly))
+    argv = ["verify", "--triple", str(tmp_path / "t.json"), "--poly", str(tmp_path / "p.json")]
+    if code == 1:
+        assert "weighted" in _one_line_error(capsys, *argv)
+    else:
+        assert run(capsys, *argv)[0] == code
 
 
 def test_height_non_integer_csv_cell_exit_code(capsys, tmp_path):

@@ -13,6 +13,12 @@ def scalar_poly(*coeffs):
     return mp.MatPoly.monomial_poly([float(c) for c in coeffs])
 
 
+def y_in_identity_block(t):
+    """D Y == Y exactly: Y lies where D is the identity, so X (zD - A)^-1 D Y
+    and X (zD - A)^-1 Y are the same resolvent."""
+    return np.array_equal(t.pencil.D @ t.Y, t.Y)
+
+
 def det_agrees(pencil, poly_coeffs, n_points, rng):
     """Pencil determinant vs Horner evaluation of monomial matrix coefficients."""
     p = mp.MatPoly.monomial_poly(poly_coeffs)
@@ -123,7 +129,7 @@ def test_add_verifies_nonmonic_input():
     a = rand_mono(rng, 2, 3)              # random leading coefficient
     c = rand_mono(rng, 2, 2)
     t = mp.add_lower_degree(mp.frobenius_triple(a), c)
-    assert t.weighted
+    assert y_in_identity_block(t)
     summed = mp.MatPoly.monomial_poly(mono_add(a.data, c.data))
     assert mp.verify_triple(t, summed, rng=4).passed
 
@@ -181,7 +187,6 @@ def test_frobenius_identity_leading_linear():
     assert np.array_equal(t.pencil.A, -c0.astype(complex))
     assert np.array_equal(t.X, np.eye(2, dtype=complex))
     assert np.array_equal(t.Y, np.eye(2, dtype=complex))
-    assert not t.weighted
 
 
 def test_frobenius_singular_leading_coefficient():
@@ -236,17 +241,17 @@ def test_chebyshev_fixture_verifies():
     assert mp.verify_triple(t, b, tol=1e-8, rng=7).passed
 
 
-def test_chebyshev_singular_leading_is_weighted_and_verifies():
+def test_chebyshev_singular_leading_verifies():
     rng = np.random.default_rng(71)
     coeffs = np.stack([rand_mat(rng, 2), rand_mat(rng, 2), np.diag([1.0, 0.0]).astype(complex)])
     p = mp.MatPoly.chebyshev_poly(coeffs)
     t = mp.chebyshev_triple(p)
-    assert t.weighted
+    assert y_in_identity_block(t)
     assert mp.verify_triple(t, p, rng=8).passed
 
 
 # The elementary constructors return their layouts as built, with no run-time
-# sign repair, so these sweeps are what guard X (zD - A)^-1 [D] Y = a^-1(z).
+# sign repair, so these sweeps are what guard X (zD - A)^-1 Y = a^-1(z).
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("monic", [True, False], ids=["monic", "nonmonic"])
@@ -254,7 +259,8 @@ def test_chebyshev_singular_leading_is_weighted_and_verifies():
 def test_frobenius_sign_convention(s, monic, r):
     p = rand_mono(np.random.default_rng((131, s, monic, r)), r, s, monic=monic)
     t = mp.frobenius_triple(p)
-    assert t.weighted == (not monic and s >= 2)
+    if s >= 2:  # for s = 1, D Y = alpha_1 Y
+        assert y_in_identity_block(t)
     assert mp.verify_triple(t, p, tol=1e-8, rng=s).passed
 
 
@@ -275,8 +281,8 @@ def test_chebyshev_sign_convention(n, singular, r):
         coeffs[n, -1, :] = 0.0  # rank r - 1 leading block
     p = mp.MatPoly.chebyshev_poly(coeffs)
     t = mp.chebyshev_triple(p)
-    if n >= 2:
-        assert t.weighted == singular
+    if n >= 2:  # for n = 1, D Y = b_1 Y
+        assert y_in_identity_block(t)
     assert mp.verify_triple(t, p, tol=1e-8, rng=n).passed
 
 
@@ -360,12 +366,13 @@ def test_constructors_copy_inputs():
     assert np.array_equal(ta.pencil.A, before)
 
 
-def test_weighted_inputs_accepted_by_all_composers():
+def test_nonmonic_inputs_accepted_by_all_composers():
     rng = np.random.default_rng(121)
-    a = rand_mono(rng, 2, 2)          # random leading coefficient -> weighted
+    a = rand_mono(rng, 2, 2)          # random leading coefficient
     b = rand_mono(rng, 2, 2)
     ta, tb = mp.frobenius_triple(a), mp.frobenius_triple(b)
-    assert ta.weighted and tb.weighted
+    assert y_in_identity_block(ta) and y_in_identity_block(tb)
+    assert mp.verify_triple(ta, a, rng=0).passed and mp.verify_triple(tb, b, rng=0).passed
     d0, c0 = rand_mat(rng, 2), rand_mat(rng, 2)
     pl = mp.MatPoly.monomial_poly(shift_left_coeffs(a.data, d0, c0))
     assert mp.verify_triple(mp.scalar_shift_left(ta, d0, c0), pl, n_points=6, rng=1).passed
@@ -377,8 +384,7 @@ def test_weighted_inputs_accepted_by_all_composers():
 
 # --- dtype rule --------------------------------------------------------------
 
-# A non-monic 2x2 quadratic (so the companion triple is weighted and every
-# composer unweights it first), and Lagrange nodes 0, 1 with integer weights.
+# A non-monic 2x2 quadratic, and Lagrange nodes 0, 1 with integer weights.
 _DTYPE_COEFFS = np.array([[[2, -1], [1, 3]], [[0, 1], [-1, 2]], [[1, 0], [0, 2]]])
 
 
@@ -417,7 +423,12 @@ def _parts(t):
                                          (np.complex128, np.complex128)])
 def test_constructor_dtype_rule(kind, dtype, want):
     t = _build(kind, dtype)
-    assert t.weighted == (kind in ("frobenius", "add_lower_degree"))
+    if kind in ("frobenius", "add_lower_degree"):  # Y passes through from the companion
+        assert y_in_identity_block(t)
+        coeffs = _DTYPE_COEFFS.astype(dtype)
+        if kind == "add_lower_degree":
+            coeffs = mono_add(coeffs, coeffs[:1])
+        assert mp.verify_triple(t, mp.MatPoly.monomial_poly(coeffs), rng=0).passed
     for name, arr in _parts(t).items():
         assert arr.dtype == want, f"{kind}: {name} is {arr.dtype}"
     # real data gives the same triple as the same data carried as complex

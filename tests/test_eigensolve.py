@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import matpencil as mp
-from matpencil.errors import SpectrumError
+from matpencil.errors import SpectrumError, StructuralError
 
-from helpers import rand_mat
+from helpers import rand_mat, rational_pencil
 
 
 def test_standard_diagonal_pencil():
@@ -211,3 +211,9 @@ def test_residuals_match_per_point_loop():
     assert mp.residuals(cases[0][0], []).shape == (0,)
     assert isinstance(eigensolve.sigma_ratio(np.eye(2)), float)
     assert eigensolve.sigma_ratio(np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("backend", ["shift-invert", "qz"])
+def test_generalized_eigen_rejects_object_pencil(backend):
+    with pytest.raises(StructuralError, match="numeric"):
+        mp.generalized_eigen(rational_pencil(), rng=0, backend=backend)

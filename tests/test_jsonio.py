@@ -35,7 +35,32 @@ def test_pencil_and_triple_roundtrip():
     np.testing.assert_array_equal(back.pencil.D, t.pencil.D)
     np.testing.assert_array_equal(back.X, t.X)
     np.testing.assert_array_equal(back.Y, t.Y)
-    assert back.weighted == t.weighted and back.grade == t.grade
+    assert back.grade == t.grade
+    assert set(jsonio.triple_to_json(t)) == {"X", "pencil", "Y", "grade"}
+
+
+def _scalar_triple_json(weighted):
+    # a(z) = 2z: pencil (2, 0) with X = Y = 1 reads 1 / (2z)
+    obj = {"X": [[1]], "pencil": {"D": [[2]], "A": [[0]]}, "Y": [[1]], "grade": 1}
+    return obj if weighted is None else {**obj, "weighted": weighted}
+
+
+def test_weighted_triple_file_folds_d_into_y():
+    # "weighted": true means X (zD - A)^-1 D Y, read as Y <- D Y
+    t = jsonio.triple_from_json(_scalar_triple_json(True))
+    np.testing.assert_array_equal(t.Y, [[2]])
+    assert mp.resolvent_eval(t, 1.0)[0, 0] == pytest.approx(1.0)
+    for weighted in (False, None):
+        t = jsonio.triple_from_json(_scalar_triple_json(weighted))
+        assert mp.resolvent_eval(t, 1.0)[0, 0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("value", ["yes", 1, None, [True]],
+                         ids=["string", "integer", "null", "list"])
+def test_weighted_must_be_a_boolean(value):
+    from matpencil.errors import StructuralError
+    with pytest.raises(StructuralError):
+        jsonio.triple_from_json({**_scalar_triple_json(None), "weighted": value})
 
 
 def test_eigenreport_schema():

@@ -5,7 +5,7 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import StructuralError
 
-from helpers import chebyshev_to_monomial, rand_lagrange, rand_mono
+from helpers import chebyshev_to_monomial, det_poly, rand_lagrange, rand_mono
 
 
 def test_eval_monomial_scalar():
@@ -60,19 +60,19 @@ def exact_det_poly(data):
 
 def test_det_poly_trivial():
     p = mp.MatPoly.monomial_poly([1.0, 1.0])
-    np.testing.assert_allclose(mp.det_poly(p).real, [1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(det_poly(p).real, [1.0, 1.0], atol=1e-14)
 
 
 def test_det_poly_mandelbrot_cubic():
     p = mp.MatPoly.monomial_poly([float(c) for c in mp.mandelbrot_poly_coeffs(3)])
-    np.testing.assert_allclose(mp.det_poly(p).real, [1, 1, 2, 1], atol=1e-12)
+    np.testing.assert_allclose(det_poly(p).real, [1, 1, 2, 1], atol=1e-12)
     assert exact_det_poly(np.array([[[1]], [[1]], [[2]], [[1]]])) == [1, 1, 2, 1]
 
 
 def test_det_poly_matches_pointwise_determinant():
     rng = np.random.default_rng(5)
     p = rand_mono(rng, 2, 2)
-    coeffs = mp.det_poly(p)
+    coeffs = det_poly(p)
     val = sum(c * 0.7 ** k for k, c in enumerate(coeffs))
     want = np.linalg.det(p.eval(0.7))
     assert abs(val - want) / abs(want) < 1e-10
@@ -87,8 +87,38 @@ def test_det_poly_exact_random_integer_matrix():
     rng = np.random.default_rng(7)
     data = rng.integers(-4, 5, (3, 2, 2))
     exact = exact_det_poly(data)
-    approx = mp.det_poly(mp.MatPoly.monomial_poly(data.astype(float)))
+    approx = det_poly(mp.MatPoly.monomial_poly(data.astype(float)))
     np.testing.assert_allclose(approx.real, exact, atol=1e-10)
+
+
+_EVAL_DATA = np.array([[[2, -1], [1, 3]], [[0, 1], [-1, 2]], [[1, 0], [0, 2]]])
+
+
+def _eval_poly(kind, dtype):
+    data = _EVAL_DATA.astype(dtype)
+    if kind == "monomial":
+        return mp.MatPoly.monomial_poly(data)
+    if kind == "chebyshev":
+        return mp.MatPoly.chebyshev_poly(data)
+    # nodes 0, 1 have the integer weights -1, 1
+    return mp.MatPoly.lagrange_poly(np.array([0, 1]).astype(dtype),
+                                    np.array([-1, 1]).astype(dtype), data[:2])
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev", "lagrange"])
+@pytest.mark.parametrize("dtype, want", [(np.int64, np.float64), (np.float64, np.float64),
+                                         (np.complex128, np.complex128)])
+def test_eval_at_dtype_rule(kind, dtype, want):
+    z = np.array([1, -2, 3]).astype(dtype)  # 1 is a Lagrange node
+    p = _eval_poly(kind, dtype)
+    got = mp.eval_at(p, z)
+    assert got.dtype == want and mp.eval_at(p, z[1]).dtype == want
+    # the same values as the same data and points carried as complex
+    ref = mp.eval_at(_eval_poly(kind, np.complex128), z.astype(complex))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    # a complex point, or complex data, makes the result complex
+    assert mp.eval_at(p, z + 1j).dtype == np.complex128
+    assert mp.eval_at(_eval_poly(kind, np.complex128), z).dtype == np.complex128
 
 
 def test_chebyshev_agrees_with_converted_monomial():

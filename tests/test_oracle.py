@@ -3,9 +3,10 @@ import pytest
 
 import matpencil as mp
 from matpencil import fixtures
-from matpencil.errors import ContractError
+from matpencil.errors import ContractError, StructuralError
 
-from helpers import composite_coeffs, controllability_matrix, rand_mono
+from helpers import (composite_coeffs, controllability_matrix, det_poly, rand_mono,
+                     rational_pencil)
 
 
 def test_interp_charpoly_exact_mandelbrot():
@@ -34,7 +35,7 @@ def test_interp_charpoly_float_vs_expanded_family_step():
     t2 = mp.composite(t1, t1, np.eye(4), c1)
     got = mp.interp_charpoly(t2.pencil)
     h2 = mp.MatPoly.monomial_poly(composite_coeffs(h1, np.eye(4), h1, c1))
-    want = mp.det_poly(h2)
+    want = det_poly(h2)
     scale = float(np.abs(want).max())
     assert got.shape[0] == 13  # degree 12 pencil
     np.testing.assert_allclose(got, want, atol=1e-8 * scale)
@@ -125,7 +126,7 @@ def test_stacked_determinant_checks_match_per_point_loops():
         # the same interpolation from one point at a time
         roots = np.exp(-2j * np.pi * np.arange(r * s + 1) / (r * s + 1))
         want = np.fft.ifft([np.linalg.det(mp.eval_at(p, z)) for z in roots])
-        np.testing.assert_allclose(mp.det_poly(p), want, rtol=0,
+        np.testing.assert_allclose(det_poly(p), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
         want = np.fft.ifft([np.linalg.det(t.pencil.at(z))
                             for z in np.exp(-2j * np.pi * np.arange(t.N + 1) / (t.N + 1))])
@@ -139,3 +140,13 @@ def test_det_equality_fails_on_nan_pencil():
     with np.errstate(invalid="ignore"):
         eq = mp.det_equality(mp.Pencil([[1.0]], [[np.nan]]), p)
     assert not eq.ok and np.isnan(eq.max_deviation)
+
+
+def test_det_equality_rejects_object_pencil():
+    p = mp.MatPoly.monomial_poly(np.stack([np.eye(2), np.eye(2)]))
+    with pytest.raises(StructuralError, match="numeric"):
+        mp.det_equality(rational_pencil(), p)
+    # the exact routines still take object pencils
+    obj = mp.Pencil(np.array([[1, 0], [0, 1]], dtype=object),
+                    np.array([[1, 1], [0, 2]], dtype=object))
+    assert mp.interp_charpoly(obj) == [2, -3, 1]  # (z - 1) (z - 2)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import matpencil as mp
-from matpencil.errors import ContractError, SpectrumError
+from matpencil.errors import ContractError, SpectrumError, StructuralError
+
+from helpers import rational_pencil
 
 
 def mandelbrot_triple(n):
@@ -49,15 +51,6 @@ def test_resolvent_rejects_spectrum_point():
     t = mp.StandardTriple([[1.0]], mp.Pencil([[1.0]], [[-1.0]]), [[1.0]])
     with pytest.raises(SpectrumError):
         mp.resolvent_eval(t, -1.0)
-
-
-def test_resolvent_weighted_inserts_d_factor():
-    # a(z) = 2z: pencil (2, 0) with X = Y = 1 is exact unweighted; the
-    # weighted read-out multiplies by D on the right.
-    t = mp.StandardTriple([[1.0]], mp.Pencil([[2.0]], [[0.0]]), [[1.0]], weighted=True)
-    assert mp.resolvent_eval(t, 1.0)[0, 0] == pytest.approx(1.0)
-    t_plain = mp.StandardTriple([[1.0]], mp.Pencil([[2.0]], [[0.0]]), [[1.0]])
-    assert mp.resolvent_eval(t_plain, 1.0)[0, 0] == pytest.approx(0.5)
 
 
 def test_verify_triple_mandelbrot_level4():
@@ -258,11 +251,21 @@ def test_pencil_at_and_resolvent_follow_the_dtype_rule(pencil_dtype, z, want):
 
 def test_rational_pencil_det_at_exact_and_inexact_points():
     from fractions import Fraction
-    half = Fraction(1, 2)
-    p = mp.Pencil(np.array([[1, 0], [0, half]], dtype=object),
-                  np.array([[half, 1], [0, 2]], dtype=object))
-    # det(zD - A) = (z - 1/2) (z/2 - 2)
+    p = rational_pencil()  # det(zD - A) = (z - 1/2) (z/2 - 2)
     assert mp.pencil_det_at(p, Fraction(1, 3)) == Fraction(-1, 6) * Fraction(-11, 6)
     for z in (0.25, 1.5 - 0.5j):
         assert mp.pencil_det_at(p, z) == pytest.approx((z - 0.5) * (z / 2 - 2), rel=1e-14)
 
+
+
+def test_resolvent_eval_rejects_object_pencil():
+    t = mp.StandardTriple(np.eye(2), rational_pencil(), np.eye(2))
+    with pytest.raises(StructuralError, match="numeric"):
+        mp.resolvent_eval(t, 1.0)
+
+
+def test_verify_triple_rejects_object_pencil():
+    t = mp.StandardTriple(np.eye(2), rational_pencil(), np.eye(2))
+    p = mp.MatPoly.monomial_poly(np.stack([np.eye(2), np.eye(2)]))
+    with pytest.raises(StructuralError, match="numeric"):
+        mp.verify_triple(t, p, rng=0)

@@ -70,7 +70,11 @@ def _exact_quotient(num, den):
 
 
 def bareiss_det(rows):
-    """Fraction-free determinant (Bareiss elimination) of an integer matrix."""
+    """Determinant by Bareiss elimination of an integer or rational matrix.
+
+    Each step divides exactly by the previous pivot: an int for integer
+    entries (fraction-free), a Fraction otherwise.
+    """
     m = [list(row) for row in rows]
     n = len(m)
     if n == 0:
@@ -88,7 +92,7 @@ def bareiss_det(rows):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j] = _exact_quotient(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]

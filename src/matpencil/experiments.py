@@ -49,25 +49,18 @@ def family_triple(k_max: int) -> list[StandardTriple]:
 
 # Extended precision for residual evaluation where coefficient magnitudes
 # (~1e5) would otherwise put the double-precision evaluation floor above the
-# differences being measured.  Falls back to double where unsupported, which
-# changes what the quintic comparison measures: QuinticComparison.residual_dtype
-# records which one ran.
+# differences being measured: points in this dtype make `eval_at` evaluate in
+# it.  Falls back to double where unsupported, which changes what the quintic
+# comparison measures: QuinticComparison.residual_dtype records which one ran.
 _WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
-
-
-def _horner_wide(coeffs: np.ndarray, z: complex) -> np.ndarray:
-    acc = np.zeros(coeffs.shape[1:], dtype=_WIDE)
-    zw = _WIDE(z)
-    for c in np.asarray(coeffs, dtype=_WIDE)[::-1]:
-        acc = acc * zw + c
-    return acc
 
 
 def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     """Solve the recursive family for k = 1..k_max and report residuals.
 
-    Residuals evaluate h_k at each eigenvalue through the defining recurrence
-    (never through expanded coefficients) and take sigma_min / sigma_max.
+    Residuals evaluate h_k at the stack of eigenvalues through the defining
+    recurrence (never through expanded coefficients) and take
+    sigma_min / sigma_max.
     """
     if not 1 <= k_max <= FAMILY_DESK_CAP:
         raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
@@ -77,8 +70,7 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
         t0 = time.perf_counter()
         eig = generalized_eigen(triple.pencil, rng=rng)
         elapsed = time.perf_counter() - t0
-        res = np.array([sigma_ratio(fixtures.family_eval(k, z)) for z in eig.finite])
-        eig.residuals = res
+        res = eig.residuals = sigma_ratio(fixtures.family_eval(k, eig.finite))
         hr = height_report(triple.pencil.A)
         reports.append(FamilyLevelReport(
             k, triple.N, len(eig.finite), eig.infinite_count,
@@ -103,9 +95,9 @@ def run_random_quintic(rng=None) -> QuinticComparison:
     """Compare the glued linearization of z a(z) b(z) + I against the plain
     second companion of the numerically expanded degree-7 polynomial.
 
-    Both eigenvalue sets are scored with the same residual: evaluate
-    z a(z) b(z) + I from the cubic factors directly and take the singular
-    value ratio.
+    Both eigenvalue sets are scored with the same residual, in one stack:
+    evaluate z a(z) b(z) + I from the cubic factors directly, in _WIDE, and
+    take the singular value ratio.
     """
     rng = as_rng(rng)
     r = 5
@@ -117,17 +109,14 @@ def run_random_quintic(rng=None) -> QuinticComparison:
     expanded = composite_coeffs(a.data, np.eye(r), b.data, c0)
     direct = frobenius_triple(MatPoly.monomial_poly(expanded))
 
-    def h_at(z):
-        hz = _WIDE(z) * (_horner_wide(a.data, z) @ _horner_wide(b.data, z)) + c0.astype(_WIDE)
-        return hz.astype(complex)
-
     # Both sides go through the same plain QZ solve: the comparison is about
     # the two constructions, and the shift-invert reduction would quietly
     # rebalance the badly scaled expanded companion.
     eig_glued = generalized_eigen(glued.pencil, rng=rng, backend="qz")
     eig_direct = generalized_eigen(direct.pencil, rng=rng, backend="qz")
-    res_glued = np.array([sigma_ratio(h_at(z)) for z in eig_glued.finite])
-    res_direct = np.array([sigma_ratio(h_at(z)) for z in eig_direct.finite])
+    z = np.concatenate([eig_glued.finite, eig_direct.finite]).astype(_WIDE)
+    res = sigma_ratio(z[:, None, None] * (a.eval(z) @ b.eval(z)) + c0)
+    res_glued, res_direct = np.split(res, [len(eig_glued.finite)])
     eig_glued.residuals = res_glued
     eig_direct.residuals = res_direct
     worst_glued = float(res_glued.max())
@@ -164,8 +153,8 @@ def run_mixed_basis(rng=None) -> MixedBasisReport:
     coeffs = interp_charpoly(t.pencil)
     refs = scalar_roots(coeffs)
     match = match_roots(eig.finite, refs)
-    res = np.array([sigma_ratio(z * (a.eval(z) @ b.eval(z)) + np.eye(r)) for z in eig.finite])
-    eig.residuals = res
+    z = eig.finite
+    eig.residuals = sigma_ratio(z[:, None, None] * (a.eval(z) @ b.eval(z)) + np.eye(r))
     return MixedBasisReport(
         t.N, t.pencil.block_meta["blocks"], len(eig.finite), eig.infinite_count,
         match.max_error, len(refs), eig)

@@ -95,15 +95,18 @@ def family_constant(k: int) -> np.ndarray:
     return FAMILY_CONSTANTS[k % len(FAMILY_CONSTANTS)].copy()
 
 
-def family_eval(k: int, z: complex) -> np.ndarray:
+def family_eval(k: int, z) -> np.ndarray:
     """Evaluate the level-k family member h_k at z through the recurrence.
 
-    h_1 = z I + c_0, h_{j+1} = z h_j^2 + c_j.  Direct recurrence evaluation
-    avoids the huge expanded coefficients, so residuals stay meaningful.
+    h_1 = z I + c_0, h_{j+1} = z h_j^2 + c_j, in complex128.  A scalar z gives
+    one 4x4 matrix; an array of points gives the stack of shape
+    z.shape + (4, 4).  Direct recurrence evaluation avoids the huge expanded
+    coefficients, so residuals stay meaningful.
     """
-    h = z * np.eye(4, dtype=complex) + family_constant(0)
+    zz = np.asarray(z, dtype=complex)[..., None, None]
+    h = zz * np.eye(4) + family_constant(0)
     for j in range(1, k):
-        h = z * (h @ h) + family_constant(j)
+        h = zz * (h @ h) + family_constant(j)
     return h
 
 

@@ -120,11 +120,13 @@ def triple_to_json(t: StandardTriple) -> dict:
 
 
 def triple_from_json(obj: dict) -> StandardTriple:
-    """A triple; an optional "weighted": true (resolvent X (zD-A)^-1 D Y, a form
-    older files carry) is read as the same resolvent with Y replaced by D Y."""
+    """A triple; an optional "grade" must be an integer, and an optional
+    "weighted": true (resolvent X (zD-A)^-1 D Y, a form older files carry) is
+    read as the same resolvent with Y replaced by D Y."""
     t = StandardTriple(matrix_from_json(_field(obj, "X")),
                        pencil_from_json(_field(obj, "pencil")),
-                       matrix_from_json(_field(obj, "Y")), obj.get("grade"))
+                       matrix_from_json(_field(obj, "Y")),
+                       _int_field(obj, "grade") if "grade" in obj else None)
     weighted = obj.get("weighted", False)
     if not isinstance(weighted, bool):
         raise StructuralError(f"weighted must be true or false, got {weighted!r:.80}")

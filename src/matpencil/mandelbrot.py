@@ -64,9 +64,13 @@ def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
 
 
 def mandelbrot_poly_at(n: int, z):
-    """p_n(z) by the recurrence p_0 = 0, p_{k+1} = z p_k^2 + 1 (exact for exact z)."""
+    """p_n(z) by the recurrence p_0 = 0, p_{k+1} = z p_k^2 + 1 (exact for exact z).
+
+    A numpy integer z is taken as a Python int, so p_n does not wrap around.
+    """
     if n < 0:
         raise ContractError("level must be non-negative")
+    z = _as_exact(z)
     p = 0
     for _ in range(n):
         p = z * p * p + 1
@@ -90,13 +94,18 @@ def mandelbrot_poly_coeffs(n: int) -> list:
     return p
 
 
+def _as_exact(z):
+    """A numpy integer as a Python int (which cannot overflow); anything else as is."""
+    return int(z) if isinstance(z, np.integer) else z
+
+
 def charpoly_identity(n: int, points) -> bool:
     """True iff det(zI - M_n) = p_n(z) exactly at every given integer point."""
     if n < 2:
         raise ContractError("the family starts at level 2")
     m = mandelbrot_matrix(n).entries
     diag = np.arange(m.shape[0])
-    for z in points:
+    for z in map(_as_exact, points):
         # zI - M has entries 0/1 off the diagonal and z or z + 1 on it; other
         # points (wide ints, Fractions) go through Python objects
         small = isinstance(z, int) and -128 <= z <= 126

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import interp_int
+from ._exact import interp_int, newton_interp
 from .errors import ContractError
 from .matpoly import _interp_roots_of_unity, eval_at
 from .pencil import (Pencil, pencil_det_at, _check_numeric, _check_sampling, _is_exact,
@@ -21,14 +21,17 @@ from .pencil import (Pencil, pencil_det_at, _check_numeric, _check_sampling, _is
 def interp_charpoly(p: Pencil):
     """Coefficients (low-to-high) of det(zD - A), degree <= N.
 
-    Float path: N+1 roots of unity and an inverse DFT.  Integer pencils take
-    the exact path: integer points 0..N, exact determinants, exact
-    interpolation, with integer coefficients guaranteed.
+    Float path: N+1 roots of unity and an inverse DFT.  Integer and object
+    (e.g. Fraction) pencils take the exact path: integer points 0..N, exact
+    determinants, exact interpolation.  An integer-dtype pencil gets Python
+    int coefficients, checked to be integers; an object pencil gets Fractions.
     """
     n = p.N
     if _is_exact(p.D) and _is_exact(p.A):
         xs = list(range(n + 1))
         ys = [pencil_det_at(p, x) for x in xs]
+        if p.D.dtype == object or p.A.dtype == object:
+            return newton_interp(xs, ys)
         return interp_int(xs, ys)
     return _interp_roots_of_unity(lambda pts: np.linalg.det(p.at(pts)), n)
 

@@ -23,8 +23,9 @@ COND_CAP = 1e12
 class Pencil:
     """The matrix pencil z*D - A (two equal-size square matrices).
 
-    An object (e.g. Fraction) pencil is accepted by `pencil_det_at` and
-    `oracle.interp_charpoly` only; `resolvent_eval`, `verify_triple`,
+    An object (e.g. Fraction) pencil is accepted by `pencil_det_at` (exact at
+    an int or Fraction point) and `oracle.interp_charpoly` (Fraction
+    coefficients) only; `resolvent_eval`, `verify_triple`,
     `oracle.det_equality` and `eigensolve.generalized_eigen` are numeric-only
     and raise StructuralError for one.
     """

@@ -181,6 +181,20 @@ def test_verify_reads_weighted_triple_file(capsys, tmp_path, weighted, code):
         assert run(capsys, *argv)[0] == code
 
 
+@pytest.mark.parametrize("grade, code", [(1, 0), ("x", 1), (1.5, 1), (True, 1)],
+                         ids=["integer", "string", "float", "boolean"])
+def test_verify_triple_file_grade_exit_code(capsys, tmp_path, grade, code):
+    triple = {"X": [[1]], "pencil": {"D": [[2]], "A": [[-1]]}, "Y": [[1]], "grade": grade}
+    poly = {"basis": "monomial", "dim": 1, "grade": 1, "data": [[[1]], [[2]]]}
+    (tmp_path / "t.json").write_text(json.dumps(triple))
+    (tmp_path / "p.json").write_text(json.dumps(poly))
+    argv = ["verify", "--triple", str(tmp_path / "t.json"), "--poly", str(tmp_path / "p.json")]
+    if code == 1:
+        assert "grade" in _one_line_error(capsys, *argv)
+    else:
+        assert run(capsys, *argv)[0] == code
+
+
 def test_height_non_integer_csv_cell_exit_code(capsys, tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n")
@@ -250,3 +264,15 @@ def test_quintic_reports_residual_dtype(capsys, tmp_path):
     assert f"residuals evaluated in:              {wide}" in out
     for stem in ("quintic_glued", "quintic_expanded"):
         assert json.loads((tmp_path / f"{stem}.json").read_text())["residual_dtype"] == wide
+
+
+def test_quintic_artifacts_byte_identical_across_same_seed_runs(capsys, tmp_path):
+    outs = []
+    for name in ("one", "two"):
+        d = tmp_path / name
+        code, _, _ = run(capsys, "--seed", "7", "--emit", "csv", "--emit", "json",
+                         "--emit", "svg", "--out", str(d), "quintic")
+        assert code == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+    assert len(outs[0]) == 6
+    assert outs[0] == outs[1]

@@ -3,6 +3,7 @@ import pytest
 
 import matpencil as mp
 from matpencil import experiments, fixtures
+from matpencil.eigensolve import sigma_ratio
 from matpencil.errors import ContractError
 
 
@@ -64,6 +65,65 @@ def test_family_eval_matches_triple_determinant():
     for z in (0.4, -0.9, 1.1 + 0.6j):
         want = np.linalg.det(fixtures.family_eval(3, z))
         assert mp.pencil_det_at(t.pencil, z) == pytest.approx(want, rel=1e-9)
+
+
+def _family_eval_one(k, z):
+    # the one-point recurrence family_eval ran before it took a stack of points
+    h = z * np.eye(4, dtype=complex) + fixtures.family_constant(0)
+    for j in range(1, k):
+        h = z * (h @ h) + fixtures.family_constant(j)
+    return h
+
+
+def test_family_eval_stack_equals_scalar_calls():
+    pts = np.array([[0.4, -0.9 + 0.1j, 1.1 + 0.6j], [-2.0, 0.0, 3j]])
+    for k in (1, 3, 6):
+        stack = fixtures.family_eval(k, pts)
+        assert stack.shape == (2, 3, 4, 4) and stack.dtype == complex
+        scalar = np.array([[fixtures.family_eval(k, z) for z in row] for row in pts])
+        assert stack.tobytes() == scalar.tobytes()
+        for z, h in zip(pts.ravel(), stack.reshape(-1, 4, 4)):
+            assert h.tobytes() == _family_eval_one(k, z).tobytes()
+    one = fixtures.family_eval(2, 0.5)
+    assert one.shape == (4, 4) and one.dtype == complex
+
+
+def _horner_wide(coeffs, z):
+    # the extended-precision Horner evaluator the quintic residual used per point
+    acc = np.zeros(coeffs.shape[1:], dtype=experiments._WIDE)
+    zw = experiments._WIDE(z)
+    for c in np.asarray(coeffs, dtype=experiments._WIDE)[::-1]:
+        acc = acc * zw + c
+    return acc
+
+
+def _same_bits(got, want):
+    want = np.array(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_stacked_residuals_equal_per_point_loops():
+    # reference: the per-eigenvalue loops each driver ran before scoring one stack
+    for rep in experiments.run_family(5, rng=0):
+        want = [sigma_ratio(_family_eval_one(rep.k, z)) for z in rep.eigen.finite]
+        assert _same_bits(rep.eigen.residuals, want)
+        assert rep.max_residual == max(want)
+
+    q = experiments.run_random_quintic(rng=0)
+    a, b = np.stack(fixtures.QUINTIC_A), np.stack(fixtures.quintic_b_coeffs())
+    wide = experiments._WIDE
+    for eig, worst in ((q.algebraic_eigen, q.algebraic_max_residual),
+                       (q.frobenius_eigen, q.frobenius_max_residual)):
+        want = [sigma_ratio((wide(z) * (_horner_wide(a, z) @ _horner_wide(b, z))
+                             + np.eye(5).astype(wide)).astype(complex))
+                for z in eig.finite]
+        assert _same_bits(eig.residuals, want)
+        assert worst == max(want)
+
+    m = experiments.run_mixed_basis(rng=0)
+    a, b = fixtures.mixed_lagrange_poly(), fixtures.mixed_chebyshev_poly()
+    want = [sigma_ratio(z * (a.eval(z) @ b.eval(z)) + np.eye(3)) for z in m.eigen.finite]
+    assert _same_bits(m.eigen.residuals, want)
 
 
 def test_family_cap():

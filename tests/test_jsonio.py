@@ -63,6 +63,18 @@ def test_weighted_must_be_a_boolean(value):
         jsonio.triple_from_json({**_scalar_triple_json(None), "weighted": value})
 
 
+@pytest.mark.parametrize("value", ["x", 1.0, True, None],
+                         ids=["string", "float", "boolean", "null"])
+def test_triple_grade_must_be_an_integer(value):
+    from matpencil.errors import StructuralError
+    with pytest.raises(StructuralError, match="grade"):
+        jsonio.triple_from_json({**_scalar_triple_json(None), "grade": value})
+    obj = _scalar_triple_json(None)
+    assert jsonio.triple_from_json(obj).grade == 1
+    del obj["grade"]
+    assert jsonio.triple_from_json(obj).grade is None
+
+
 def test_eigenreport_schema():
     rep = mp.generalized_eigen(mp.Pencil(np.eye(2), np.diag([1.0, 2.0])), rng=0)
     obj = jsonio.eigenreport_to_json(rep)

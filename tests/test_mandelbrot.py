@@ -250,6 +250,13 @@ def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
         assert not mp.charpoly_identity(5, [z])
 
 
+def test_charpoly_identity_at_numpy_integer_points():
+    # p_7(3) is about 1.6e34: in int64 it would wrap around without an error
+    assert mp.mandelbrot_poly_at(7, np.int64(3)) == mp.mandelbrot_poly_at(7, 3) > 2 ** 63
+    assert mp.charpoly_identity(8, np.arange(-3, 4))
+    assert mp.charpoly_identity(5, np.array([-129, 127, 1000], dtype=np.int64))
+
+
 def test_broken_matrix_fails_the_product_check(monkeypatch, capsys):
     from matpencil import mandelbrot
     from matpencil.cli import main

@@ -150,3 +150,15 @@ def test_det_equality_rejects_object_pencil():
     obj = mp.Pencil(np.array([[1, 0], [0, 1]], dtype=object),
                     np.array([[1, 1], [0, 2]], dtype=object))
     assert mp.interp_charpoly(obj) == [2, -3, 1]  # (z - 1) (z - 2)
+
+
+def test_interp_charpoly_rational_pencil_gives_exact_fractions():
+    from fractions import Fraction
+    coeffs = mp.interp_charpoly(rational_pencil())  # (z - 1/2) (z/2 - 2)
+    assert coeffs == [1, Fraction(-9, 4), Fraction(1, 2)]
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    # an integer-dtype pencil keeps Python int coefficients
+    m3 = mp.mandelbrot_matrix(3)
+    ints = mp.interp_charpoly(mp.Pencil(np.eye(3, dtype=np.int64), m3.entries))
+    assert ints == mp.mandelbrot_poly_coeffs(3)
+    assert all(type(c) is int for c in ints)

@@ -257,6 +257,51 @@ def test_rational_pencil_det_at_exact_and_inexact_points():
         assert mp.pencil_det_at(p, z) == pytest.approx((z - 0.5) * (z / 2 - 2), rel=1e-14)
 
 
+def _leibniz_det(rows):
+    # permutation expansion: the test's own exact determinant
+    from itertools import permutations
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _random_rational_rows(rng, n):
+    from fractions import Fraction
+    rows = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 7))) if rng.random() < 0.7
+             else Fraction(0) for _ in range(n)] for _ in range(n)]
+    rows[n - 1][0] = Fraction(int(rng.choice([-3, -1, 1, 2])), int(rng.integers(2, 5)))
+    return rows  # never upper Hessenberg: entry (n-1, 0) is nonzero
+
+
+def test_bareiss_det_of_rational_matrices_is_exact():
+    from fractions import Fraction
+    from matpencil._exact import bareiss_det, exact_det, is_upper_hessenberg
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert bareiss_det([[half, 1, 0], [0, third, 1], [1, 0, 1]]) == Fraction(7, 6)
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        rows = _random_rational_rows(rng, int(rng.integers(3, 6)))
+        assert not is_upper_hessenberg(rows)
+        want = _leibniz_det(rows)
+        assert bareiss_det(rows) == want
+        assert exact_det(rows) == want
+
+
+def test_rational_pencil_det_at_off_hessenberg_pencil():
+    from fractions import Fraction
+    rows = _random_rational_rows(np.random.default_rng(9), 4)
+    p = mp.Pencil(np.eye(4, dtype=int).astype(object), np.array(rows, dtype=object))
+    z = Fraction(-2, 3)
+    want = _leibniz_det([[z * (i == j) - rows[i][j] for j in range(4)] for i in range(4)])
+    assert want != 0
+    assert mp.pencil_det_at(p, z) == want
+
 
 def test_resolvent_eval_rejects_object_pencil():
     t = mp.StandardTriple(np.eye(2), rational_pencil(), np.eye(2))

@@ -2,12 +2,15 @@
 
 Everything here works on plain Python ints / Fractions (arbitrary precision);
 no floating point enters these routines.  `hessenberg_det` also takes a numpy
-array, whose entries it turns into Python ints before any arithmetic.
+array, and `unit_hessenberg_det` numpy integer entries; both turn them into
+Python ints before any arithmetic.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import ContractError
 
 
 def is_upper_hessenberg(rows):
@@ -36,7 +39,7 @@ def hessenberg_det(rows):
     r_idx, c_idx = np.divmod(np.flatnonzero(a.astype(bool)), n)
     order = np.argsort(c_idx, kind="stable")
     r_idx, c_idx = r_idx[order], c_idx[order]
-    vals = [int(v) if isinstance(v, np.integer) else v for v in a[r_idx, c_idx].tolist()]
+    vals = [_as_exact(v) for v in a[r_idx, c_idx].tolist()]
     bounds = np.searchsorted(c_idx, np.arange(n + 1)).tolist()  # column k: bounds[k]:bounds[k+1]
     r_idx = r_idx.tolist()
     minors = [1]   # minors[k]: determinant of the leading k x k block
@@ -62,6 +65,51 @@ def hessenberg_det(rows):
                 total = total - term if (k - r) & 1 else total + term
         minors.append(total)
     return minors[n]
+
+
+def unit_hessenberg_det(diag, sub, upper):
+    """Determinant of an upper Hessenberg matrix H whose subdiagonal is all ±1,
+    by Hyman's method.
+
+    diag holds the n diagonal entries H_ii, sub the n - 1 subdiagonal entries
+    s_i = H_{i,i-1} (each 1 or -1), and upper the strictly upper nonzeros as
+    (i, j, H_ij) triples with i < j, in any order.  With x_{n-1} = 1 and
+
+        x_{i-1} = -s_i (H_ii x_i + sum_{j>i} H_ij x_j),   i = n-1 .. 1,
+
+    (1/s_i = s_i), every row of H x but the first vanishes, so Cramer's rule
+    gives det H = (-1)^(n-1) prod(s) sum_j H_0j x_j.  Each x_j is one entry
+    times another x, summed: no division, O(n + nnz) exact products on
+    Python ints or Fractions.  A subdiagonal entry other than ±1, or an
+    "upper" entry on or below the diagonal, raises ContractError.
+    """
+    n, sub = len(diag), list(sub)
+    if len(sub) != max(n - 1, 0) or not set(sub) <= {1, -1}:
+        raise ContractError("the subdiagonal must hold n - 1 entries, each 1 or -1")
+    above = [[] for _ in range(n)]
+    for i, j, v in upper:
+        if not 0 <= i < j < n:
+            raise ContractError(f"entry ({i}, {j}) is not strictly upper in a {n} x {n} matrix")
+        above[i].append((j, _as_exact(v)))
+    if n == 0:
+        return 1
+    x = [0] * n
+    x[n - 1] = 1
+    for i in range(n - 1, 0, -1):
+        acc = _as_exact(diag[i]) * x[i]
+        for j, v in above[i]:
+            acc += x[j] if v == 1 else v * x[j]  # skip the product for unit entries
+        x[i - 1] = -acc if sub[i - 1] == 1 else acc
+    det = _as_exact(diag[0]) * x[0]
+    for j, v in above[0]:
+        det += v * x[j]
+    # (-1)^(n-1) prod(s) = (-1)^(number of +1 entries in sub)
+    return -det if sub.count(1) & 1 else det
+
+
+def _as_exact(v):
+    """A numpy integer as a Python int (which cannot overflow); anything else as is."""
+    return int(v) if isinstance(v, np.integer) else v
 
 
 def _exact_quotient(num, den):

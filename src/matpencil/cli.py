@@ -110,27 +110,30 @@ def _emit(args, stem: str, report, **fields):
 
 
 def cmd_mandelbrot(args) -> int:
-    m = mandelbrot.mandelbrot_matrix(args.n)
     rep = mandelbrot.inverse_structure(args.n)
     ok = mandelbrot.charpoly_identity(args.n, range(-3, 4))
-    if m.dim <= 31:
-        print(f"M_{args.n} ({m.dim}x{m.dim}):")
-        for row in m.entries:
+    dim = len(rep.inverse)
+    # M_n only where it is shown or written, once charpoly_identity has let
+    # go of its own: at most two dense level-n matrices at a time
+    m = mandelbrot.mandelbrot_matrix(args.n).entries if dim <= 31 or args.out else None
+    if dim <= 31:
+        print(f"M_{args.n} ({dim}x{dim}):")
+        for row in m:
             print("  [" + " ".join(f"{int(v):2d}" for v in row) + "]")
         print("inverse:")
         for row in rep.inverse:
             print("  [" + " ".join(f"{int(v):2d}" for v in row) + "]")
     else:
-        print(f"M_{args.n}: dim {m.dim}")
+        print(f"M_{args.n}: dim {dim}")
     print(f"corner of inverse: {rep.corner_value}; inverse height 1: {rep.height1}; "
           f"zero block: {rep.zero_block_ok}; charpoly identity on -3..3: {ok}")
     if args.out:
         out = _outdir(args)
-        for name, arr in ((f"m{args.n}.csv", m.entries), (f"m{args.n}_inverse.csv", rep.inverse)):
+        for name, arr in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
             (out / name).write_text(
                 "\n".join(",".join(str(int(v)) for v in row) for row in arr) + "\n")
         (out / f"m{args.n}_report.json").write_text(jsonio.dumps({
-            "n": rep.n, "dim": m.dim, "corner_value": rep.corner_value,
+            "n": rep.n, "dim": dim, "corner_value": rep.corner_value,
             "zero_block_ok": rep.zero_block_ok, "height1": rep.height1,
             "charpoly_identity": bool(ok),
         }))

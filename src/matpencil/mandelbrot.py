@@ -12,12 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import hessenberg_det
+from ._exact import _as_exact, unit_hessenberg_det
+# unused here; bench/spans.py patches this name
+from ._exact import hessenberg_det  # noqa: F401
 from .errors import ContractError, ResourceLimitError, VerificationError
 
 #: highest level built (dim 8191); the int8 inverse at level 15 would take 256 MiB
 MAX_LEVEL = 14
 _VALIDATE_PRODUCT_UP_TO = 1024
+#: rows per chunk where a whole-matrix scan would otherwise need a full-size
+#: temporary (the nonzero mask in `charpoly_identity`, the zero-block check)
+_CHUNK_ROWS = 64
 
 #: M_n, its inverse and the inverse's first column C and last row R are stored
 #: as int8.  Their entries are -1/0/1, and `inverse_structure` checks that
@@ -40,12 +45,16 @@ class MandelbrotMatrix:
     triple_Y: np.ndarray  # first unit column vector
 
 
-def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
-    """Build M_n exactly (entries 0 or -1, upper Hessenberg)."""
+def _check_level(n: int) -> None:
     if n < 2:
         raise ContractError("the family starts at level 2")
     if n > MAX_LEVEL:
         raise ResourceLimitError(f"level {n} exceeds the cap {MAX_LEVEL} (dim {mandelbrot_dim(n)})")
+
+
+def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
+    """Build M_n exactly (entries 0 or -1, upper Hessenberg)."""
+    _check_level(n)
     d = mandelbrot_dim(n)
     m = np.zeros((d, d), dtype=_INT)
     m[0, 0] = -1
@@ -94,24 +103,32 @@ def mandelbrot_poly_coeffs(n: int) -> list:
     return p
 
 
-def _as_exact(z):
-    """A numpy integer as a Python int (which cannot overflow); anything else as is."""
-    return int(z) if isinstance(z, np.integer) else z
-
-
 def charpoly_identity(n: int, points) -> bool:
-    """True iff det(zI - M_n) = p_n(z) exactly at every given integer point."""
-    if n < 2:
-        raise ContractError("the family starts at level 2")
+    """True iff det(zI - M_n) = p_n(z) exactly at every given point.
+
+    The nonzeros of M_n are read once; zI - M_n must be upper Hessenberg with
+    a +-1 subdiagonal, or VerificationError is raised.  Only its diagonal
+    z - m_ii changes from point to point, and each determinant is taken by
+    Hyman's method (`unit_hessenberg_det`): additions and products of one big
+    integer with one entry, no division.  Numpy integer points are taken as
+    Python ints; wide ints and Fractions are exact too.
+    """
+    _check_level(n)
     m = mandelbrot_matrix(n).entries
-    diag = np.arange(m.shape[0])
+    d = len(m)
+    # nonzeros a chunk of rows at a time, so the != 0 mask stays small
+    flat = np.concatenate([start * d + np.flatnonzero(m[start:start + _CHUNK_ROWS] != 0)
+                           for start in range(0, d, _CHUNK_ROWS)])
+    r, c = np.divmod(flat, d)
+    sub = m.diagonal(-1).astype(np.int64)
+    if (r > c + 1).any() or (np.abs(sub) != 1).any():
+        raise VerificationError(f"M_{n} is not upper Hessenberg with a -1/+1 subdiagonal")
+    up = r < c
+    upper = list(zip(r[up].tolist(), c[up].tolist(),
+                     (-m[r[up], c[up]].astype(np.int64)).tolist()))
+    sub, m_diag = (-sub).tolist(), m.diagonal().tolist()
     for z in map(_as_exact, points):
-        # zI - M has entries 0/1 off the diagonal and z or z + 1 on it; other
-        # points (wide ints, Fractions) go through Python objects
-        small = isinstance(z, int) and -128 <= z <= 126
-        h = np.negative(m, dtype=np.int8 if small else object)
-        h[diag, diag] += z
-        if hessenberg_det(h) != mandelbrot_poly_at(n, z):
+        if unit_hessenberg_det([z - a for a in m_diag], sub, upper) != mandelbrot_poly_at(n, z):
             return False
     return True
 
@@ -138,8 +155,11 @@ def inverse_structure(n: int) -> InverseStructureReport:
          [-R,        -1,  R      ],
          [-C R,      -C,  inv + C R]]
 
-    Each level is written straight into the slices of the next one, in int8:
-    before a level's arithmetic, inv, C and R are checked to lie in [-1, 1]
+    Every level is built in one preallocated dim x dim int8 buffer, whose
+    top-left corner holds the current level's inv: the next level grows
+    around it in place.  -C R is written once, into the lower-left block, and
+    C R is added to inv in place by subtracting that block.  Before a level's
+    arithmetic, inv, C and R are checked to lie in [-1, 1]
     (the inverse through the min/max of its block inv + C R, which with C, R,
     -C, -R, -C R, -1 and 0 makes up every entry), so no sum can wrap.  An
     inverse that leaves the range below the top level raises; at the top
@@ -151,50 +171,54 @@ def inverse_structure(n: int) -> InverseStructureReport:
     identity (exact int64 arithmetic).  A failed check raises
     VerificationError.
     """
-    if n < 2:
-        raise ContractError("the family starts at level 2")
-    if n > MAX_LEVEL:
-        raise ResourceLimitError(f"level {n} exceeds the cap {MAX_LEVEL}")
-    inv = np.array([[-1]], dtype=_INT)
+    _check_level(n)
+    dim = mandelbrot_dim(n)
+    buf = np.zeros((dim, dim), dtype=_INT)  # each level's inverse is its top-left corner
+    buf[0, 0] = -1
     col = np.array([[-1]], dtype=_INT)
     row = np.array([[-1]], dtype=_INT)
     height1 = True  # every entry of inv lies in [-1, 1]
     for level in range(2, n):
         if not (height1 and _in_unit_range(col) and _in_unit_range(row)):
             raise VerificationError(f"the inverse of M_{level} has an entry outside [-1, 1]")
-        d = inv.shape[0]
-        big = np.zeros((2 * d + 1, 2 * d + 1), dtype=_INT)
-        block, cr = big[:d, :d], big[d + 1:, :d]
-        np.multiply(col, row, out=cr)
-        np.add(inv, cr, out=block)
-        big[d + 1:, d + 1:] = block
-        np.negative(cr, out=cr)
-        big[:d, d:d + 1] = col
-        np.negative(row, out=big[d:d + 1, :d])
-        big[d, d] = -1
-        big[d, d + 1:] = row
-        np.negative(col, out=big[d + 1:, d:d + 1])
+        d = len(col)
+        e = 2 * d + 1
+        # col and row are copies, so updating inv in place leaves them as they were
+        block, minus_cr = buf[:d, :d], buf[d + 1:e, :d]
+        np.multiply(np.negative(col), row, out=minus_cr)
+        np.subtract(block, minus_cr, out=block)  # inv + C R
+        buf[d + 1:e, d + 1:e] = block
+        buf[:d, d:d + 1] = col
+        np.negative(row, out=buf[d:d + 1, :d])
+        buf[d, d] = -1
+        buf[d, d + 1:e] = row
+        np.negative(col, out=buf[d + 1:e, d:d + 1])
         height1 = _in_unit_range(block)
-        inv = big
-        new_col = inv[:, :1]
-        new_row = inv[-1:, :]
+        new_col, new_row = buf[:e, :1], buf[e - 1:e, :e]
         expect_col = np.vstack([np.zeros((d, 1), dtype=_INT), [[1]], col])
         expect_row = np.hstack([row, [[1]], np.zeros((1, d), dtype=_INT)])
         if not (np.array_equal(new_col, expect_col) and np.array_equal(new_row, expect_row)):
             raise VerificationError(f"inverse recursion broke at level {level + 1}")
-        col, row = new_col, new_row
+        col, row = new_col.copy(), new_row.copy()
 
-    d = inv.shape[0]
-    if d <= _VALIDATE_PRODUCT_UP_TO and not _is_inverse(mandelbrot_matrix(n).entries, inv):
+    if dim <= _VALIDATE_PRODUCT_UP_TO and not _is_inverse(mandelbrot_matrix(n).entries, buf):
         raise VerificationError(f"M_{n} times its computed inverse is not the identity")
-    corner = int(inv[d - 1, 0])
+    corner = int(buf[dim - 1, 0])
     # zero block: the lower-left (1 + d_{n-1}) square of inv + C R vanishes,
-    # i.e. there inv equals -C R (compared without forming the sum)
+    # i.e. there inv equals -C R
     blk = 1 + mandelbrot_dim(n - 1)
-    minus_cr = np.multiply(col[d - blk:], row[:, :blk])
-    np.negative(minus_cr, out=minus_cr)
-    zero_ok = np.array_equal(inv[d - blk:, :blk], minus_cr)
-    return InverseStructureReport(n, inv, corner, col.copy(), row.copy(), zero_ok, height1)
+    zero_ok = _equals_minus_cr(buf[dim - blk:, :blk], col[dim - blk:], row[:, :blk])
+    return InverseStructureReport(n, buf, corner, col, row, zero_ok, height1)
+
+
+def _equals_minus_cr(block: np.ndarray, col: np.ndarray, row: np.ndarray) -> bool:
+    """block == -col @ row, compared _CHUNK_ROWS rows at a time (no full-size temporary)."""
+    minus_row = np.negative(row)
+    for start in range(0, len(block), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        if not np.array_equal(block[rows], np.multiply(col[rows], minus_row)):
+            return False
+    return True
 
 
 def _in_unit_range(a: np.ndarray) -> bool:

@@ -256,6 +256,30 @@ def test_mandelbrot_level12_end_to_end(capsys):
             "charpoly identity on -3..3: True") in out
 
 
+def test_mandelbrot_holds_at_most_two_dense_matrices(capsys):
+    import tracemalloc
+    dim = mp.mandelbrot_matrix(12).dim
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "mandelbrot", "12")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "M_12: dim 2047" in out
+    # the int8 inverse and charpoly_identity's own M_12; a third copy needs 3 dim^2
+    assert peak <= 2.5 * dim ** 2
+
+
+def test_mandelbrot_out_writes_m_above_the_print_size(capsys, tmp_path):
+    code, out, _ = run(capsys, "--out", str(tmp_path), "mandelbrot", "7")
+    assert code == 0 and "M_7: dim 63" in out
+    for name, want in (("m7.csv", mp.mandelbrot_matrix(7).entries),
+                       ("m7_inverse.csv", mp.inverse_structure(7).inverse)):
+        got = np.loadtxt(tmp_path / name, delimiter=",", dtype=np.int64)
+        assert np.array_equal(got, want)
+    assert json.loads((tmp_path / "m7_report.json").read_text())["dim"] == 63
+
+
 def test_quintic_reports_residual_dtype(capsys, tmp_path):
     from matpencil import experiments
     wide = np.dtype(experiments._WIDE).name

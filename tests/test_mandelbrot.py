@@ -228,6 +228,7 @@ def test_matrix_and_inverse_equal_int64_recursions():
         rep = mp.inverse_structure(n)
         ref = _int64_inverse_reference(n)
         assert rep.inverse.dtype == rep.first_col.dtype == rep.last_row.dtype == np.int8
+        assert rep.inverse.flags.c_contiguous
         assert np.array_equal(rep.inverse, ref)
         assert np.array_equal(rep.first_col, ref[:, :1])
         assert np.array_equal(rep.last_row, ref[-1:, :])
@@ -289,3 +290,122 @@ def test_fraction_fallback_rejects_a_non_integer_inverse(monkeypatch):
     monkeypatch.setattr(helpers, "fraction_inverse", lambda rows: [[Fraction(1, 2)]])
     with pytest.raises(VerificationError, match="non-integer"):
         inverse_fraction_fallback(2)
+
+
+# ---------------------------------------------------------------------------
+# Hyman's determinant for a +-1 subdiagonal, and the one-buffer inverse
+# ---------------------------------------------------------------------------
+
+def _unit_hessenberg(rng, n, diag_kind):
+    """Random integer upper Hessenberg rows with a +-1 subdiagonal; the
+    diagonal is zero, small, 2**70-sized or Fraction, by diag_kind."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                rows[i][j] = int(rng.integers(-4, 5))
+        if i:
+            rows[i][i - 1] = int(rng.choice([-1, 1]))
+        if diag_kind == "small":
+            rows[i][i] = int(rng.integers(-4, 5))
+        elif diag_kind == "wide":
+            rows[i][i] = 2 ** 70 * int(rng.integers(-2, 3)) + int(rng.integers(-4, 5))
+        elif diag_kind == "fraction":
+            rows[i][i] = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
+    return rows
+
+
+def _split(rows):
+    """(diag, sub, upper) of an upper Hessenberg matrix given as rows."""
+    n = len(rows)
+    return ([rows[i][i] for i in range(n)], [rows[i][i - 1] for i in range(1, n)],
+            [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j]])
+
+
+@pytest.mark.parametrize("diag_kind", ["zero", "small", "wide", "fraction"])
+def test_unit_hessenberg_det_matches_both_recurrences(diag_kind):
+    from matpencil._exact import hessenberg_det, unit_hessenberg_det
+    rng = np.random.default_rng(("zero", "small", "wide", "fraction").index(diag_kind))
+    for n in range(41):
+        for _ in range(3):
+            rows = _unit_hessenberg(rng, n, diag_kind)
+            want = _dense_hessenberg_det(rows)
+            assert hessenberg_det(rows) == want
+            diag, sub, upper = _split(rows)
+            assert unit_hessenberg_det(diag, sub, upper) == want
+            # any order of the upper entries, numpy integers anywhere but the diagonal
+            shuffled = [upper[k] for k in rng.permutation(len(upper))]
+            assert unit_hessenberg_det(diag, np.array(sub, dtype=np.int8),
+                                       [(i, j, np.int64(v)) for i, j, v in shuffled]) == want
+
+
+def test_unit_hessenberg_det_of_numpy_diagonal_is_an_exact_python_int():
+    from matpencil._exact import unit_hessenberg_det
+    got = unit_hessenberg_det(np.full(40, 7, dtype=np.int64), [1] * 39, [])
+    assert got == 7 ** 40 and type(got) is int
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_unit_hessenberg_det_rejects_a_non_unit_subdiagonal(bad):
+    from matpencil._exact import unit_hessenberg_det
+    rows = _unit_hessenberg(np.random.default_rng(5), 6, "small")
+    diag, sub, upper = _split(rows)
+    sub[3] = bad
+    with pytest.raises(ContractError, match="subdiagonal"):
+        unit_hessenberg_det(diag, sub, upper)
+
+
+def test_unit_hessenberg_det_rejects_misplaced_entries():
+    from matpencil._exact import unit_hessenberg_det
+    with pytest.raises(ContractError, match="subdiagonal"):
+        unit_hessenberg_det([1, 2, 3], [1], [])  # one subdiagonal entry short
+    for bad in [(1, 1, 5), (2, 0, 5), (0, 3, 5)]:  # diagonal, below, outside
+        with pytest.raises(ContractError, match="not strictly upper"):
+            unit_hessenberg_det([1, 2, 3], [1, -1], [bad])
+
+
+@pytest.mark.parametrize("where, value", [((1, 0), 0), ((5, 4), 0), ((5, 4), 2), ((6, 0), -1)],
+                         ids=["subdiagonal_0_first", "subdiagonal_0", "subdiagonal_2",
+                              "below_subdiagonal"])
+def test_charpoly_identity_rejects_a_matrix_off_the_unit_hessenberg_shape(monkeypatch, where,
+                                                                          value):
+    from matpencil import mandelbrot
+    real = mandelbrot.mandelbrot_matrix
+
+    def broken(n):
+        m = real(n)
+        m.entries[where] = value
+        return m
+
+    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", broken)
+    with pytest.raises(VerificationError, match="not upper Hessenberg"):
+        mp.charpoly_identity(5, [2])
+
+
+def test_zero_block_compare_sees_one_flipped_entry_in_any_chunk():
+    from matpencil import mandelbrot
+    n = 10
+    rep = mp.inverse_structure(n)
+    dim, blk = mandelbrot_dim(n), 1 + mandelbrot_dim(n - 1)
+    assert blk > 2 * mandelbrot._CHUNK_ROWS  # the block spans several chunks
+    col, row = rep.first_col[dim - blk:], rep.last_row[:, :blk]
+    block = rep.inverse[dim - blk:, :blk]
+    assert mandelbrot._equals_minus_cr(block, col, row)
+    for i, j in [(0, 7), (blk - 1, blk - 3)]:  # first chunk, last chunk
+        flipped = block.copy()
+        flipped[i, j] = 1 - flipped[i, j]
+        assert not mandelbrot._equals_minus_cr(flipped, col, row)
+
+
+def test_inverse_is_built_in_one_buffer():
+    import tracemalloc
+    n = 12  # above the product check's dimension cap, which allocates int64 copies
+    dim = mandelbrot_dim(n)
+    tracemalloc.start()
+    try:
+        rep = mp.inverse_structure(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.zero_block_ok and rep.height1
+    assert peak <= 1.25 * dim ** 2

@@ -4,6 +4,7 @@ linearization comparison, and the mixed Lagrange/Chebyshev build.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from .eigensolve import EigenReport, generalized_eigen, match_roots, sigma_ratio
 from .errors import ContractError
 from .matpoly import MatPoly, height_report
 from .oracle import interp_charpoly, scalar_roots
-from .pencil import StandardTriple, as_rng
+from .pencil import Pencil, StandardTriple, as_rng
 
 FAMILY_DESK_CAP = 8
 
@@ -30,7 +31,7 @@ class FamilyLevelReport:
     max_residual: float
     pencil_height: float
     pencil_t_metric: float | None
-    solve_seconds: float
+    solve_seconds: float  # this level's own wall time; levels may run at once
     eigen: EigenReport
 
 
@@ -61,22 +62,74 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     Residuals evaluate h_k at the stack of eigenvalues through the defining
     recurrence (never through expanded coefficients) and take
     sigma_min / sigma_max.
+
+    The levels are independent eigenproblems.  Each is solved and scored on
+    a pool of `_family_workers(k_max)` threads, largest level first, while
+    the calling thread takes the height reports; LAPACK releases the GIL, so
+    the top level overlaps the smaller ones.  Level k draws from the k-th of
+    `k_max` generators spawned from rng, so the results do not depend on the
+    scheduling, and rng's own stream is not advanced.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not 1 <= k_max <= FAMILY_DESK_CAP:
         raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
-    rng = as_rng(rng)
-    reports = []
-    for k, triple in enumerate(family_triple(k_max), start=1):
-        t0 = time.perf_counter()
-        eig = generalized_eigen(triple.pencil, rng=rng)
-        elapsed = time.perf_counter() - t0
-        res = eig.residuals = sigma_ratio(fixtures.family_eval(k, eig.finite))
-        hr = height_report(triple.pencil.A)
-        reports.append(FamilyLevelReport(
-            k, triple.N, len(eig.finite), eig.infinite_count,
-            float(res.max()) if res.size else 0.0,
-            hr.height, hr.t_metric, elapsed, eig))
+    triples = family_triple(k_max)
+    rngs = as_rng(rng).spawn(k_max)
+    pool = ThreadPoolExecutor(_family_workers(k_max))
+    try:
+        solves = {k: pool.submit(_solve_level, k, triples[k - 1].pencil, rngs[k - 1])
+                  for k in range(k_max, 0, -1)}
+        heights = [height_report(t.pencil.A) for t in triples]
+        reports = []
+        for k, (triple, hr) in enumerate(zip(triples, heights), start=1):
+            eig, elapsed = solves[k].result()
+            res = eig.residuals
+            reports.append(FamilyLevelReport(
+                k, triple.N, len(eig.finite), eig.infinite_count,
+                float(res.max()) if res.size else 0.0,
+                hr.height, hr.t_metric, elapsed, eig))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return reports
+
+
+def _solve_level(k: int, pencil: Pencil, rng) -> tuple[EigenReport, float]:
+    """One family level: eigenvalues with their residuals, and the solve's
+    wall time."""
+    t0 = time.perf_counter()
+    eig = generalized_eigen(pencil, rng=rng)
+    elapsed = time.perf_counter() - t0
+    eig.residuals = sigma_ratio(fixtures.family_eval(k, eig.finite))
+    return eig, elapsed
+
+
+#: BLAS thread-count variables, in the order _family_workers reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _family_workers(k_max: int) -> int:
+    """Threads run_family solves its levels on: usable CPUs divided by the
+    BLAS thread count, within [1, k_max].
+
+    The BLAS thread count is the first positive integer among
+    _BLAS_THREAD_VARS.  With none set, BLAS already runs on every core and a
+    second solver thread would only oversubscribe them, so one worker runs.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            break
+    else:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(k_max, cpus // blas))
 
 
 @dataclass

@@ -21,7 +21,8 @@ from .errors import ContractError, ResourceLimitError, VerificationError
 MAX_LEVEL = 14
 _VALIDATE_PRODUCT_UP_TO = 1024
 #: rows per chunk where a whole-matrix scan would otherwise need a full-size
-#: temporary (the nonzero mask in `charpoly_identity`, the zero-block check)
+#: temporary (the nonzero mask in `charpoly_identity`, the zero-block check,
+#: the product check)
 _CHUNK_ROWS = 64
 
 #: M_n, its inverse and the inverse's first column C and last row R are stored
@@ -168,8 +169,8 @@ def inverse_structure(n: int) -> InverseStructureReport:
     The recursion is validated along the way: the extracted first column and
     last row must equal [0; 1; C] and [R, 1, 0], and for dimensions up to
     _VALIDATE_PRODUCT_UP_TO the product M_n @ inverse is checked to be the
-    identity (exact int64 arithmetic).  A failed check raises
-    VerificationError.
+    identity (exact int64 arithmetic, a chunk of rows at a time).  A failed
+    check raises VerificationError.
     """
     _check_level(n)
     dim = mandelbrot_dim(n)
@@ -226,10 +227,21 @@ def _in_unit_range(a: np.ndarray) -> bool:
 
 
 def _is_inverse(m: np.ndarray, inv: np.ndarray) -> bool:
-    """M @ inv == I, exactly in int64: one row operation per nonzero of M."""
-    inv64 = inv.astype(np.int64)
-    prod = np.zeros(inv64.shape, dtype=np.int64)
-    rows, cols = np.nonzero(m)
-    for i, j, v in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
-        prod[i] += v * inv64[j]
-    return np.array_equal(prod, np.eye(len(prod), dtype=np.int64))
+    """M @ inv == I, exactly: _CHUNK_ROWS rows of the product at a time, with
+    one row operation per nonzero of M, and no full-size temporary.
+
+    The rows accumulate in int64: a product of two int8 entries is at most
+    2**14 in size, and a row sums at most dim of them, so nothing wraps.
+    """
+    dim = len(m)
+    for start in range(0, dim, _CHUNK_ROWS):
+        block = m[start:start + _CHUNK_ROWS]
+        prod = np.zeros((len(block), dim), dtype=np.int64)
+        rows, cols = np.nonzero(block)
+        for i, j, v in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
+            prod[i] += v * inv[j].astype(np.int64)
+        diag = np.arange(len(block))
+        prod[diag, start + diag] -= 1  # M @ inv - I on these rows
+        if prod.any():
+            return False
+    return True

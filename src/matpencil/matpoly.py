@@ -223,10 +223,13 @@ class HeightReport:
 
 def height_report(mat) -> HeightReport:
     arr = np.asarray(mat)
-    mags = np.abs(arr).astype(float)
+    # one magnitude array, and one comparison mask at a time
+    mags = np.abs(arr).astype(float, copy=False)
     height = float(mags.max()) if arr.size else 0.0
-    nz = mags[mags > 0]
-    t_metric = float(nz.min() / height) if nz.size else None
-    zero_or_minus_one = (arr == 0) | (arr == -1)
-    return HeightReport(height, t_metric, bool(np.all(zero_or_minus_one)),
-                        bool(np.all(zero_or_minus_one | (arr == 1))))
+    positive = mags > 0
+    t_metric = (float(mags.min(where=positive, initial=np.inf) / height)
+                if positive.any() else None)
+    del mags, positive
+    zero_or_minus_one = int(np.count_nonzero(arr == 0)) + int(np.count_nonzero(arr == -1))
+    return HeightReport(height, t_metric, zero_or_minus_one == arr.size,
+                        zero_or_minus_one + int(np.count_nonzero(arr == 1)) == arr.size)

@@ -6,16 +6,18 @@ from fractions import Fraction
 import numpy as np
 
 import matpencil as mp
+from matpencil import experiments, fixtures
 from matpencil._compose import (composite_coeffs, mono_add, mono_mul,
                                 shift_left_coeffs, shift_right_coeffs)
 from matpencil.errors import VerificationError
-from matpencil.matpoly import _interp_roots_of_unity
+from matpencil.matpoly import HeightReport, _interp_roots_of_unity
+from matpencil.pencil import as_rng
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "composite_coeffs", "mono_add", "mono_mul", "shift_left_coeffs",
            "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
            "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
-           "rational_pencil"]
+           "rational_pencil", "height_report_reference", "run_family_sequential"]
 
 
 def rand_mat(rng, r):
@@ -127,3 +129,32 @@ def inverse_fraction_fallback(n):
                 raise VerificationError("inverse has a non-integer entry")
             out[i, j] = int(x)
     return out
+
+
+def height_report_reference(mat):
+    """matpoly.height_report as it was before it dropped its full-size
+    temporaries: two float copies and three boolean masks (test oracle)."""
+    arr = np.asarray(mat)
+    mags = np.abs(arr).astype(float)
+    height = float(mags.max()) if arr.size else 0.0
+    nz = mags[mags > 0]
+    t_metric = float(nz.min() / height) if nz.size else None
+    zero_or_minus_one = (arr == 0) | (arr == -1)
+    return HeightReport(height, t_metric, bool(np.all(zero_or_minus_one)),
+                        bool(np.all(zero_or_minus_one | (arr == 1))))
+
+
+def run_family_sequential(k_max, rng=None):
+    """experiments.run_family as one level after another in the calling
+    thread, every level drawing from rng itself (reference)."""
+    rng = as_rng(rng)
+    reports = []
+    for k, triple in enumerate(experiments.family_triple(k_max), start=1):
+        eig = experiments.generalized_eigen(triple.pencil, rng=rng)
+        res = eig.residuals = experiments.sigma_ratio(fixtures.family_eval(k, eig.finite))
+        hr = height_report_reference(triple.pencil.A)
+        reports.append(experiments.FamilyLevelReport(
+            k, triple.N, len(eig.finite), eig.infinite_count,
+            float(res.max()) if res.size else 0.0,
+            hr.height, hr.t_metric, 0.0, eig))
+    return reports

@@ -1,10 +1,16 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import matpencil as mp
 from matpencil import experiments, fixtures
 from matpencil.eigensolve import sigma_ratio
-from matpencil.errors import ContractError
+from matpencil.errors import ContractError, SpectrumError
+
+from helpers import run_family_sequential
 
 
 def test_fixture_shapes_and_structure():
@@ -159,3 +165,99 @@ def test_mixed_report_structure():
     assert rep.n_finite == rep.oracle_degree == 21
     assert rep.n_infinite == 6 >= 3
     assert "c0" in rep.c0_note
+
+
+# ---------------------------------------------------------------------------
+# run_family's levels on a thread pool
+# ---------------------------------------------------------------------------
+
+def _report_fields(rep):
+    e = rep.eigen
+    return (rep.k, rep.dim, rep.n_finite, rep.n_infinite, rep.max_residual, rep.pencil_height,
+            rep.pencil_t_metric, e.finite.dtype, e.finite.tobytes(), e.residuals.dtype,
+            e.residuals.tobytes(), e.infinite_count, e.shift_used, e.backend)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_concurrent_family_equals_sequential_reference(monkeypatch, workers):
+    solve, caller = experiments.generalized_eigen, threading.current_thread()
+    solved_on = set()
+
+    def spy(p, **kwargs):
+        solved_on.add(threading.current_thread())
+        return solve(p, **kwargs)
+
+    monkeypatch.setattr(experiments, "_family_workers", lambda k_max: workers)
+    for k_max in range(1, 7):
+        want = [_report_fields(r) for r in run_family_sequential(k_max, rng=k_max)]
+        solved_on.clear()
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "generalized_eigen", spy)
+            got = experiments.run_family(k_max, rng=k_max)
+        assert [_report_fields(r) for r in got] == want
+        assert caller not in solved_on and 1 <= len(solved_on) <= workers
+
+
+def test_family_level_error_propagates_and_its_threads_end(monkeypatch):
+    solve = experiments.generalized_eigen
+
+    def fail_at_level_1(p, **kwargs):
+        if p.N == 4:
+            raise SpectrumError("level 1 refused")
+        if p.N == 12:
+            time.sleep(0.3)  # level 2 still runs when level 1's error is read
+        return solve(p, **kwargs)
+
+    monkeypatch.setattr(experiments, "_family_workers", lambda k_max: 2)
+    monkeypatch.setattr(experiments, "generalized_eigen", fail_at_level_1)
+    baseline = threading.active_count()
+    with pytest.raises(SpectrumError, match="level 1 refused"):
+        experiments.run_family(6, rng=0)
+    assert threading.active_count() == baseline
+
+
+def test_family_worker_rule(monkeypatch):
+    def workers(k_max, cpus, **env):
+        for var in experiments._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        return experiments._family_workers(k_max)
+
+    for k_max in range(1, 9):
+        assert workers(k_max, 2) == 1  # uncapped BLAS already uses every core
+        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="1") == min(k_max, 2)
+        assert workers(k_max, 16, OPENBLAS_NUM_THREADS="1") == k_max
+        assert workers(k_max, 16, MKL_NUM_THREADS="4") == min(k_max, 4)
+        # "0" and "abc" are not thread counts: the next variable decides
+        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="0", MKL_NUM_THREADS="abc",
+                       OMP_NUM_THREADS="1") == min(k_max, 2)
+        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="0", OMP_NUM_THREADS="abc") == 1
+    assert workers(8, 2, OPENBLAS_NUM_THREADS="2") == 1
+    assert workers(8, 4, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="1") == 2  # first one wins
+    assert workers(8, 1, OMP_NUM_THREADS="1") == 1
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert experiments._family_workers(8) == 3
+
+
+def test_family_levels_draw_from_spawned_generators(monkeypatch):
+    # family pencils draw nothing, so the spy draws: level k must see the k-th
+    # generator spawned from the caller's, and the caller's stream stays put
+    solve, draws = experiments.generalized_eigen, {}
+
+    def spy(p, rng=None, **kwargs):
+        draws[p.N] = rng.random()
+        return solve(p, rng=rng, **kwargs)
+
+    monkeypatch.setattr(experiments, "_family_workers", lambda k_max: 2)
+    monkeypatch.setattr(experiments, "generalized_eigen", spy)
+    rng = np.random.default_rng(11)
+    reports = experiments.run_family(4, rng=rng)
+    children = np.random.default_rng(11).spawn(4)
+    assert [draws[r.dim] for r in reports] == [g.random() for g in children]
+    assert rng.random() == np.random.default_rng(11).random()

@@ -409,3 +409,43 @@ def test_inverse_is_built_in_one_buffer():
         tracemalloc.stop()
     assert rep.zero_block_ok and rep.height1
     assert peak <= 1.25 * dim ** 2
+
+
+def test_product_check_catches_a_corrupted_inverse_in_any_chunk(monkeypatch):
+    from matpencil import mandelbrot
+    n = 11
+    m, inv = mp.mandelbrot_matrix(n).entries, mp.inverse_structure(n).inverse
+    dim = len(m)
+    assert dim > 3 * mandelbrot._CHUNK_ROWS  # the check spans several chunks
+    assert mandelbrot._is_inverse(m, inv)
+    for i, j in [(0, 0), (5, dim - 1), (dim // 2, dim // 2), (dim - 1, 0), (dim - 1, dim - 1)]:
+        bad = inv.copy()
+        bad[i, j] = 1 - bad[i, j]
+        assert not mandelbrot._is_inverse(m, bad)
+    # 3 * -85 is 1 modulo 256: a product taken in int8 would wrap onto the identity
+    assert not mandelbrot._is_inverse(np.array([[3]], np.int8), np.array([[-85]], np.int8))
+
+    real = mandelbrot.mandelbrot_matrix
+
+    def flipped(level):
+        out = real(level)
+        out.entries[-1, -2] = 0  # in the last chunk of rows
+        return out
+
+    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", flipped)
+    with pytest.raises(VerificationError, match="not the identity"):
+        mandelbrot.inverse_structure(n)
+
+
+def test_product_check_needs_no_full_size_temporary():
+    import tracemalloc
+    n = 11  # the top level the product check runs at
+    dim = mandelbrot_dim(n)
+    tracemalloc.start()
+    try:
+        rep = mp.inverse_structure(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.height1
+    assert peak < 4 * dim ** 2  # the int8 buffer, the int8 M_n and one int64 chunk of rows

@@ -5,7 +5,8 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import StructuralError
 
-from helpers import chebyshev_to_monomial, det_poly, rand_lagrange, rand_mono
+from helpers import (chebyshev_to_monomial, det_poly, height_report_reference, rand_lagrange,
+                     rand_mono)
 
 
 def test_eval_monomial_scalar():
@@ -145,6 +146,42 @@ def test_height_report_examples():
 
     rep = mp.height_report(np.zeros((2, 2)))
     assert rep.height == 0 and rep.t_metric is None
+
+
+def test_height_report_matches_the_full_copy_reference():
+    from fractions import Fraction
+
+    from matpencil import experiments
+
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal((4, 6)), rng.integers(-3, 4, (5, 5)),
+            rng.integers(-1, 2, (6, 6)).astype(np.int8), rng.integers(-1, 1, (3, 3)),
+            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+            rng.integers(-1, 2, (4, 4)) + 1j * rng.integers(-1, 2, (4, 4)),
+            np.zeros((3, 3)), np.zeros((2, 2), dtype=complex), np.zeros((0, 0)),
+            np.zeros((0, 3), dtype=np.int64), np.array([[np.nan, 0.0], [2.0, -1.0]]),
+            np.array([[np.inf, 0.5]]), np.eye(3, dtype=bool),
+            np.array([[Fraction(1, 2), 0], [-1, 2]], dtype=object)]
+    mats += [t.pencil.A for t in experiments.family_triple(5)]
+    for m in mats:
+        got, want = mp.height_report(m), height_report_reference(m)
+        assert repr(got) == repr(want)
+        assert type(got.height) is float and type(got.is_bohemian_01) is bool
+        assert type(got.is_height1_integer) is bool
+        assert got.t_metric is None or type(got.t_metric) is float
+
+
+def test_height_report_keeps_one_magnitude_array():
+    import tracemalloc
+    n = 400
+    m = np.random.default_rng(0).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        mp.height_report(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * n  # float magnitudes (8 bytes an entry) and one mask (1)
 
 
 def test_structural_errors():

@@ -66,19 +66,19 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     The levels are independent eigenproblems.  Each is solved and scored on
     a pool of `_family_workers(k_max)` threads, largest level first, while
     the calling thread takes the height reports; LAPACK releases the GIL, so
-    the top level overlaps the smaller ones.  Level k draws from the k-th of
-    `k_max` generators spawned from rng, so the results do not depend on the
-    scheduling, and rng's own stream is not advanced.
+    the top level overlaps the smaller ones.  Every level is handed rng, as
+    in a sequential loop: family pencils have D = I and draw nothing from
+    it, so the results do not depend on the scheduling.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if not 1 <= k_max <= FAMILY_DESK_CAP:
         raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
     triples = family_triple(k_max)
-    rngs = as_rng(rng).spawn(k_max)
+    rng = as_rng(rng)
     pool = ThreadPoolExecutor(_family_workers(k_max))
     try:
-        solves = {k: pool.submit(_solve_level, k, triples[k - 1].pencil, rngs[k - 1])
+        solves = {k: pool.submit(_solve_level, k, triples[k - 1].pencil, rng)
                   for k in range(k_max, 0, -1)}
         heights = [height_report(t.pencil.A) for t in triples]
         reports = []
@@ -104,17 +104,19 @@ def _solve_level(k: int, pencil: Pencil, rng) -> tuple[EigenReport, float]:
     return eig, elapsed
 
 
-#: BLAS thread-count variables, in the order _family_workers reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+#: the variables OpenBLAS takes its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _family_workers(k_max: int) -> int:
-    """Threads run_family solves its levels on: usable CPUs divided by the
-    BLAS thread count, within [1, k_max].
+    """Threads run_family solves its levels on: two when the usable CPUs
+    hold two BLAS thread counts and there are two levels, else one.
 
     The BLAS thread count is the first positive integer among
     _BLAS_THREAD_VARS.  With none set, BLAS already runs on every core and a
     second solver thread would only oversubscribe them, so one worker runs.
+    A third worker could not finish sooner: the top level's solve alone
+    takes longer than all the others together.
     """
     for var in _BLAS_THREAD_VARS:
         try:
@@ -129,7 +131,7 @@ def _family_workers(k_max: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    return max(1, min(k_max, cpus // blas))
+    return 2 if k_max >= 2 and cpus >= 2 * blas else 1
 
 
 @dataclass

@@ -191,11 +191,14 @@ def test_concurrent_family_equals_sequential_reference(monkeypatch, workers):
     for k_max in range(1, 7):
         want = [_report_fields(r) for r in run_family_sequential(k_max, rng=k_max)]
         solved_on.clear()
+        rng = np.random.default_rng(k_max)
         with monkeypatch.context() as m:
             m.setattr(experiments, "generalized_eigen", spy)
-            got = experiments.run_family(k_max, rng=k_max)
+            got = experiments.run_family(k_max, rng=rng)
         assert [_report_fields(r) for r in got] == want
         assert caller not in solved_on and 1 <= len(solved_on) <= workers
+        # the levels draw nothing, so the caller's stream is where it was
+        assert rng.random() == np.random.default_rng(k_max).random()
 
 
 def test_family_level_error_propagates_and_its_threads_end(monkeypatch):
@@ -218,7 +221,7 @@ def test_family_level_error_propagates_and_its_threads_end(monkeypatch):
 
 def test_family_worker_rule(monkeypatch):
     def workers(k_max, cpus, **env):
-        for var in experiments._BLAS_THREAD_VARS:
+        for var in experiments._BLAS_THREAD_VARS + ("MKL_NUM_THREADS",):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
@@ -227,37 +230,26 @@ def test_family_worker_rule(monkeypatch):
         return experiments._family_workers(k_max)
 
     for k_max in range(1, 9):
+        two = min(k_max, 2)
         assert workers(k_max, 2) == 1  # uncapped BLAS already uses every core
-        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="1") == min(k_max, 2)
-        assert workers(k_max, 16, OPENBLAS_NUM_THREADS="1") == k_max
-        assert workers(k_max, 16, MKL_NUM_THREADS="4") == min(k_max, 4)
+        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="1") == two
+        assert workers(k_max, 16, OPENBLAS_NUM_THREADS="1") == two  # never more than two
+        assert workers(k_max, 16, OMP_NUM_THREADS="8") == two
+        # OpenBLAS does not read MKL_NUM_THREADS, so it leaves BLAS uncapped
+        assert workers(k_max, 2, MKL_NUM_THREADS="1") == 1
         # "0" and "abc" are not thread counts: the next variable decides
-        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="0", MKL_NUM_THREADS="abc",
-                       OMP_NUM_THREADS="1") == min(k_max, 2)
+        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="0", OMP_NUM_THREADS="1") == two
+        assert workers(k_max, 2, OPENBLAS_NUM_THREADS="abc", OMP_NUM_THREADS="1") == two
         assert workers(k_max, 2, OPENBLAS_NUM_THREADS="0", OMP_NUM_THREADS="abc") == 1
     assert workers(8, 2, OPENBLAS_NUM_THREADS="2") == 1
-    assert workers(8, 4, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="1") == 2  # first one wins
+    assert workers(8, 3, OMP_NUM_THREADS="2") == 1
+    assert workers(8, 4, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="1") == 2
+    assert workers(8, 2, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="1") == 1  # first one wins
     assert workers(8, 1, OMP_NUM_THREADS="1") == 1
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert experiments._family_workers(8) == 3
-
-
-def test_family_levels_draw_from_spawned_generators(monkeypatch):
-    # family pencils draw nothing, so the spy draws: level k must see the k-th
-    # generator spawned from the caller's, and the caller's stream stays put
-    solve, draws = experiments.generalized_eigen, {}
-
-    def spy(p, rng=None, **kwargs):
-        draws[p.N] = rng.random()
-        return solve(p, rng=rng, **kwargs)
-
-    monkeypatch.setattr(experiments, "_family_workers", lambda k_max: 2)
-    monkeypatch.setattr(experiments, "generalized_eigen", spy)
-    rng = np.random.default_rng(11)
-    reports = experiments.run_family(4, rng=rng)
-    children = np.random.default_rng(11).spawn(4)
-    assert [draws[r.dim] for r in reports] == [g.random() for g in children]
-    assert rng.random() == np.random.default_rng(11).random()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert experiments._family_workers(8) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert experiments._family_workers(8) == 2

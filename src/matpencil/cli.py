@@ -113,8 +113,8 @@ def cmd_mandelbrot(args) -> int:
     rep = mandelbrot.inverse_structure(args.n)
     ok = mandelbrot.charpoly_identity(args.n, range(-3, 4))
     dim = len(rep.inverse)
-    # M_n only where it is shown or written, once charpoly_identity has let
-    # go of its own: at most two dense level-n matrices at a time
+    # charpoly_identity reads M_n as its nonzeros; the dense M_n is built only
+    # where it is shown or written, next to the inverse
     m = mandelbrot.mandelbrot_matrix(args.n).entries if dim <= 31 or args.out else None
     if dim <= 31:
         print(f"M_{args.n} ({dim}x{dim}):")

@@ -135,15 +135,22 @@ class MatchReport:
 
 def match_roots(eigs, refs) -> MatchReport:
     """Pair each eigenvalue with a distinct reference so that the total
-    distance is least; extras on the longer list are reported unmatched."""
-    # Imported here: scipy.optimize adds about 0.3 s and 20 MB to the import
-    # of every program that loads this package, and few of them match roots.
-    from scipy.optimize import linear_sum_assignment
+    distance is least; extras on the longer list are reported unmatched.
 
+    When no two eigenvalues share a nearest reference, pairing each with its
+    nearest is such a matching: its total is the sum of the row minima, a
+    lower bound for any matching.
+    """
     eigs = np.asarray(eigs, dtype=complex)
     refs = np.asarray(refs, dtype=complex)
     dist = np.abs(eigs[:, None] - refs[None, :])
-    rows, cols = linear_sum_assignment(dist)
+    rows = np.arange(eigs.size)
+    cols = dist.argmin(axis=1) if refs.size else None
+    if cols is None or np.unique(cols).size < cols.size:
+        # Imported here: scipy.optimize adds about 0.3 s and 20 MB to the
+        # import of every program that loads this package.
+        from scipy.optimize import linear_sum_assignment
+        rows, cols = linear_sum_assignment(dist)
     errors = dist[rows, cols]
     return MatchReport(list(zip(rows.tolist(), cols.tolist())), errors,
                        float(errors.max()) if errors.size else 0.0,

@@ -19,17 +19,13 @@ from .errors import ContractError, ResourceLimitError, VerificationError
 
 #: highest level built (dim 8191); the int8 inverse at level 15 would take 256 MiB
 MAX_LEVEL = 14
-_VALIDATE_PRODUCT_UP_TO = 1024
-#: rows per chunk where a whole-matrix scan would otherwise need a full-size
-#: temporary (the nonzero mask in `charpoly_identity`, the zero-block check,
-#: the product check)
-_CHUNK_ROWS = 64
 
-#: M_n, its inverse and the inverse's first column C and last row R are stored
-#: as int8.  Their entries are -1/0/1, and `inverse_structure` checks that
-#: bound before every level's arithmetic, so each product C R is in [-1, 1] and
-#: each sum inv + C R in [-2, 2]: nothing wraps.  Callers cast before taking
-#: integer products of their own (a row of M_n @ inverse sums up to dim terms).
+#: Each level of M_n and its inverse is held as its nonzeros (M_14 has 16,381
+#: of 67 M entries).  The returned M_n, inverse, first column C and last row R
+#: are dense int8: their entries are -1/0/1, checked before every level's
+#: arithmetic, so each product C R is in [-1, 1] and each sum inv + C R in
+#: [-2, 2]: nothing wraps.  Callers cast before taking integer products of
+#: their own (a row of M_n @ inverse sums up to dim terms).
 _INT = np.int8
 
 
@@ -53,23 +49,29 @@ def _check_level(n: int) -> None:
         raise ResourceLimitError(f"level {n} exceeds the cap {MAX_LEVEL} (dim {mandelbrot_dim(n)})")
 
 
+def _matrix_nonzeros(n: int):
+    """Rows, columns and values of the nonzeros of M_n, by the doubling rule.
+
+    M_{k+1} holds two copies of M_k, the second shifted down and right by
+    h + 1 (h = dim M_k), and three glue entries: (0, 2h) from -Y c0 X, (h, h - 1)
+    from -X and (h + 1, h) from -Y.  Every value is -1; there are 2 dim - 1.
+    """
+    rows, cols = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for h in map(mandelbrot_dim, range(2, n)):
+        rows = np.concatenate([rows, rows + h + 1, [0, h, h + 1]])
+        cols = np.concatenate([cols, cols + h + 1, [2 * h, h - 1, h]])
+    return rows, cols, np.full(len(rows), -1, dtype=_INT)
+
+
 def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
     """Build M_n exactly (entries 0 or -1, upper Hessenberg)."""
     _check_level(n)
     d = mandelbrot_dim(n)
+    rows, cols, vals = _matrix_nonzeros(n)
     m = np.zeros((d, d), dtype=_INT)
-    m[0, 0] = -1
-    # M_{k+1} is the leading (2h + 1) square, h = dim M_k: two copies of the
-    # leading h square (M_k) plus three glue entries
-    for h in map(mandelbrot_dim, range(2, n)):
-        m[h + 1:2 * h + 1, h + 1:2 * h + 1] = m[:h, :h]
-        m[0, 2 * h] = -1        # -Y c0 X glue: top right corner
-        m[h, h - 1] = -1        # -X glue row
-        m[h + 1, h] = -1        # -Y glue column
-    x = np.zeros((1, d), dtype=_INT)
-    x[0, d - 1] = 1
-    y = np.zeros((d, 1), dtype=_INT)
-    y[0, 0] = 1
+    m[rows, cols] = vals
+    x, y = np.zeros((1, d), dtype=_INT), np.zeros((d, 1), dtype=_INT)
+    x[0, d - 1] = y[0, 0] = 1
     return MandelbrotMatrix(n, d, m, x, y)
 
 
@@ -107,27 +109,25 @@ def mandelbrot_poly_coeffs(n: int) -> list:
 def charpoly_identity(n: int, points) -> bool:
     """True iff det(zI - M_n) = p_n(z) exactly at every given point.
 
-    The nonzeros of M_n are read once; zI - M_n must be upper Hessenberg with
-    a +-1 subdiagonal, or VerificationError is raised.  Only its diagonal
-    z - m_ii changes from point to point, and each determinant is taken by
-    Hyman's method (`unit_hessenberg_det`): additions and products of one big
-    integer with one entry, no division.  Numpy integer points are taken as
-    Python ints; wide ints and Fractions are exact too.
+    M_n is read as its nonzeros, with no dense matrix; zI - M_n must be upper
+    Hessenberg with a +-1 subdiagonal, or VerificationError is raised.  Only
+    its diagonal z - m_ii changes from point to point, and each determinant is
+    taken by Hyman's method (`unit_hessenberg_det`): additions and products of
+    one big integer with one entry, no division.  Numpy integer points are
+    taken as Python ints; wide ints and Fractions are exact too.
     """
     _check_level(n)
-    m = mandelbrot_matrix(n).entries
-    d = len(m)
-    # nonzeros a chunk of rows at a time, so the != 0 mask stays small
-    flat = np.concatenate([start * d + np.flatnonzero(m[start:start + _CHUNK_ROWS] != 0)
-                           for start in range(0, d, _CHUNK_ROWS)])
-    r, c = np.divmod(flat, d)
-    sub = m.diagonal(-1).astype(np.int64)
+    d = mandelbrot_dim(n)
+    r, c, v = _matrix_nonzeros(n)
+    v = v.astype(np.int64)
+    on_diag, on_sub, up = r == c, r == c + 1, r < c
+    sub, m_diag = np.zeros(d - 1, dtype=np.int64), np.zeros(d, dtype=np.int64)
+    sub[c[on_sub]] = v[on_sub]
+    m_diag[r[on_diag]] = v[on_diag]
     if (r > c + 1).any() or (np.abs(sub) != 1).any():
         raise VerificationError(f"M_{n} is not upper Hessenberg with a -1/+1 subdiagonal")
-    up = r < c
-    upper = list(zip(r[up].tolist(), c[up].tolist(),
-                     (-m[r[up], c[up]].astype(np.int64)).tolist()))
-    sub, m_diag = (-sub).tolist(), m.diagonal().tolist()
+    upper = list(zip(r[up].tolist(), c[up].tolist(), (-v[up]).tolist()))
+    sub, m_diag = (-sub).tolist(), m_diag.tolist()
     for z in map(_as_exact, points):
         if unit_hessenberg_det([z - a for a in m_diag], sub, upper) != mandelbrot_poly_at(n, z):
             return False
@@ -156,92 +156,92 @@ def inverse_structure(n: int) -> InverseStructureReport:
          [-R,        -1,  R      ],
          [-C R,      -C,  inv + C R]]
 
-    Every level is built in one preallocated dim x dim int8 buffer, whose
-    top-left corner holds the current level's inv: the next level grows
-    around it in place.  -C R is written once, into the lower-left block, and
-    C R is added to inv in place by subtracting that block.  Before a level's
-    arithmetic, inv, C and R are checked to lie in [-1, 1]
-    (the inverse through the min/max of its block inv + C R, which with C, R,
-    -C, -R, -C R, -1 and 0 makes up every entry), so no sum can wrap.  An
-    inverse that leaves the range below the top level raises; at the top
-    level the same min/max gives `height1`.
-
-    The recursion is validated along the way: the extracted first column and
-    last row must equal [0; 1; C] and [R, 1, 0], and for dimensions up to
-    _VALIDATE_PRODUCT_UP_TO the product M_n @ inverse is checked to be the
-    identity (exact int64 arithmetic, a chunk of rows at a time).  A failed
-    check raises VerificationError.
+    Every level is held and checked as its nonzeros (`_inverse_nonzeros`).
+    M_n @ inverse == I is then checked exactly from the nonzeros of both, and
+    a failed check raises VerificationError.  Only the returned arrays are
+    dense.
     """
     _check_level(n)
     dim = mandelbrot_dim(n)
-    buf = np.zeros((dim, dim), dtype=_INT)  # each level's inverse is its top-left corner
-    buf[0, 0] = -1
-    col = np.array([[-1]], dtype=_INT)
-    row = np.array([[-1]], dtype=_INT)
-    height1 = True  # every entry of inv lies in [-1, 1]
-    for level in range(2, n):
-        if not (height1 and _in_unit_range(col) and _in_unit_range(row)):
-            raise VerificationError(f"the inverse of M_{level} has an entry outside [-1, 1]")
-        d = len(col)
-        e = 2 * d + 1
-        # col and row are copies, so updating inv in place leaves them as they were
-        block, minus_cr = buf[:d, :d], buf[d + 1:e, :d]
-        np.multiply(np.negative(col), row, out=minus_cr)
-        np.subtract(block, minus_cr, out=block)  # inv + C R
-        buf[d + 1:e, d + 1:e] = block
-        buf[:d, d:d + 1] = col
-        np.negative(row, out=buf[d:d + 1, :d])
-        buf[d, d] = -1
-        buf[d, d + 1:e] = row
-        np.negative(col, out=buf[d + 1:e, d:d + 1])
-        height1 = _in_unit_range(block)
-        new_col, new_row = buf[:e, :1], buf[e - 1:e, :e]
-        expect_col = np.vstack([np.zeros((d, 1), dtype=_INT), [[1]], col])
-        expect_row = np.hstack([row, [[1]], np.zeros((1, d), dtype=_INT)])
-        if not (np.array_equal(new_col, expect_col) and np.array_equal(new_row, expect_row)):
-            raise VerificationError(f"inverse recursion broke at level {level + 1}")
-        col, row = new_col.copy(), new_row.copy()
-
-    if dim <= _VALIDATE_PRODUCT_UP_TO and not _is_inverse(mandelbrot_matrix(n).entries, buf):
+    keys, vals, (c_rows, c_vals), (r_cols, r_vals) = _inverse_nonzeros(n)
+    if not _times_is_identity(*_matrix_nonzeros(n), keys, vals, dim):
         raise VerificationError(f"M_{n} times its computed inverse is not the identity")
-    corner = int(buf[dim - 1, 0])
     # zero block: the lower-left (1 + d_{n-1}) square of inv + C R vanishes,
     # i.e. there inv equals -C R
     blk = 1 + mandelbrot_dim(n - 1)
-    zero_ok = _equals_minus_cr(buf[dim - blk:, :blk], col[dim - blk:], row[:, :blk])
-    return InverseStructureReport(n, buf, corner, col, row, zero_ok, height1)
+    in_block = (keys >= (dim - blk) * dim) & (keys % dim < blk)
+    c_in, r_in = c_rows >= dim - blk, r_cols < blk
+    minus_cr = _outer(c_rows[c_in], -c_vals[c_in], r_cols[r_in], r_vals[r_in], dim)
+    zero_ok = all(map(np.array_equal, (keys[in_block], vals[in_block]), minus_cr))
+    inv = np.zeros((dim, dim), dtype=_INT)
+    inv.reshape(-1)[keys] = vals
+    col, row = np.zeros((dim, 1), dtype=_INT), np.zeros((1, dim), dtype=_INT)
+    col[c_rows, 0], row[0, r_cols] = c_vals, r_vals
+    return InverseStructureReport(n, inv, int(inv[dim - 1, 0]), col, row, zero_ok,
+                                  _height1(vals))
 
 
-def _equals_minus_cr(block: np.ndarray, col: np.ndarray, row: np.ndarray) -> bool:
-    """block == -col @ row, compared _CHUNK_ROWS rows at a time (no full-size temporary)."""
-    minus_row = np.negative(row)
-    for start in range(0, len(block), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        if not np.array_equal(block[rows], np.multiply(col[rows], minus_row)):
-            return False
-    return True
+def _inverse_nonzeros(n: int):
+    """M_n^-1 as its nonzeros: sorted keys row * dim + column (dim of M_n) and
+    values, and its first column C as (rows, values) and last row R as
+    (columns, values).  C and R have level - 1 nonzeros each, so C R has at
+    most (n - 2)^2, and inv + C R merges those into inv.
 
-
-def _in_unit_range(a: np.ndarray) -> bool:
-    return bool(a.min() >= -1 and a.max() <= 1)
-
-
-def _is_inverse(m: np.ndarray, inv: np.ndarray) -> bool:
-    """M @ inv == I, exactly: _CHUNK_ROWS rows of the product at a time, with
-    one row operation per nonzero of M, and no full-size temporary.
-
-    The rows accumulate in int64: a product of two int8 entries is at most
-    2**14 in size, and a row sums at most dim of them, so nothing wraps.
+    Each level is checked on the way: the stored values of inv (C and R among
+    them) must lie in [-1, 1] before its int8 arithmetic, and the next level's
+    first column and last row must be [0; 1; C] and [R, 1, 0].
     """
-    dim = len(m)
-    for start in range(0, dim, _CHUNK_ROWS):
-        block = m[start:start + _CHUNK_ROWS]
-        prod = np.zeros((len(block), dim), dtype=np.int64)
-        rows, cols = np.nonzero(block)
-        for i, j, v in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
-            prod[i] += v * inv[j].astype(np.int64)
-        diag = np.arange(len(block))
-        prod[diag, start + diag] -= 1  # M @ inv - I on these rows
-        if prod.any():
-            return False
-    return True
+    dim = mandelbrot_dim(n)
+    keys, vals = np.zeros(1, dtype=np.int64), np.full(1, -1, dtype=_INT)
+    c_rows, c_vals, r_cols, r_vals = keys, vals, keys, vals
+    for level in range(2, n):
+        if not _height1(vals):
+            raise VerificationError(f"the inverse of M_{level} has an entry outside [-1, 1]")
+        d = mandelbrot_dim(level)
+        cr_keys, cr_vals = _outer(c_rows, c_vals, r_cols, r_vals, dim)
+        bk, bv = _sum_by_key(np.r_[keys, cr_keys], np.r_[vals, cr_vals])  # inv + C R
+        lo = (d + 1) * dim  # offset of the lower block row
+        keys, vals = _sum_by_key(
+            np.r_[bk, c_rows * dim + d, d * dim + r_cols, d * dim + d, d * dim + d + 1 + r_cols,
+                  lo + cr_keys, lo + c_rows * dim + d, lo + d + 1 + bk],
+            np.r_[bv, c_vals, -r_vals, -1, r_vals, -cr_vals, -c_vals, bv].astype(_INT))
+        on_col, on_row = keys % dim == 0, keys >= 2 * d * dim
+        new = keys[on_col] // dim, vals[on_col], keys[on_row] % dim, vals[on_row]
+        expect = np.r_[d, d + 1 + c_rows], np.r_[1, c_vals], np.r_[r_cols, d], np.r_[r_vals, 1]
+        if not all(map(np.array_equal, new, expect)):
+            raise VerificationError(f"inverse recursion broke at level {level + 1}")
+        c_rows, c_vals, r_cols, r_vals = new
+    return keys, vals, (c_rows, c_vals), (r_cols, r_vals)
+
+
+def _height1(vals: np.ndarray) -> bool:
+    """Every stored value lies in [-1, 1] (the missing entries are zeros)."""
+    return bool(vals.min(initial=0) >= -1 and vals.max(initial=0) <= 1)
+
+
+def _outer(rows, row_vals, cols, col_vals, stride: int):
+    """Keys and values of the outer product of two sparse vectors."""
+    return (rows[:, None] * stride + cols).ravel(), (row_vals[:, None] * col_vals).ravel()
+
+
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
+    """Sort by key, add up the values of equal keys and drop zero sums."""
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys, vals = keys[first], np.add.reduceat(vals, first)
+    return keys[vals != 0], vals[vals != 0]
+
+
+def _times_is_identity(m_rows, m_cols, m_vals, keys, vals, dim: int) -> bool:
+    """M @ inv == I exactly, from M's nonzeros and inv's sorted keys and values:
+    each M[r, c] meets the nonzeros of row c of inv, and the products are
+    summed per key in int64, where a sum of dim terms cannot wrap."""
+    inv_rows, inv_cols = np.divmod(keys, dim)
+    start = np.searchsorted(inv_rows, np.arange(dim + 1))
+    count = start[m_cols + 1] - start[m_cols]
+    m_at = np.repeat(np.arange(len(m_cols)), count)
+    at = np.arange(count.sum()) + np.repeat(start[m_cols] - (np.cumsum(count) - count), count)
+    pk, pv = _sum_by_key(m_rows[m_at] * dim + inv_cols[at],
+                         m_vals[m_at].astype(np.int64) * vals[at])
+    return np.array_equal(pk, np.arange(dim) * (dim + 1)) and bool((pv == 1).all())

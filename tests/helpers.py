@@ -158,3 +158,18 @@ def run_family_sequential(k_max, rng=None):
             float(res.max()) if res.size else 0.0,
             hr.height, hr.t_metric, 0.0, eig))
     return reports
+
+
+def match_roots_reference(eigs, refs):
+    """`match_roots` as it was before its nearest-reference fast path: always
+    `linear_sum_assignment` (reference)."""
+    from scipy.optimize import linear_sum_assignment
+    eigs = np.asarray(eigs, dtype=complex)
+    refs = np.asarray(refs, dtype=complex)
+    dist = np.abs(eigs[:, None] - refs[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    errors = dist[rows, cols]
+    return mp.MatchReport(list(zip(rows.tolist(), cols.tolist())), errors,
+                          float(errors.max()) if errors.size else 0.0,
+                          sorted(set(range(eigs.size)) - set(rows.tolist())),
+                          sorted(set(range(refs.size)) - set(cols.tolist())))

@@ -8,7 +8,7 @@ import pytest
 import matpencil as mp
 from matpencil.errors import SpectrumError, StructuralError
 
-from helpers import rand_mat, rational_pencil
+from helpers import match_roots_reference, rand_mat, rational_pencil
 
 
 def test_standard_diagonal_pencil():
@@ -137,6 +137,65 @@ def test_match_roots_is_minimum_weight_not_greedy():
     assert rep.max_error == pytest.approx(0.6)
     np.testing.assert_allclose(rep.forward_errors, [0.55, 0.6])
     assert rep.unmatched_eigs == [] and rep.unmatched_refs == []
+
+
+def _same_match(a, b):
+    return (a.pairs == b.pairs and np.array_equal(a.forward_errors, b.forward_errors)
+            and a.max_error == b.max_error and a.unmatched_eigs == b.unmatched_eigs
+            and a.unmatched_refs == b.unmatched_refs)
+
+
+def test_match_roots_fast_path_equals_the_assignment(monkeypatch):
+    import scipy.optimize
+    from matpencil import experiments
+    seen = []
+    monkeypatch.setattr(experiments, "match_roots",
+                        lambda e, r: seen.append((e, r)) or mp.match_roots(e, r))
+    experiments.run_mixed_basis(rng=np.random.default_rng(0))
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        m = int(rng.integers(1, 30))
+        refs = rng.normal(size=m) + 1j * rng.normal(size=m)
+        k = int(rng.integers(0, m + 1))
+        eigs = rng.permutation(refs)[:k] + 1e-6 * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        seen.append((eigs, refs))
+    want = [match_roots_reference(eigs, refs) for eigs, refs in seen]
+    # the fast path never calls the assignment on these
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", None)
+    for (eigs, refs), ref in zip(seen, want):
+        assert _same_match(mp.match_roots(eigs, refs), ref)
+    assert len(seen[0][0]) == 21 and len(want[0].pairs) == 21
+
+
+def test_match_roots_falls_back_when_nearest_references_collide(monkeypatch):
+    import scipy.optimize
+    cases = [([0.0, 0.1], [0.05, 5.0]),     # both nearest 0.05
+             ([1.0, 2.0, 3.0], [1.0, 2.0]),  # more eigenvalues than references
+             ([1.0, 1.0], [1.0, 1.5, 9.0]),  # a repeated eigenvalue
+             ([1.0], [])]
+    want = [match_roots_reference(eigs, refs) for eigs, refs in cases]
+    calls = []
+    real = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda dist: calls.append(dist.shape) or real(dist))
+    for (eigs, refs), ref in zip(cases, want):
+        assert _same_match(mp.match_roots(eigs, refs), ref)
+    assert calls == [(2, 2), (3, 2), (2, 3), (1, 0)]
+    rep = mp.match_roots([0.0, 0.1], [0.05, 5.0])
+    assert rep.pairs == [(0, 0), (1, 1)] and rep.forward_errors.tolist() == [0.05, 4.9]
+    calls.clear()
+    assert mp.match_roots([], [1.0]).pairs == [] and calls == []
+
+
+def test_mixed_leaves_scipy_optimize_unloaded():
+    # the fast path pairs its 21 roots; the assignment's import is not needed
+    code = ("import sys; from matpencil.cli import main; code = main(['mixed']); "
+            "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert "max forward error" in out.stdout
+    assert out.stderr.strip() == "0 False"
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():

@@ -11,6 +11,36 @@ import helpers
 from helpers import inverse_fraction_fallback
 
 
+def _plant(monkeypatch, where, value):
+    """Patch M_n's nonzeros so that entry `where` (negative indices count from
+    the end) holds `value`; a value of 0 drops the entry."""
+    from matpencil import mandelbrot
+    real = mandelbrot._matrix_nonzeros
+
+    def planted(n):
+        rows, cols, vals = real(n)
+        i, j = (k % mandelbrot_dim(n) for k in where)
+        keep = (rows != i) | (cols != j)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if value:
+            rows, cols, vals = np.r_[rows, i], np.r_[cols, j], np.r_[vals, np.int8(value)]
+        return rows, cols, vals
+
+    monkeypatch.setattr(mandelbrot, "_matrix_nonzeros", planted)
+
+
+def _inverse_with(monkeypatch, n, i, j, value=None):
+    """Patch the inverse's nonzero lists to those of M_n^-1 with entry (i, j)
+    set to `value`; by default a zero becomes 1 and a nonzero is dropped."""
+    from matpencil import mandelbrot
+    real = mandelbrot._inverse_nonzeros
+    bad = mp.inverse_structure(n).inverse.copy()
+    bad[i, j] = 1 - abs(int(bad[i, j])) if value is None else value
+    keys = np.flatnonzero(bad)
+    monkeypatch.setattr(mandelbrot, "_inverse_nonzeros",
+                        lambda level: (keys, bad.reshape(-1)[keys], *real(level)[2:]))
+
+
 M3 = [[-1, 0, -1], [-1, 0, 0], [0, -1, -1]]
 M3_INV = [[0, -1, 0], [1, -1, -1], [-1, 1, 0]]
 
@@ -235,18 +265,10 @@ def test_matrix_and_inverse_equal_int64_recursions():
 
 
 def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
-    from matpencil import mandelbrot
     # points whose zI - M does not fit int8 take the exact object path
     points = [-129, -128, 126, 127, 1000, 2 ** 70, Fraction(1, 3)]
     assert mp.charpoly_identity(5, points)
-    real = mandelbrot.mandelbrot_matrix
-
-    def no_glue(n):
-        m = real(n)
-        m.entries[0, m.dim - 1] = 0  # drop the top-right glue entry
-        return m
-
-    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", no_glue)
+    _plant(monkeypatch, (0, -1), 0)  # drop the top-right glue entry
     for z in [2, *points]:
         assert not mp.charpoly_identity(5, [z])
 
@@ -261,14 +283,7 @@ def test_charpoly_identity_at_numpy_integer_points():
 def test_broken_matrix_fails_the_product_check(monkeypatch, capsys):
     from matpencil import mandelbrot
     from matpencil.cli import main
-    real = mandelbrot.mandelbrot_matrix
-
-    def flipped(n):
-        m = real(n)
-        m.entries[1, 0] = 0
-        return m
-
-    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", flipped)
+    _plant(monkeypatch, (1, 0), 0)
     with pytest.raises(VerificationError, match="not the identity"):
         mandelbrot.inverse_structure(6)
     assert main(["mandelbrot", "6"]) == 2
@@ -277,13 +292,35 @@ def test_broken_matrix_fails_the_product_check(monkeypatch, capsys):
 
 def test_inverse_outside_unit_range_raises_below_the_top_level(monkeypatch):
     from matpencil import mandelbrot
-    # report every square block from 3 x 3 up as out of range: the top
-    # level reads height1 False, a level below it stops the recursion
-    monkeypatch.setattr(mandelbrot, "_in_unit_range", lambda a: min(a.shape) < 3)
+    int8 = np.int8
+    assert mandelbrot._height1(np.array([-1, 0, 1], int8))
+    assert mandelbrot._height1(np.array([], int8))
+    assert not mandelbrot._height1(np.array([0, 2], int8))
+    assert not mandelbrot._height1(np.array([-2, 1], int8))
+    # report every inverse from M_4's up (more than M_3's 6 nonzeros) as out
+    # of range: the top level reads height1 False, a level below it stops the
+    # recursion
+    monkeypatch.setattr(mandelbrot, "_height1", lambda vals: len(vals) <= 6)
     assert mandelbrot.inverse_structure(3).height1
     assert not mandelbrot.inverse_structure(4).height1
     with pytest.raises(VerificationError, match="M_4"):
         mandelbrot.inverse_structure(5)
+
+
+def test_recursion_check_sees_a_changed_value(monkeypatch):
+    from matpencil import mandelbrot
+    real, calls = mandelbrot._sum_by_key, []
+
+    def negate_second(keys, vals):
+        # the second call assembles M_3's inverse; its entries keep their
+        # places and every value changes sign
+        keys, vals = real(keys, vals)
+        calls.append(len(keys))
+        return (keys, -vals) if len(calls) == 2 else (keys, vals)
+
+    monkeypatch.setattr(mandelbrot, "_sum_by_key", negate_second)
+    with pytest.raises(VerificationError, match="inverse recursion broke at level 3"):
+        mandelbrot.inverse_structure(4)
 
 
 def test_fraction_fallback_rejects_a_non_integer_inverse(monkeypatch):
@@ -369,37 +406,35 @@ def test_unit_hessenberg_det_rejects_misplaced_entries():
                               "below_subdiagonal"])
 def test_charpoly_identity_rejects_a_matrix_off_the_unit_hessenberg_shape(monkeypatch, where,
                                                                           value):
-    from matpencil import mandelbrot
-    real = mandelbrot.mandelbrot_matrix
-
-    def broken(n):
-        m = real(n)
-        m.entries[where] = value
-        return m
-
-    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", broken)
+    _plant(monkeypatch, where, value)
     with pytest.raises(VerificationError, match="not upper Hessenberg"):
         mp.charpoly_identity(5, [2])
 
 
-def test_zero_block_compare_sees_one_flipped_entry_in_any_chunk():
+def test_zero_block_check_sees_one_flipped_entry(monkeypatch):
     from matpencil import mandelbrot
     n = 10
-    rep = mp.inverse_structure(n)
     dim, blk = mandelbrot_dim(n), 1 + mandelbrot_dim(n - 1)
-    assert blk > 2 * mandelbrot._CHUNK_ROWS  # the block spans several chunks
-    col, row = rep.first_col[dim - blk:], rep.last_row[:, :blk]
-    block = rep.inverse[dim - blk:, :blk]
-    assert mandelbrot._equals_minus_cr(block, col, row)
-    for i, j in [(0, 7), (blk - 1, blk - 3)]:  # first chunk, last chunk
-        flipped = block.copy()
-        flipped[i, j] = 1 - flipped[i, j]
-        assert not mandelbrot._equals_minus_cr(flipped, col, row)
+    assert mp.inverse_structure(n).zero_block_ok
+    # the product check would reject every changed inverse first
+    monkeypatch.setattr(mandelbrot, "_times_is_identity", lambda *args: True)
+    inv = mp.inverse_structure(n).inverse
+    top = dim - blk  # first row of the lower-left block
+    inside = [(top, 0), (top, blk - 1), (top + 5, 7), (dim - 1, 0), (dim - 1, blk - 1)]
+    outside = [(top - 1, 0), (top, blk), (dim - 1, dim - 1)]
+    # a zero made 1 or a nonzero dropped, and a stored value's sign flipped
+    stored = [tuple(ij) for ij in np.argwhere(inv[top:, :blk])[[0, -1]] + [top, 0]]
+    for (i, j), value, want in ([(ij, None, False) for ij in inside]
+                                + [(ij, -inv[ij], False) for ij in stored]
+                                + [(ij, None, True) for ij in outside]):
+        with monkeypatch.context() as m:
+            _inverse_with(m, n, i, j, value)
+            assert mp.inverse_structure(n).zero_block_ok is want, (i, j)
 
 
 def test_inverse_is_built_in_one_buffer():
     import tracemalloc
-    n = 12  # above the product check's dimension cap, which allocates int64 copies
+    n = 12
     dim = mandelbrot_dim(n)
     tracemalloc.start()
     try:
@@ -408,44 +443,66 @@ def test_inverse_is_built_in_one_buffer():
     finally:
         tracemalloc.stop()
     assert rep.zero_block_ok and rep.height1
-    assert peak <= 1.25 * dim ** 2
+    # the dense int8 output and nothing else of its size: every level and
+    # every check runs on the nonzeros
+    assert peak <= 1.1 * dim ** 2
 
 
-def test_product_check_catches_a_corrupted_inverse_in_any_chunk(monkeypatch):
+def test_product_check_catches_a_corrupted_inverse_entry(monkeypatch):
     from matpencil import mandelbrot
     n = 11
-    m, inv = mp.mandelbrot_matrix(n).entries, mp.inverse_structure(n).inverse
-    dim = len(m)
-    assert dim > 3 * mandelbrot._CHUNK_ROWS  # the check spans several chunks
-    assert mandelbrot._is_inverse(m, inv)
-    for i, j in [(0, 0), (5, dim - 1), (dim // 2, dim // 2), (dim - 1, 0), (dim - 1, dim - 1)]:
-        bad = inv.copy()
-        bad[i, j] = 1 - bad[i, j]
-        assert not mandelbrot._is_inverse(m, bad)
-    # 3 * -85 is 1 modulo 256: a product taken in int8 would wrap onto the identity
-    assert not mandelbrot._is_inverse(np.array([[3]], np.int8), np.array([[-85]], np.int8))
-
-    real = mandelbrot.mandelbrot_matrix
-
-    def flipped(level):
-        out = real(level)
-        out.entries[-1, -2] = 0  # in the last chunk of rows
-        return out
-
-    monkeypatch.setattr(mandelbrot, "mandelbrot_matrix", flipped)
-    with pytest.raises(VerificationError, match="not the identity"):
-        mandelbrot.inverse_structure(n)
-
-
-def test_product_check_needs_no_full_size_temporary():
-    import tracemalloc
-    n = 11  # the top level the product check runs at
     dim = mandelbrot_dim(n)
+    inv = mp.inverse_structure(n).inverse
+    stored = tuple(np.argwhere(inv)[len(np.flatnonzero(inv)) // 2])
+    cases = [((0, 0), None), ((5, dim - 1), None), ((dim // 2, dim // 2), None),
+             ((dim - 1, 0), None), ((dim - 1, dim - 1), None), (stored, -inv[stored])]
+    for (i, j), value in cases:
+        with monkeypatch.context() as m:
+            _inverse_with(m, n, i, j, value)
+            with pytest.raises(VerificationError, match="not the identity"):
+                mandelbrot.inverse_structure(n)
+    # 3 * -85 is 1 modulo 256: a product taken in int8 would wrap onto the identity
+    zero, int8 = np.zeros(1, np.int64), np.int8
+    assert not mandelbrot._times_is_identity(zero, zero, np.array([3], int8),
+                                             zero, np.array([-85], int8), 1)
+    keys, vals, _, _ = mandelbrot._inverse_nonzeros(n)
+    assert mandelbrot._times_is_identity(*mandelbrot._matrix_nonzeros(n), keys, vals, dim)
+
+
+@pytest.mark.parametrize("where, value", [((-1, -2), 0), ((0, -1), 0), ((0, -1), 1), ((3, 3), 1)],
+                         ids=["dropped_subdiagonal", "dropped_glue", "glue_sign", "planted"])
+def test_corrupted_m13_fails_the_product_check(monkeypatch, where, value):
+    # dim 4095: far above the 1024 the dense check was capped at
+    _plant(monkeypatch, where, value)
+    with pytest.raises(VerificationError, match="not the identity"):
+        mp.inverse_structure(13)
+
+
+def test_product_check_needs_no_full_size_temporary(monkeypatch):
+    import tracemalloc
+    from matpencil import mandelbrot
+    n = 13
+    dim = mandelbrot_dim(n)
+    calls = []
+    real = mandelbrot._times_is_identity
+    monkeypatch.setattr(mandelbrot, "_times_is_identity",
+                        lambda *args: calls.append(args[-1]) or real(*args))
     tracemalloc.start()
     try:
         rep = mp.inverse_structure(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.height1
-    assert peak < 4 * dim ** 2  # the int8 buffer, the int8 M_n and one int64 chunk of rows
+    assert rep.height1 and calls == [dim]
+    assert peak <= 1.1 * dim ** 2  # the int8 output; the check itself is O(dim)
+
+
+def test_matrix_nonzeros_are_those_of_the_int64_reference():
+    from matpencil import mandelbrot
+    for n in range(2, 13):
+        rows, cols, vals = mandelbrot._matrix_nonzeros(n)
+        ref = _int64_matrix_reference(n)
+        dim = len(ref)
+        assert len(vals) == 2 * dim - 1 and vals.dtype == np.int8 and (vals == -1).all()
+        keys = rows * dim + cols
+        assert np.array_equal(np.sort(keys), np.flatnonzero(ref))  # each nonzero once

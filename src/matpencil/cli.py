@@ -112,16 +112,16 @@ def _emit(args, stem: str, report, **fields):
 def cmd_mandelbrot(args) -> int:
     rep = mandelbrot.inverse_structure(args.n)
     ok = mandelbrot.charpoly_identity(args.n, range(-3, 4))
-    dim = len(rep.inverse)
-    # charpoly_identity reads M_n as its nonzeros; the dense M_n is built only
-    # where it is shown or written, next to the inverse
+    dim = rep.inverse.shape[0]
+    # M_n and its inverse are held as their nonzeros; each is made dense only
+    # where it is shown (dim <= 31) or written (--out)
     m = mandelbrot.mandelbrot_matrix(args.n).entries if dim <= 31 or args.out else None
     if dim <= 31:
         print(f"M_{args.n} ({dim}x{dim}):")
-        for row in m:
+        for row in m.toarray():
             print("  [" + " ".join(f"{int(v):2d}" for v in row) + "]")
         print("inverse:")
-        for row in rep.inverse:
+        for row in rep.inverse.toarray():
             print("  [" + " ".join(f"{int(v):2d}" for v in row) + "]")
     else:
         print(f"M_{args.n}: dim {dim}")
@@ -129,9 +129,9 @@ def cmd_mandelbrot(args) -> int:
           f"zero block: {rep.zero_block_ok}; charpoly identity on -3..3: {ok}")
     if args.out:
         out = _outdir(args)
-        for name, arr in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
+        for name, mat in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
             (out / name).write_text(
-                "\n".join(",".join(str(int(v)) for v in row) for row in arr) + "\n")
+                "\n".join(",".join(str(int(v)) for v in row) for row in mat.toarray()) + "\n")
         (out / f"m{args.n}_report.json").write_text(jsonio.dumps({
             "n": rep.n, "dim": dim, "corner_value": rep.corner_value,
             "zero_block_ok": rep.zero_block_ok, "height1": rep.height1,

@@ -17,15 +17,18 @@ from ._exact import _as_exact, unit_hessenberg_det
 from ._exact import hessenberg_det  # noqa: F401
 from .errors import ContractError, ResourceLimitError, VerificationError
 
-#: highest level built (dim 8191); the int8 inverse at level 15 would take 256 MiB
+#: highest level built (dim 8191).  The outputs are held as their nonzeros at
+#: any level, but `toarray()` and `matpencil mandelbrot --out` at level 15
+#: would each fill a 256 MiB dense array.
 MAX_LEVEL = 14
 
 #: Each level of M_n and its inverse is held as its nonzeros (M_14 has 16,381
-#: of 67 M entries).  The returned M_n, inverse, first column C and last row R
-#: are dense int8: their entries are -1/0/1, checked before every level's
-#: arithmetic, so each product C R is in [-1, 1] and each sum inv + C R in
-#: [-2, 2]: nothing wraps.  Callers cast before taking integer products of
-#: their own (a row of M_n @ inverse sums up to dim terms).
+#: of 67 M entries, its inverse 16,525), and so are the returned M_n and
+#: inverse (`NonzeroMatrix`); only the first column C and last row R are
+#: returned dense.  All are int8: their entries are -1/0/1, checked before
+#: every level's arithmetic, so each product C R is in [-1, 1] and each sum
+#: inv + C R in [-2, 2]: nothing wraps.  Callers cast before taking integer
+#: products of their own (a row of M_n @ inverse sums up to dim terms).
 _INT = np.int8
 
 
@@ -33,11 +36,63 @@ def mandelbrot_dim(n: int) -> int:
     return 2 ** (n - 1) - 1
 
 
+@dataclass(frozen=True, eq=False)
+class NonzeroMatrix:
+    """A read-only integer matrix held as its nonzeros: the sorted flat keys
+    row * ncols + col (int64) and their values.
+
+    `toarray()`, and `np.asarray` through `__array__`, build the dense
+    C-contiguous array; `min()`, `max()` and `m[i, j]` read the nonzeros and
+    count the missing entries as zeros.
+    """
+
+    shape: tuple
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.keys.flags.writeable = self.values.flags.writeable = False
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.values.nbytes
+
+    def _full(self) -> bool:
+        return len(self.keys) == self.shape[0] * self.shape[1]
+
+    def min(self):
+        return self.values.min() if self._full() else self.values.min(initial=0)
+
+    def max(self):
+        return self.values.max() if self._full() else self.values.max(initial=0)
+
+    def __getitem__(self, index):
+        (i, j), (rows, cols) = index, self.shape
+        key = range(rows)[i] * cols + range(cols)[j]  # IndexError when out of range
+        at = np.searchsorted(self.keys, key)
+        found = at < len(self.keys) and self.keys[at] == key
+        return self.values[at] if found else self.dtype.type(0)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out.reshape(-1)[self.keys] = self.values
+        return out
+
+    def __array__(self, dtype=None, copy=None):  # numpy casts to dtype itself
+        if copy is False:
+            raise ValueError("a NonzeroMatrix has no dense array to share; it must be copied")
+        return self.toarray()
+
+
 @dataclass(eq=False)
 class MandelbrotMatrix:
     n: int
     dim: int
-    entries: np.ndarray
+    entries: NonzeroMatrix
     triple_X: np.ndarray  # last unit row vector
     triple_Y: np.ndarray  # first unit column vector
 
@@ -68,11 +123,11 @@ def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
     _check_level(n)
     d = mandelbrot_dim(n)
     rows, cols, vals = _matrix_nonzeros(n)
-    m = np.zeros((d, d), dtype=_INT)
-    m[rows, cols] = vals
+    keys = rows * d + cols
+    order = np.argsort(keys)
     x, y = np.zeros((1, d), dtype=_INT), np.zeros((d, 1), dtype=_INT)
     x[0, d - 1] = y[0, 0] = 1
-    return MandelbrotMatrix(n, d, m, x, y)
+    return MandelbrotMatrix(n, d, NonzeroMatrix((d, d), keys[order], vals[order]), x, y)
 
 
 def mandelbrot_poly_at(n: int, z):
@@ -139,7 +194,7 @@ class InverseStructureReport:
     """Exact inverse of M_n with the block facts that make the family special."""
 
     n: int
-    inverse: np.ndarray
+    inverse: NonzeroMatrix
     corner_value: int
     first_col: np.ndarray  # C_n
     last_row: np.ndarray   # R_n
@@ -158,8 +213,8 @@ def inverse_structure(n: int) -> InverseStructureReport:
 
     Every level is held and checked as its nonzeros (`_inverse_nonzeros`).
     M_n @ inverse == I is then checked exactly from the nonzeros of both, and
-    a failed check raises VerificationError.  Only the returned arrays are
-    dense.
+    a failed check raises VerificationError.  The inverse is returned as its
+    nonzeros too; only the first column and last row are dense.
     """
     _check_level(n)
     dim = mandelbrot_dim(n)
@@ -173,8 +228,7 @@ def inverse_structure(n: int) -> InverseStructureReport:
     c_in, r_in = c_rows >= dim - blk, r_cols < blk
     minus_cr = _outer(c_rows[c_in], -c_vals[c_in], r_cols[r_in], r_vals[r_in], dim)
     zero_ok = all(map(np.array_equal, (keys[in_block], vals[in_block]), minus_cr))
-    inv = np.zeros((dim, dim), dtype=_INT)
-    inv.reshape(-1)[keys] = vals
+    inv = NonzeroMatrix((dim, dim), keys, vals)
     col, row = np.zeros((dim, 1), dtype=_INT), np.zeros((1, dim), dtype=_INT)
     col[c_rows, 0], row[0, r_cols] = c_vals, r_vals
     return InverseStructureReport(n, inv, int(inv[dim - 1, 0]), col, row, zero_ok,
@@ -225,11 +279,12 @@ def _outer(rows, row_vals, cols, col_vals, stride: int):
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
-    """Sort by key, add up the values of equal keys and drop zero sums."""
+    """Sort by key, add up the values of equal keys in their own dtype and
+    drop zero sums."""
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     first = np.flatnonzero(np.diff(keys, prepend=-1))
-    keys, vals = keys[first], np.add.reduceat(vals, first)
+    keys, vals = keys[first], np.add.reduceat(vals, first, dtype=vals.dtype)
     return keys[vals != 0], vals[vals != 0]
 
 

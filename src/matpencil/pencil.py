@@ -123,6 +123,25 @@ def pivot_condition(mat: np.ndarray):
     return np.where(np.isnan(cond), np.inf, cond)[()]
 
 
+def _cond_and_inverse(mats: np.ndarray):
+    """`pivot_condition` of a stack of matrices and their inverses, from one
+    inversion: the same kernel and norms as `np.linalg.cond(mats, 1)`, so the
+    numbers are the same.  When a matrix of the stack is singular the
+    inversion raises, and the condition numbers come from `pivot_condition`
+    with no inverses (None)."""
+    if mats.shape[-1]:
+        try:
+            inv = np.linalg.inv(mats)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            with np.errstate(all="ignore"):
+                cond = (np.linalg.norm(mats, 1, axis=(-2, -1))
+                        * np.linalg.norm(inv, 1, axis=(-2, -1)))
+            return np.where(np.isnan(cond), np.inf, cond), inv
+    return pivot_condition(mats), None
+
+
 def _resolvent(t: StandardTriple, m: np.ndarray) -> np.ndarray:
     """X m^-1 Y for m = zD - A or a stack of them."""
     return t.X @ np.linalg.solve(m, t.Y)
@@ -224,9 +243,10 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     det_dev = float(np.max(_rel_det_dev(np.linalg.slogdet(m), np.linalg.slogdet(az)),
                            initial=0.0))
     res_dev = None
-    good = pivot_condition(az) <= cond_cap
+    cond, inv = _cond_and_inverse(az)
+    good = cond <= cond_cap
     if np.any(good):
-        inv = np.linalg.inv(az[good])
+        inv = np.linalg.inv(az[good]) if inv is None else inv[good]
         err = _resolvent(t, m[good]) - inv
         res_dev = float(np.max(np.linalg.norm(err, axis=(-2, -1))
                                / np.linalg.norm(inv, axis=(-2, -1))))

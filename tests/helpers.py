@@ -121,7 +121,7 @@ def fraction_inverse(rows):
 
 def inverse_fraction_fallback(n):
     """Independent exact inverse of M_n via Gauss-Jordan over Fractions (small levels)."""
-    inv = fraction_inverse(mp.mandelbrot_matrix(n).entries.tolist())
+    inv = fraction_inverse(mp.mandelbrot_matrix(n).entries.toarray().tolist())
     out = np.zeros((len(inv), len(inv)), dtype=np.int64)  # wide: assumes no bound
     for i, r in enumerate(inv):
         for j, x in enumerate(r):

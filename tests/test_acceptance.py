@@ -28,17 +28,17 @@ def test_criterion_1_mandelbrot_exactness():
     for n in range(2, 11):
         m = mp.mandelbrot_matrix(n)
         ok &= m.dim == 2 ** (n - 1) - 1
-        ok &= set(np.unique(m.entries)) <= {-1, 0}
+        ok &= set(np.unique(m.entries.toarray())) <= {-1, 0}
         rep = mp.inverse_structure(n)  # raises unless M_n @ inverse == I exactly
-        ok &= set(np.unique(rep.inverse)) <= {-1, 0, 1}
+        ok &= set(np.unique(rep.inverse.toarray())) <= {-1, 0, 1}
         ok &= rep.corner_value == -1
         ok &= rep.zero_block_ok and rep.height1
         if n < 10:
             nxt = mp.inverse_structure(n + 1)
             d = m.dim
-            combined = rep.inverse + rep.first_col @ rep.last_row
-            ok &= np.array_equal(nxt.inverse[:d, :d], combined)          # upper left
-            ok &= np.array_equal(nxt.inverse[d + 1:, d + 1:], combined)  # lower right
+            combined = rep.inverse.toarray() + rep.first_col @ rep.last_row
+            ok &= np.array_equal(nxt.inverse.toarray()[:d, :d], combined)          # upper left
+            ok &= np.array_equal(nxt.inverse.toarray()[d + 1:, d + 1:], combined)  # lower right
             ok &= not combined[:, 0].any() and not combined[-1, :].any()
     elapsed = time.perf_counter() - t0
     ok &= elapsed <= 60.0
@@ -117,7 +117,7 @@ def test_criterion_4_cross_construction_regression():
     for n in (3, 4, 5):
         t = mp.composite(t, t, [[1.0]], [[1.0]])
         m = mp.mandelbrot_matrix(n)
-        ok &= np.array_equal(t.pencil.A, m.entries.astype(complex))
+        ok &= np.array_equal(t.pencil.A, m.entries.toarray().astype(complex))
         ok &= np.array_equal(t.pencil.D, np.eye(m.dim, dtype=complex))
         ok &= np.array_equal(t.X, m.triple_X.astype(complex))
         ok &= np.array_equal(t.Y, m.triple_Y.astype(complex))

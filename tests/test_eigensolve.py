@@ -26,7 +26,7 @@ def test_singular_d_gives_infinite_eigenvalue():
 
 def test_mandelbrot_level4_roots_match_scalar_solver():
     m = mp.mandelbrot_matrix(4)
-    pencil = mp.Pencil(np.eye(7), m.entries.astype(float))
+    pencil = mp.Pencil(np.eye(7), m.entries.toarray().astype(float))
     rep = mp.generalized_eigen(pencil, rng=1)
     refs = mp.scalar_roots([float(c) for c in mp.mandelbrot_poly_coeffs(4)])
     assert len(rep.finite) == 7

@@ -34,7 +34,7 @@ def _inverse_with(monkeypatch, n, i, j, value=None):
     set to `value`; by default a zero becomes 1 and a nonzero is dropped."""
     from matpencil import mandelbrot
     real = mandelbrot._inverse_nonzeros
-    bad = mp.inverse_structure(n).inverse.copy()
+    bad = mp.inverse_structure(n).inverse.toarray()
     bad[i, j] = 1 - abs(int(bad[i, j])) if value is None else value
     keys = np.flatnonzero(bad)
     monkeypatch.setattr(mandelbrot, "_inverse_nonzeros",
@@ -46,8 +46,8 @@ M3_INV = [[0, -1, 0], [1, -1, -1], [-1, 1, 0]]
 
 
 def test_base_levels():
-    assert mp.mandelbrot_matrix(2).entries.tolist() == [[-1]]
-    assert mp.mandelbrot_matrix(3).entries.tolist() == M3
+    assert mp.mandelbrot_matrix(2).entries.toarray().tolist() == [[-1]]
+    assert mp.mandelbrot_matrix(3).entries.toarray().tolist() == M3
     assert mp.mandelbrot_matrix(5).dim == 15
 
 
@@ -71,7 +71,7 @@ def test_charpoly_identity_small_levels():
 
 def test_charpoly_identity_negative_control():
     from matpencil._exact import hessenberg_det
-    m = [row[:] for row in mp.mandelbrot_matrix(4).entries.tolist()]
+    m = [row[:] for row in mp.mandelbrot_matrix(4).entries.toarray().tolist()]
     m[0][6] = 0  # drop the top-right glue entry
     z = 2
     rows = [[(z if i == j else 0) - m[i][j] for j in range(7)] for i in range(7)]
@@ -80,7 +80,7 @@ def test_charpoly_identity_negative_control():
 
 def test_inverse_structure_level3_display():
     rep = mp.inverse_structure(3)
-    assert rep.inverse.tolist() == M3_INV
+    assert rep.inverse.toarray().tolist() == M3_INV
     assert rep.corner_value == -1
     assert rep.first_col.ravel().tolist() == [0, 1, -1]
     assert rep.last_row.ravel().tolist() == [-1, 1, 0]
@@ -88,7 +88,7 @@ def test_inverse_structure_level3_display():
 
 def test_inverse_structure_level2():
     rep = mp.inverse_structure(2)
-    assert rep.inverse.tolist() == [[-1]]
+    assert rep.inverse.toarray().tolist() == [[-1]]
     assert rep.corner_value == -1 and rep.height1 and rep.zero_block_ok
 
 
@@ -99,15 +99,16 @@ def test_inverse_structure_level6():
 
 def test_inverse_matches_fraction_elimination():
     for n in (2, 3, 4, 5):
-        assert np.array_equal(mp.inverse_structure(n).inverse, inverse_fraction_fallback(n))
+        got = mp.inverse_structure(n).inverse.toarray()
+        assert np.array_equal(got, inverse_fraction_fallback(n))
 
 
 def test_family_is_height1_with_height1_inverse():
     for n in range(2, 11):
         m = mp.mandelbrot_matrix(n)
-        assert set(np.unique(m.entries)) <= {-1, 0}
+        assert set(np.unique(m.entries.toarray())) <= {-1, 0}
         rep = mp.inverse_structure(n)
-        assert set(np.unique(rep.inverse)) <= {-1, 0, 1}
+        assert set(np.unique(rep.inverse.toarray())) <= {-1, 0, 1}
         assert rep.corner_value == -1
 
 
@@ -118,9 +119,9 @@ def test_block_identities():
         rep = mp.inverse_structure(n)
         nxt = mp.inverse_structure(n + 1)
         d = rep.inverse.shape[0]
-        combined = rep.inverse + rep.first_col @ rep.last_row
-        assert np.array_equal(nxt.inverse[:d, :d], combined)
-        assert np.array_equal(nxt.inverse[d + 1:, d + 1:], combined)
+        combined = rep.inverse.toarray() + rep.first_col @ rep.last_row
+        assert np.array_equal(nxt.inverse.toarray()[:d, :d], combined)
+        assert np.array_equal(nxt.inverse.toarray()[d + 1:, d + 1:], combined)
         assert not combined[:, 0].any()
         assert not combined[-1, :].any()
         # recursive column/row shapes
@@ -132,7 +133,7 @@ def test_block_identities():
 
 def test_matrix_is_upper_hessenberg():
     for n in (3, 4, 5, 6):
-        assert mp.is_block_upper_hessenberg(mp.mandelbrot_matrix(n).entries, 1)
+        assert mp.is_block_upper_hessenberg(mp.mandelbrot_matrix(n).entries.toarray(), 1)
 
 
 def test_level_bounds():
@@ -147,7 +148,7 @@ def test_level_bounds():
 def test_determinant_is_unimodular():
     from matpencil._exact import exact_det
     for n in (2, 3, 4, 5, 6):
-        det = exact_det(mp.mandelbrot_matrix(n).entries.tolist())
+        det = exact_det(mp.mandelbrot_matrix(n).entries.toarray().tolist())
         assert det in (-1, 1)
         # sign consistent with the recurrence at 0: det(-M) = p_n(0) = 1
         assert det == (-1) ** mandelbrot_dim(n)
@@ -253,15 +254,72 @@ def test_hessenberg_det_of_numpy_integers_is_an_exact_python_int():
 def test_matrix_and_inverse_equal_int64_recursions():
     for n in range(2, 13):
         m = mp.mandelbrot_matrix(n)
-        assert m.entries.dtype == np.int8
-        assert np.array_equal(m.entries, _int64_matrix_reference(n))
+        dense = m.entries.toarray()
+        assert m.entries.dtype == dense.dtype == np.int8
+        assert m.entries.shape == dense.shape and dense.flags.c_contiguous
+        assert np.array_equal(dense, _int64_matrix_reference(n))
         rep = mp.inverse_structure(n)
         ref = _int64_inverse_reference(n)
-        assert rep.inverse.dtype == rep.first_col.dtype == rep.last_row.dtype == np.int8
-        assert rep.inverse.flags.c_contiguous
-        assert np.array_equal(rep.inverse, ref)
+        inv = rep.inverse.toarray()
+        assert rep.inverse.dtype == inv.dtype == rep.first_col.dtype == rep.last_row.dtype
+        assert inv.dtype == np.int8
+        assert rep.inverse.shape == inv.shape and inv.flags.c_contiguous
+        assert np.array_equal(inv, ref)
         assert np.array_equal(rep.first_col, ref[:, :1])
         assert np.array_equal(rep.last_row, ref[-1:, :])
+        # the nonzeros themselves: sorted flat keys, each once, and their values
+        for held, want in ((m.entries, dense), (rep.inverse, inv)):
+            assert held.keys.dtype == np.int64 and held.values.dtype == np.int8
+            assert np.array_equal(held.keys, np.flatnonzero(want))
+            assert np.array_equal(held.values, want.reshape(-1)[held.keys])
+
+
+def test_nonzero_matrix_reads_like_its_dense_array():
+    from matpencil.mandelbrot import NonzeroMatrix
+    m5, inv5 = mp.mandelbrot_matrix(5).entries, mp.inverse_structure(5).inverse
+    for held in (m5, inv5):
+        dense = held.toarray()
+        assert held.nbytes == held.keys.nbytes + held.values.nbytes == 9 * len(held.keys)
+        # one entry: stored, missing, negative indices, numpy integers
+        (i, j), (zi, zj) = np.argwhere(dense)[3], np.argwhere(dense == 0)[3]
+        assert held[i, j] == dense[i, j] != 0 and held[zi, zj] == 0
+        assert type(held[i, j]) is type(held[zi, zj]) is np.int8
+        for i, j in [(0, 0), (-1, 0), (14, -15), (np.int64(7), np.int8(3))]:
+            assert held[i, j] == dense[i, j]
+        for i, j in [(15, 0), (0, 15), (-16, 0), (0, -16)]:
+            with pytest.raises(IndexError):
+                held[i, j]
+        # min and max count the missing entries, which are zeros
+        assert (held.min(), held.max()) == (dense.min(), dense.max())
+    assert (m5.min(), m5.max()) == (-1, 0) and (inv5.min(), inv5.max()) == (-1, 1)
+    # M_2 = [[-1]] and its inverse have no missing entry, so no zero either
+    for m2 in (mp.mandelbrot_matrix(2).entries, mp.inverse_structure(2).inverse):
+        assert (m2.min(), m2.max(), m2[0, 0]) == (-1, -1, -1)
+    full = NonzeroMatrix((2, 2), np.arange(4), np.array([1, 2, 3, 4], np.int8))
+    assert (full.min(), full.max()) == (1, 4)
+    positive = NonzeroMatrix((2, 2), np.array([0, 3]), np.array([1, 2], np.int8))
+    assert (positive.min(), positive.max()) == (0, 2)
+
+
+def test_nonzero_matrix_densifies_on_demand_and_is_read_only():
+    m4, inv4 = mp.mandelbrot_matrix(4).entries, mp.inverse_structure(4).inverse
+    for held in (m4, inv4):
+        dense = np.asarray(held)
+        assert dense.dtype == np.int8 and np.array_equal(dense, held.toarray())
+        assert np.array(held, dtype=float).dtype == np.float64
+        with pytest.raises(ValueError):
+            np.asarray(held, copy=False)
+        for arr in (held.keys, held.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # the dense array is a fresh copy: changing it leaves the nonzeros alone
+        dense[0, 0] = 5
+        assert held[0, 0] != 5 and held.toarray()[0, 0] != 5
+    # a pencil built from the nonzeros holds the dense array
+    p = mp.Pencil(np.eye(7, dtype=np.int64), m4)
+    assert p.A.dtype == np.int8 and np.array_equal(p.A, m4.toarray())
+    assert mp.pencil_det_at(p, 2) == mp.mandelbrot_poly_at(4, 2)
 
 
 def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
@@ -418,7 +476,7 @@ def test_zero_block_check_sees_one_flipped_entry(monkeypatch):
     assert mp.inverse_structure(n).zero_block_ok
     # the product check would reject every changed inverse first
     monkeypatch.setattr(mandelbrot, "_times_is_identity", lambda *args: True)
-    inv = mp.inverse_structure(n).inverse
+    inv = mp.inverse_structure(n).inverse.toarray()
     top = dim - blk  # first row of the lower-left block
     inside = [(top, 0), (top, blk - 1), (top + 5, 7), (dim - 1, 0), (dim - 1, blk - 1)]
     outside = [(top - 1, 0), (top, blk), (dim - 1, dim - 1)]
@@ -432,27 +490,31 @@ def test_zero_block_check_sees_one_flipped_entry(monkeypatch):
             assert mp.inverse_structure(n).zero_block_ok is want, (i, j)
 
 
-def test_inverse_is_built_in_one_buffer():
+@pytest.mark.parametrize("build", ["mandelbrot_matrix", "inverse_structure"])
+def test_level_14_is_built_without_a_dense_array(build):
     import tracemalloc
-    n = 12
+    n = 14
     dim = mandelbrot_dim(n)
     tracemalloc.start()
     try:
-        rep = mp.inverse_structure(n)
+        out = getattr(mp, build)(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.zero_block_ok and rep.height1
-    # the dense int8 output and nothing else of its size: every level and
-    # every check runs on the nonzeros
-    assert peak <= 1.1 * dim ** 2
+    matrix = build == "mandelbrot_matrix"
+    held = out.entries if matrix else out.inverse
+    assert held.shape == (dim, dim) and held[dim - 1, 0] == (0 if matrix else -1)
+    assert matrix or (out.zero_block_ok and out.height1)
+    # every level, every check and the output are nonzeros: about 86 (M_n)
+    # and 280 (inverse) bytes per row, where a dense int8 array takes dim
+    assert peak <= 512 * dim
 
 
 def test_product_check_catches_a_corrupted_inverse_entry(monkeypatch):
     from matpencil import mandelbrot
     n = 11
     dim = mandelbrot_dim(n)
-    inv = mp.inverse_structure(n).inverse
+    inv = mp.inverse_structure(n).inverse.toarray()
     stored = tuple(np.argwhere(inv)[len(np.flatnonzero(inv)) // 2])
     cases = [((0, 0), None), ((5, dim - 1), None), ((dim // 2, dim // 2), None),
              ((dim - 1, 0), None), ((dim - 1, dim - 1), None), (stored, -inv[stored])]
@@ -494,7 +556,7 @@ def test_product_check_needs_no_full_size_temporary(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.height1 and calls == [dim]
-    assert peak <= 1.1 * dim ** 2  # the int8 output; the check itself is O(dim)
+    assert peak <= 512 * dim  # the check, like the output, is O(dim)
 
 
 def test_matrix_nonzeros_are_those_of_the_int64_reference():

@@ -134,7 +134,7 @@ def test_chebyshev_agrees_with_converted_monomial():
 
 
 def test_height_report_examples():
-    m3 = mp.mandelbrot_matrix(3).entries
+    m3 = mp.mandelbrot_matrix(3).entries.toarray()
     rep = mp.height_report(m3)
     assert rep.height == 1 and rep.is_bohemian_01 and rep.is_height1_integer
 

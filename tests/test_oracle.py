@@ -11,7 +11,7 @@ from helpers import (composite_coeffs, controllability_matrix, det_poly, rand_mo
 
 def test_interp_charpoly_exact_mandelbrot():
     m3 = mp.mandelbrot_matrix(3)
-    coeffs = mp.interp_charpoly(mp.Pencil(np.eye(3, dtype=np.int64), m3.entries))
+    coeffs = mp.interp_charpoly(mp.Pencil(np.eye(3, dtype=np.int64), m3.entries.toarray()))
     assert coeffs == [1, 1, 2, 1]
 
 
@@ -24,7 +24,7 @@ def test_interp_charpoly_zero_matrix():
 def test_interp_charpoly_exact_matches_recurrence_bitwise():
     for n in range(2, 9):
         m = mp.mandelbrot_matrix(n)
-        pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries)
+        pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries.toarray())
         assert mp.interp_charpoly(pencil) == mp.mandelbrot_poly_coeffs(n)
 
 
@@ -43,7 +43,7 @@ def test_interp_charpoly_float_vs_expanded_family_step():
 
 def test_det_equality_examples():
     m4 = mp.mandelbrot_matrix(4)
-    pencil = mp.Pencil(np.eye(7), m4.entries.astype(float))
+    pencil = mp.Pencil(np.eye(7), m4.entries.toarray().astype(float))
     p4 = mp.MatPoly.monomial_poly([float(c) for c in mp.mandelbrot_poly_coeffs(4)])
     p2 = mp.MatPoly.monomial_poly([1.0, 1.0])
     assert mp.det_equality(pencil, p4).ok
@@ -159,6 +159,6 @@ def test_interp_charpoly_rational_pencil_gives_exact_fractions():
     assert all(isinstance(c, Fraction) for c in coeffs)
     # an integer-dtype pencil keeps Python int coefficients
     m3 = mp.mandelbrot_matrix(3)
-    ints = mp.interp_charpoly(mp.Pencil(np.eye(3, dtype=np.int64), m3.entries))
+    ints = mp.interp_charpoly(mp.Pencil(np.eye(3, dtype=np.int64), m3.entries.toarray()))
     assert ints == mp.mandelbrot_poly_coeffs(3)
     assert all(type(c) is int for c in ints)

@@ -10,13 +10,13 @@ from helpers import rational_pencil
 def mandelbrot_triple(n):
     m = mp.mandelbrot_matrix(n)
     return mp.StandardTriple(m.triple_X.astype(float),
-                             mp.Pencil(np.eye(m.dim), m.entries.astype(float)),
+                             mp.Pencil(np.eye(m.dim), m.entries.toarray().astype(float)),
                              m.triple_Y.astype(float), grade=m.dim)
 
 
 def test_pencil_det_examples():
     m3 = mp.mandelbrot_matrix(3)
-    p = mp.Pencil(np.eye(3), m3.entries.astype(float))
+    p = mp.Pencil(np.eye(3), m3.entries.toarray().astype(float))
     assert mp.pencil_det_at(p, 0.0) == pytest.approx(1.0)  # p_3(0)
 
     p = mp.Pencil(np.eye(2), np.diag([1.0, 2.0]))
@@ -28,7 +28,7 @@ def test_pencil_det_examples():
 
 def test_pencil_det_exact_integer_path():
     m4 = mp.mandelbrot_matrix(4)
-    p = mp.Pencil(np.eye(7, dtype=np.int64), m4.entries)
+    p = mp.Pencil(np.eye(7, dtype=np.int64), m4.entries.toarray())
     val = mp.pencil_det_at(p, 2)
     assert isinstance(val, int)
     assert val == mp.mandelbrot_poly_at(4, 2)
@@ -216,6 +216,44 @@ def test_pivot_condition_is_one_norm_condition_number():
     assert got.shape == (4,)
     np.testing.assert_array_equal(got, [mp.pivot_condition(x) for x in stack])
     assert got[0] == 1.0 and got[1] == pytest.approx(1e3) and got[3] == np.inf
+
+
+def test_cond_and_inverse_equal_pivot_condition_and_inv_bitwise():
+    from matpencil.pencil import _cond_and_inverse
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal((6, 3, 3))
+    edge = np.stack([np.eye(2), np.diag([1.0, 1e-3]), [[1.0, 1e13], [0.0, 1.0]],
+                     [[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 1.0], [0.0, 1.0]],
+                     [[1e300, 1e300], [1e-300, 1.0]]])
+    for stack in (real, real + 1j * rng.standard_normal((6, 3, 3)), edge):
+        cond, inv = _cond_and_inverse(stack)
+        assert cond.dtype == np.float64 and cond.tobytes() == mp.pivot_condition(stack).tobytes()
+        with np.errstate(all="ignore"):
+            assert inv.tobytes() == np.linalg.inv(stack).tobytes()
+    # a singular matrix makes the inversion raise: the condition numbers come
+    # from pivot_condition, and there is no inverse to reuse
+    singular = np.stack([np.eye(2), np.ones((2, 2))])
+    cond, inv = _cond_and_inverse(singular)
+    assert inv is None and cond.tolist() == [1.0, np.inf]
+    cond, inv = _cond_and_inverse(np.zeros((3, 0, 0)))
+    assert inv is None and cond.tolist() == [1.0] * 3
+
+
+def test_verify_triple_inverts_each_a_of_z_once(monkeypatch):
+    from matpencil import pencil
+    from helpers import rand_mono
+    p = rand_mono(np.random.default_rng(4), 2, 2)
+    t = mp.frobenius_triple(p)
+    want = mp.verify_triple(t, p, n_points=5, rng=0)
+    inverted, conditioned = [], []
+    real_inv, real_cond = np.linalg.inv, pencil.pivot_condition
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or real_inv(a))
+    monkeypatch.setattr(pencil, "pivot_condition",
+                        lambda m: conditioned.append(m.shape) or real_cond(m))
+    got = mp.verify_triple(t, p, n_points=5, rng=0)
+    assert got == want and got.passed
+    assert inverted == [(5, 2, 2)]  # one stacked inversion of a(z), r = 2
+    assert conditioned and all(shape[-2:] == (4, 4) for shape in conditioned)  # draws only
 
 
 @pytest.mark.parametrize("kwargs", [{"n_points": 0}, {"n_points": -3}, {"tol": 0.0},

@@ -73,17 +73,22 @@ def unit_hessenberg_det(diag, sub, upper):
 
     diag holds the n diagonal entries H_ii, sub the n - 1 subdiagonal entries
     s_i = H_{i,i-1} (each 1 or -1), and upper the strictly upper nonzeros as
-    (i, j, H_ij) triples with i < j, in any order.  With x_{n-1} = 1 and
-
-        x_{i-1} = -s_i (H_ii x_i + sum_{j>i} H_ij x_j),   i = n-1 .. 1,
-
-    (1/s_i = s_i), every row of H x but the first vanishes, so Cramer's rule
-    gives det H = (-1)^(n-1) prod(s) sum_j H_0j x_j.  Each x_j is one entry
-    times another x, summed: no division, O(n + nnz) exact products on
-    Python ints or Fractions.  A subdiagonal entry other than ±1, or an
-    "upper" entry on or below the diagonal, raises ContractError.
+    (i, j, H_ij) triples with i < j, in any order.  A subdiagonal entry other
+    than ±1, or an "upper" entry on or below the diagonal, raises
+    ContractError.  The work is split in two: `hyman_rows` checks and buckets
+    the off-diagonal part, `hyman_det` runs the recurrence; a caller that
+    takes the determinant at many diagonals calls the first once.
     """
-    n, sub = len(diag), list(sub)
+    return hyman_det([_as_exact(v) for v in diag], *hyman_rows(len(diag), sub, upper))
+
+
+def hyman_rows(n: int, sub, upper):
+    """The off-diagonal part of an n x n Hessenberg matrix with a ±1
+    subdiagonal, checked and laid out for `hyman_det`: sub as a list of ±1,
+    and the strictly upper (i, j, H_ij) triples as one list per row i of
+    (j, H_ij) pairs, each entry an exact Python number.  Raises ContractError
+    as `unit_hessenberg_det` does."""
+    sub = list(sub)
     if len(sub) != max(n - 1, 0) or not set(sub) <= {1, -1}:
         raise ContractError("the subdiagonal must hold n - 1 entries, each 1 or -1")
     above = [[] for _ in range(n)]
@@ -91,16 +96,33 @@ def unit_hessenberg_det(diag, sub, upper):
         if not 0 <= i < j < n:
             raise ContractError(f"entry ({i}, {j}) is not strictly upper in a {n} x {n} matrix")
         above[i].append((j, _as_exact(v)))
+    return sub, above
+
+
+def hyman_det(diag, sub, above):
+    """det H by Hyman's recurrence, from H's diagonal (exact Python numbers)
+    and its off-diagonal part as laid out by `hyman_rows`.
+
+    With x_{n-1} = 1 and
+
+        x_{i-1} = -s_i (H_ii x_i + sum_{j>i} H_ij x_j),   i = n-1 .. 1,
+
+    (1/s_i = s_i), every row of H x but the first vanishes, so Cramer's rule
+    gives det H = (-1)^(n-1) prod(s) sum_j H_0j x_j.  Each x_j is one entry
+    times another x, summed: no division, O(n + nnz) exact products on
+    Python ints or Fractions.
+    """
+    n = len(diag)
     if n == 0:
         return 1
     x = [0] * n
     x[n - 1] = 1
     for i in range(n - 1, 0, -1):
-        acc = _as_exact(diag[i]) * x[i]
+        acc = diag[i] * x[i]
         for j, v in above[i]:
             acc += x[j] if v == 1 else v * x[j]  # skip the product for unit entries
         x[i - 1] = -acc if sub[i - 1] == 1 else acc
-    det = _as_exact(diag[0]) * x[0]
+    det = diag[0] * x[0]
     for j, v in above[0]:
         det += v * x[j]
     # (-1)^(n-1) prod(s) = (-1)^(number of +1 entries in sub)

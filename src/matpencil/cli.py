@@ -114,7 +114,7 @@ def cmd_mandelbrot(args) -> int:
     ok = mandelbrot.charpoly_identity(args.n, range(-3, 4))
     dim = rep.inverse.shape[0]
     # M_n and its inverse are held as their nonzeros; each is made dense only
-    # where it is shown (dim <= 31) or written (--out)
+    # where it is shown (dim <= 31), and --out writes them from the nonzeros
     m = mandelbrot.mandelbrot_matrix(args.n).entries if dim <= 31 or args.out else None
     if dim <= 31:
         print(f"M_{args.n} ({dim}x{dim}):")
@@ -130,14 +130,32 @@ def cmd_mandelbrot(args) -> int:
     if args.out:
         out = _outdir(args)
         for name, mat in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
-            (out / name).write_text(
-                "\n".join(",".join(str(int(v)) for v in row) for row in mat.toarray()) + "\n")
+            _write_csv(out / name, mat)
         (out / f"m{args.n}_report.json").write_text(jsonio.dumps({
             "n": rep.n, "dim": dim, "corner_value": rep.corner_value,
             "zero_block_ok": rep.zero_block_ok, "height1": rep.height1,
             "charpoly_identity": bool(ok),
         }))
     return 0 if ok and rep.height1 and rep.corner_value == -1 else 2
+
+
+def _write_csv(path: Path, mat: mandelbrot.NonzeroMatrix) -> None:
+    """Write an integer matrix held as its nonzeros as CSV, one row at a time:
+    each row is the text of a zero row with the row's nonzeros spliced in, so
+    neither a dense array nor the whole text is held in memory."""
+    nrows, ncols = mat.shape
+    zeros = "0," * ncols
+    rows, cols = np.divmod(mat.keys, ncols)
+    bounds = np.searchsorted(rows, np.arange(nrows + 1)).tolist()
+    cols, vals = cols.tolist(), mat.values.tolist()
+    with open(path, "w") as f:
+        for i in range(nrows):
+            parts, at = [], 0
+            for k in range(bounds[i], bounds[i + 1]):
+                parts += (zeros[:2 * (cols[k] - at)], f"{vals[k]},")
+                at = cols[k] + 1
+            parts.append(zeros[:2 * (ncols - at)])
+            f.write("".join(parts)[:-1] + "\n")
 
 
 def cmd_build(args) -> int:

@@ -9,10 +9,11 @@ no floating point is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _as_exact, unit_hessenberg_det
+from ._exact import _as_exact, hyman_det, hyman_rows
 # unused here; bench/spans.py patches this name
 from ._exact import hessenberg_det  # noqa: F401
 from .errors import ContractError, ResourceLimitError, VerificationError
@@ -105,16 +106,20 @@ def _check_level(n: int) -> None:
 
 
 def _matrix_nonzeros(n: int):
-    """Rows, columns and values of the nonzeros of M_n, by the doubling rule.
+    """Rows, columns and values of the nonzeros of M_n in row-major order, by
+    the doubling rule.
 
     M_{k+1} holds two copies of M_k, the second shifted down and right by
     h + 1 (h = dim M_k), and three glue entries: (0, 2h) from -Y c0 X, (h, h - 1)
     from -X and (h + 1, h) from -Y.  Every value is -1; there are 2 dim - 1.
+    In row-major order the glue (0, 2h) follows the k - 1 entries of row 0 of
+    M_k, (0, 0) and the earlier glue, and the other two glue entries lie
+    between the copies.
     """
     rows, cols = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for h in map(mandelbrot_dim, range(2, n)):
-        rows = np.concatenate([rows, rows + h + 1, [0, h, h + 1]])
-        cols = np.concatenate([cols, cols + h + 1, [2 * h, h - 1, h]])
+    for k, h in enumerate(map(mandelbrot_dim, range(2, n)), start=2):
+        rows = np.concatenate([rows[:k - 1], [0], rows[k - 1:], [h, h + 1], rows + h + 1])
+        cols = np.concatenate([cols[:k - 1], [2 * h], cols[k - 1:], [h - 1, h], cols + h + 1])
     return rows, cols, np.full(len(rows), -1, dtype=_INT)
 
 
@@ -123,11 +128,9 @@ def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
     _check_level(n)
     d = mandelbrot_dim(n)
     rows, cols, vals = _matrix_nonzeros(n)
-    keys = rows * d + cols
-    order = np.argsort(keys)
     x, y = np.zeros((1, d), dtype=_INT), np.zeros((d, 1), dtype=_INT)
     x[0, d - 1] = y[0, 0] = 1
-    return MandelbrotMatrix(n, d, NonzeroMatrix((d, d), keys[order], vals[order]), x, y)
+    return MandelbrotMatrix(n, d, NonzeroMatrix((d, d), rows * d + cols, vals), x, y)
 
 
 def mandelbrot_poly_at(n: int, z):
@@ -166,12 +169,13 @@ def charpoly_identity(n: int, points) -> bool:
 
     M_n is read as its nonzeros, with no dense matrix; zI - M_n must be upper
     Hessenberg with a +-1 subdiagonal, or VerificationError is raised.  Only
-    its diagonal z - m_ii changes from point to point, and each determinant is
-    taken by Hyman's method (`unit_hessenberg_det`): additions and products of
-    one big integer with one entry, no division.  Numpy integer points are
-    taken as Python ints; wide ints and Fractions are exact too.
+    its diagonal z - m_ii changes from point to point: the rest is checked and
+    laid out once (`hyman_rows`), and each determinant is taken by Hyman's
+    method (`hyman_det`): additions and products of one big integer with one
+    entry, no division.  Every point is taken exactly (`_exact_point`).
     """
     _check_level(n)
+    points = [_exact_point(z) for z in points]
     d = mandelbrot_dim(n)
     r, c, v = _matrix_nonzeros(n)
     v = v.astype(np.int64)
@@ -181,12 +185,27 @@ def charpoly_identity(n: int, points) -> bool:
     m_diag[r[on_diag]] = v[on_diag]
     if (r > c + 1).any() or (np.abs(sub) != 1).any():
         raise VerificationError(f"M_{n} is not upper Hessenberg with a -1/+1 subdiagonal")
-    upper = list(zip(r[up].tolist(), c[up].tolist(), (-v[up]).tolist()))
-    sub, m_diag = (-sub).tolist(), m_diag.tolist()
-    for z in map(_as_exact, points):
-        if unit_hessenberg_det([z - a for a in m_diag], sub, upper) != mandelbrot_poly_at(n, z):
+    sub, above = hyman_rows(d, (-sub).tolist(),
+                            zip(r[up].tolist(), c[up].tolist(), (-v[up]).tolist()))
+    m_diag = m_diag.tolist()
+    for z in points:
+        if hyman_det([z - a for a in m_diag], sub, above) != mandelbrot_poly_at(n, z):
             return False
     return True
+
+
+def _exact_point(z):
+    """z as an exact number: a numpy integer as a Python int, a finite real
+    float as the Fraction it equals, anything else as is.  A complex, NaN or
+    infinite point raises ContractError: in floats, p_n(z) would round, and
+    overflow to inf on both sides of the identity."""
+    if isinstance(z, (complex, np.complexfloating)):
+        raise ContractError(f"the point {z!r} is complex; the identity is checked at real points")
+    if isinstance(z, (float, np.floating)):
+        if not np.isfinite(z):
+            raise ContractError(f"the point {z!r} is not finite")
+        return Fraction(*z.as_integer_ratio())
+    return _as_exact(z)
 
 
 @dataclass(eq=False)
@@ -252,20 +271,58 @@ def _inverse_nonzeros(n: int):
         if not _height1(vals):
             raise VerificationError(f"the inverse of M_{level} has an entry outside [-1, 1]")
         d = mandelbrot_dim(level)
-        cr_keys, cr_vals = _outer(c_rows, c_vals, r_cols, r_vals, dim)
-        bk, bv = _sum_by_key(np.r_[keys, cr_keys], np.r_[vals, cr_vals])  # inv + C R
-        lo = (d + 1) * dim  # offset of the lower block row
-        keys, vals = _sum_by_key(
-            np.r_[bk, c_rows * dim + d, d * dim + r_cols, d * dim + d, d * dim + d + 1 + r_cols,
-                  lo + cr_keys, lo + c_rows * dim + d, lo + d + 1 + bk],
-            np.r_[bv, c_vals, -r_vals, -1, r_vals, -cr_vals, -c_vals, bv].astype(_INT))
+        keys, vals = _next_level(keys, vals, c_rows, c_vals, r_cols, r_vals, d, dim)
         on_col, on_row = keys % dim == 0, keys >= 2 * d * dim
         new = keys[on_col] // dim, vals[on_col], keys[on_row] % dim, vals[on_row]
-        expect = np.r_[d, d + 1 + c_rows], np.r_[1, c_vals], np.r_[r_cols, d], np.r_[r_vals, 1]
+        expect = (np.concatenate([[d], d + 1 + c_rows]), np.concatenate([[1], c_vals]),
+                  np.concatenate([r_cols, [d]]), np.concatenate([r_vals, [1]]))
         if not all(map(np.array_equal, new, expect)):
             raise VerificationError(f"inverse recursion broke at level {level + 1}")
         c_rows, c_vals, r_cols, r_vals = new
     return keys, vals, (c_rows, c_vals), (r_cols, r_vals)
+
+
+def _next_level(keys, vals, c_rows, c_vals, r_cols, r_vals, d: int, dim: int):
+    """The nonzeros of the next level's inverse (dim 2 d + 1), from those of
+    inv (dim d) and of its first column C and last row R, all keyed with the
+    stride dim, by the block formula of `inverse_structure`.
+
+    The two copies of inv + C R are offset copies of one sorted list, and
+    they hold all but a few entries: C on column d, the middle row
+    [-R, -1, R] and -C [R, 1] at the lower left.  Those few are merged in
+    (`_add_sorted`): no sort.
+    """
+    bk, bv = _add_sorted(keys, vals, *_outer(c_rows, c_vals, r_cols, r_vals, dim))  # inv + C R
+    lo = (d + 1) * dim  # offset of the lower block row
+    left_keys, left_vals = _outer(c_rows, -c_vals, np.append(r_cols, d),
+                                  np.append(r_vals, _INT(1)), dim)  # -C [R, 1]
+    return _add_sorted(
+        np.concatenate([bk, lo + d + 1 + bk]), np.concatenate([bv, bv]),
+        np.concatenate([c_rows * dim + d, d * dim + r_cols, [d * dim + d],
+                        d * dim + d + 1 + r_cols, lo + left_keys]),
+        np.concatenate([c_vals, -r_vals, [-1], r_vals, left_vals]).astype(_INT))
+
+
+def _add_sorted(keys, vals, add_keys, add_vals):
+    """The sum of two nonzero lists, each with sorted unique keys, as one such
+    list: the values on a shared key are added in their own dtype and dropped
+    if they cancel, and every other entry of the second (short) list is
+    placed among those of the first."""
+    at = np.searchsorted(keys, add_keys)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == add_keys[hit]
+    miss = ~hit
+    # the place of each added entry in the result: past the entries of the
+    # first list below it and the added entries before it that are not hits
+    place = at + np.cumsum(miss) - miss
+    first = np.ones(len(keys) + np.count_nonzero(miss), dtype=bool)
+    first[place[miss]] = False
+    out_keys, out_vals = np.empty(len(first), keys.dtype), np.empty(len(first), vals.dtype)
+    out_keys[first], out_vals[first] = keys, vals
+    out_keys[place[miss]], out_vals[place[miss]] = add_keys[miss], add_vals[miss]
+    out_vals[place[hit]] += add_vals[hit]
+    keep = out_vals != 0
+    return out_keys[keep], out_vals[keep]
 
 
 def _height1(vals: np.ndarray) -> bool:
@@ -280,10 +337,13 @@ def _outer(rows, row_vals, cols, col_vals, stride: int):
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
     """Sort by key, add up the values of equal keys in their own dtype and
-    drop zero sums."""
-    order = np.argsort(keys)
+    drop zero sums.  The sort is stable (numpy's timsort for int64), which
+    merges runs that are already sorted in close to linear time."""
+    order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.ones(len(keys), dtype=bool)  # where a run of equal keys starts
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
     keys, vals = keys[first], np.add.reduceat(vals, first, dtype=vals.dtype)
     return keys[vals != 0], vals[vals != 0]
 
@@ -291,7 +351,10 @@ def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
 def _times_is_identity(m_rows, m_cols, m_vals, keys, vals, dim: int) -> bool:
     """M @ inv == I exactly, from M's nonzeros and inv's sorted keys and values:
     each M[r, c] meets the nonzeros of row c of inv, and the products are
-    summed per key in int64, where a sum of dim terms cannot wrap."""
+    summed per key in int64, where a sum of dim terms cannot wrap.  Taken in
+    M's row-major order, the products come grouped by row, each group a few
+    sorted runs, which the stable sort in `_sum_by_key` merges; any order
+    gives the same answer."""
     inv_rows, inv_cols = np.divmod(keys, dim)
     start = np.searchsorted(inv_rows, np.arange(dim + 1))
     count = start[m_cols + 1] - start[m_cols]

@@ -49,6 +49,13 @@ def test_reduced_pass_of_each_workload_passes_traced(name):
     assert recorded
 
 
+def test_full_mandelbrot_pass_passes():
+    # the benchmark's timed pass: levels 12-14 and the level-11 charpoly identity
+    ops = workloads.Mandelbrot(seed=0).run_pass()
+    assert [op.name for op in ops] == ["level_12", "level_13", "level_14", "charpoly_11"]
+    assert all(op.ok and op.error is None for op in ops), ops
+
+
 def test_tracer_reads_the_size_of_the_mandelbrot_outputs():
     n = 14
     dim = mandelbrot_dim(n)

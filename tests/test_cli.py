@@ -281,6 +281,31 @@ def test_mandelbrot_out_writes_m_above_the_print_size(capsys, tmp_path):
     assert json.loads((tmp_path / "m7_report.json").read_text())["dim"] == 63
 
 
+def test_mandelbrot_out_csv_is_the_text_of_the_dense_rows(capsys, tmp_path):
+    for n in range(2, 9):
+        code, _, _ = run(capsys, "--out", str(tmp_path), "mandelbrot", str(n))
+        assert code == 0
+        for name, held in ((f"m{n}.csv", mp.mandelbrot_matrix(n).entries),
+                           (f"m{n}_inverse.csv", mp.inverse_structure(n).inverse)):
+            want = "\n".join(",".join(str(int(v)) for v in row) for row in held.toarray())
+            assert (tmp_path / name).read_bytes() == (want + "\n").encode(), name
+
+
+def test_mandelbrot_out_builds_no_dense_matrix_or_text(capsys, tmp_path):
+    import tracemalloc
+    dim = mp.mandelbrot_matrix(12).dim
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "--out", str(tmp_path), "mandelbrot", "12")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and (tmp_path / "m12_inverse.csv").stat().st_size > 2 * dim ** 2
+    # as without --out: Hyman's big integers; a dense int8 copy would add
+    # dim^2 and the text of one file 2 dim^2
+    assert peak <= 0.5 * dim ** 2
+
+
 def test_quintic_reports_residual_dtype(capsys, tmp_path):
     from matpencil import experiments
     wide = np.dtype(experiments._WIDE).name

@@ -331,6 +331,46 @@ def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
         assert not mp.charpoly_identity(5, [z])
 
 
+def test_charpoly_identity_takes_float_points_exactly(monkeypatch):
+    # a finite float is the Fraction it equals; in float64 both sides at 3.0
+    # overflow to inf and compare equal, and 0.5 compared unequal
+    for z in (0.5, np.float64(0.5), np.float32(0.5), -2.0, 3.0, np.float64(3)):
+        assert mp.charpoly_identity(11, [z]), z
+    _plant(monkeypatch, (0, -1), 0)  # drop the top-right glue entry
+    for z in (0.5, 3.0, np.float64(3)):
+        assert not mp.charpoly_identity(11, [z]), z
+
+
+@pytest.mark.parametrize("z", [1j, complex(3, 0), np.complex64(2), float("nan"), float("inf"),
+                               -np.inf, np.float32("nan")],
+                         ids=["1j", "3+0j", "complex64", "nan", "inf", "-inf", "float32_nan"])
+def test_charpoly_identity_rejects_complex_and_non_finite_points(z):
+    with pytest.raises(ContractError, match="complex|not finite"):
+        mp.charpoly_identity(5, [2, z])
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_charpoly_identity_at_the_benchmark_and_cli_levels(n):
+    assert mp.charpoly_identity(n, range(-3, 4))
+
+
+def test_charpoly_identity_negative_control_at_level_12(monkeypatch):
+    _plant(monkeypatch, (0, -1), 0)  # drop the top-right glue entry
+    for z in range(-3, 4):
+        assert not mp.charpoly_identity(12, [z]), z
+
+
+def test_charpoly_identity_lays_out_hymans_rows_once_per_call(monkeypatch):
+    from matpencil import mandelbrot
+    calls = []
+    for name in ("hyman_rows", "hyman_det"):
+        real = getattr(mandelbrot, name)
+        monkeypatch.setattr(mandelbrot, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert mp.charpoly_identity(6, range(-3, 4))
+    assert calls == ["hyman_rows"] + ["hyman_det"] * 7
+
+
 def test_charpoly_identity_at_numpy_integer_points():
     # p_7(3) is about 1.6e34: in int64 it would wrap around without an error
     assert mp.mandelbrot_poly_at(7, np.int64(3)) == mp.mandelbrot_poly_at(7, 3) > 2 ** 63
@@ -367,16 +407,16 @@ def test_inverse_outside_unit_range_raises_below_the_top_level(monkeypatch):
 
 def test_recursion_check_sees_a_changed_value(monkeypatch):
     from matpencil import mandelbrot
-    real, calls = mandelbrot._sum_by_key, []
+    real, calls = mandelbrot._next_level, []
 
-    def negate_second(keys, vals):
-        # the second call assembles M_3's inverse; its entries keep their
+    def negate_first(*args):
+        # the first call assembles M_3's inverse; its entries keep their
         # places and every value changes sign
-        keys, vals = real(keys, vals)
+        keys, vals = real(*args)
         calls.append(len(keys))
-        return (keys, -vals) if len(calls) == 2 else (keys, vals)
+        return (keys, -vals) if len(calls) == 1 else (keys, vals)
 
-    monkeypatch.setattr(mandelbrot, "_sum_by_key", negate_second)
+    monkeypatch.setattr(mandelbrot, "_next_level", negate_first)
     with pytest.raises(VerificationError, match="inverse recursion broke at level 3"):
         mandelbrot.inverse_structure(4)
 
@@ -505,7 +545,7 @@ def test_level_14_is_built_without_a_dense_array(build):
     held = out.entries if matrix else out.inverse
     assert held.shape == (dim, dim) and held[dim - 1, 0] == (0 if matrix else -1)
     assert matrix or (out.zero_block_ok and out.height1)
-    # every level, every check and the output are nonzeros: about 86 (M_n)
+    # every level, every check and the output are nonzeros: about 68 (M_n)
     # and 280 (inverse) bytes per row, where a dense int8 array takes dim
     assert peak <= 512 * dim
 
@@ -566,5 +606,49 @@ def test_matrix_nonzeros_are_those_of_the_int64_reference():
         ref = _int64_matrix_reference(n)
         dim = len(ref)
         assert len(vals) == 2 * dim - 1 and vals.dtype == np.int8 and (vals == -1).all()
-        keys = rows * dim + cols
-        assert np.array_equal(np.sort(keys), np.flatnonzero(ref))  # each nonzero once
+        # each nonzero once, in row-major order
+        assert np.array_equal(rows * dim + cols, np.flatnonzero(ref))
+
+
+# sha256 of the little-endian bytes of the keys and values of M_n and of its
+# inverse, recorded from the dense-era code (the int64 references above stop
+# at n = 12)
+DIGESTS = {
+    13: ("a938ef4746e234fcebce9c5cd1bafb4c91fda73d6c995550777c6bcb8a69a895",
+         "45ad96bb167d65ed2e278d035dc1cde27a240b492530644f6e31edd5379e72e7",
+         "ec902a63b4df29fefb8522925abbde7c7aa7528e5edaa75bb57fb42bb28bed2d",
+         "0725a572617496f4549d5d3e31526cb0f803e1141ea82da4858af3671fba6954"),
+    14: ("dca5b5eefaccaa0a527749e8475d039959022385e9eabeb54b44dd66cb8e8d9a",
+         "54c75bb8226d67d24bc07e50955a1a21daf9c2bee270f31bb49e15388418906b",
+         "75961042a7b0dbd44191e3257dd99c21c49e7cbdff378a3c37853085d26502ca",
+         "edd0ac1aa5c102ff5edca9f4ae207b8976a7f60986f53a7f3510f0b805c5e912"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIGESTS))
+def test_outputs_at_the_top_levels_keep_their_digests(n):
+    import hashlib
+    m, rep = mp.mandelbrot_matrix(n).entries, mp.inverse_structure(n)
+    arrays = (m.keys.astype("<i8"), m.values, rep.inverse.keys.astype("<i8"), rep.inverse.values)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == DIGESTS[n]
+    assert rep.corner_value == -1 and rep.zero_block_ok and rep.height1
+
+
+def test_add_sorted_equals_a_dictionary_sum():
+    from matpencil import mandelbrot
+    rng = np.random.default_rng(3)
+    for size, extra in [(0, 0), (0, 4), (5, 0), (1, 1), (40, 12), (200, 30)]:
+        for _ in range(20):
+            keys = np.sort(rng.choice(300, size, replace=False)).astype(np.int64)
+            add_keys = np.sort(rng.choice(300, extra, replace=False)).astype(np.int64)
+            vals = rng.choice(np.array([-1, 1], np.int8), size)
+            add_vals = rng.choice(np.array([-1, 1], np.int8), extra)
+            want = dict(zip(keys.tolist(), vals.tolist()))
+            for k, v in zip(add_keys.tolist(), add_vals.tolist()):
+                want[k] = want.get(k, 0) + v
+            want = sorted((k, v) for k, v in want.items() if v)
+            before = vals.copy()
+            got_keys, got_vals = mandelbrot._add_sorted(keys, vals, add_keys, add_vals)
+            assert got_vals.dtype == np.int8
+            assert list(zip(got_keys.tolist(), got_vals.tolist())) == want
+            assert np.array_equal(vals, before)  # the inputs are left as they were

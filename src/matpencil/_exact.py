@@ -1,107 +1,47 @@
 """Exact integer and rational linear algebra used by the big-integer code paths.
 
 Everything here works on plain Python ints / Fractions (arbitrary precision);
-no floating point enters these routines.  `hessenberg_det` also takes a numpy
-array, and `unit_hessenberg_det` numpy integer entries; both turn them into
-Python ints before any arithmetic.
+no floating point enters these routines.  There is one Hessenberg
+determinant, Hyman's (`hessenberg_det`), for upper Hessenberg matrices with a
+±1 subdiagonal laid out by `unit_hessenberg`; `exact_det` takes it when the
+layout exists and Bareiss elimination (`bareiss_det`) otherwise, after
+turning numpy integer entries into Python ints.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError
 
+def unit_hessenberg(n: int, rows, cols, vals):
+    """Hyman's layout (diag, sub, above) of the n x n matrix H whose nonzeros
+    are H[rows[k], cols[k]] = vals[k], or None unless H is upper Hessenberg
+    with a ±1 subdiagonal.
 
-def is_upper_hessenberg(rows):
-    n = len(rows)
-    return all(rows[i][j] == 0 for i in range(n) for j in range(n) if i > j + 1)
-
-
-def hessenberg_det(rows):
-    """Determinant of an upper Hessenberg matrix via the leading-minor recurrence.
-
-    Takes a list of lists or a 2-D numpy integer or object array; entries
-    below the subdiagonal are ignored.  Expanding the (k+1)-th leading minor
-    along its last column k, the cofactor of a nonzero entry (r, k) is the
-    r-th minor times the product of the subdiagonal entries s_{r+1} .. s_k.
-    Those products are quotients of prefix products that restart at every
-    zero subdiagonal entry (a zero s_j cancels every term with r < j), so
-    only the nonzero entries are visited: O(n + nnz) exact multiplications
-    on Python ints or Fractions.
+    rows, cols and vals are numpy arrays, one entry per position; vals has a
+    numpy integer dtype or holds Python ints and Fractions (dtype object).
+    diag lists the n entries H_ii, sub the n - 1 entries H_{i,i-1} as 1 or -1,
+    and above[i] the pairs (j, H_ij) of row i's nonzeros right of the diagonal.
     """
-    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    n = len(a)
-    if n == 0:
-        return 1
-    # nonzeros in column-major order: C order sorted stably by column keeps
-    # rows ascending (a flat scan of a boolean mask is numpy's fastest way to find them)
-    r_idx, c_idx = np.divmod(np.flatnonzero(a.astype(bool)), n)
-    order = np.argsort(c_idx, kind="stable")
-    r_idx, c_idx = r_idx[order], c_idx[order]
-    vals = [_as_exact(v) for v in a[r_idx, c_idx].tolist()]
-    bounds = np.searchsorted(c_idx, np.arange(n + 1)).tolist()  # column k: bounds[k]:bounds[k+1]
-    r_idx = r_idx.tolist()
-    minors = [1]   # minors[k]: determinant of the leading k x k block
-    prefix = [1]   # prefix[j]: s_{start+1} * ... * s_j
-    start = 0      # last j <= k with s_j == 0, or 0
-    sub = 0        # s_k = entry (k, k-1), read from column k-1
-    for k in range(n):
-        if k:
-            if sub:
-                prefix.append(prefix[k - 1] * sub)
-            else:
-                prefix.append(1)
-                start = k
-        total, sub = 0, 0
-        for pos in range(bounds[k], bounds[k + 1]):
-            r, v = r_idx[pos], vals[pos]
-            if r == k + 1:
-                sub = v
-            elif start <= r <= k:
-                term = v * minors[r]
-                if r < k:
-                    term = term * _exact_quotient(prefix[k], prefix[r])
-                total = total - term if (k - r) & 1 else total + term
-        minors.append(total)
-    return minors[n]
-
-
-def unit_hessenberg_det(diag, sub, upper):
-    """Determinant of an upper Hessenberg matrix H whose subdiagonal is all ±1,
-    by Hyman's method.
-
-    diag holds the n diagonal entries H_ii, sub the n - 1 subdiagonal entries
-    s_i = H_{i,i-1} (each 1 or -1), and upper the strictly upper nonzeros as
-    (i, j, H_ij) triples with i < j, in any order.  A subdiagonal entry other
-    than ±1, or an "upper" entry on or below the diagonal, raises
-    ContractError.  The work is split in two: `hyman_rows` checks and buckets
-    the off-diagonal part, `hyman_det` runs the recurrence; a caller that
-    takes the determinant at many diagonals calls the first once.
-    """
-    return hyman_det([_as_exact(v) for v in diag], *hyman_rows(len(diag), sub, upper))
-
-
-def hyman_rows(n: int, sub, upper):
-    """The off-diagonal part of an n x n Hessenberg matrix with a ±1
-    subdiagonal, checked and laid out for `hyman_det`: sub as a list of ±1,
-    and the strictly upper (i, j, H_ij) triples as one list per row i of
-    (j, H_ij) pairs, each entry an exact Python number.  Raises ContractError
-    as `unit_hessenberg_det` does."""
-    sub = list(sub)
-    if len(sub) != max(n - 1, 0) or not set(sub) <= {1, -1}:
-        raise ContractError("the subdiagonal must hold n - 1 entries, each 1 or -1")
+    on_sub = rows == cols + 1
+    s = vals[on_sub]
+    if (rows > cols + 1).any() or len(s) != max(n - 1, 0) or (np.abs(s) != 1).any():
+        return None
+    sub = np.empty(len(s), dtype=np.int64)
+    sub[cols[on_sub]] = np.where(s == 1, 1, -1)
+    on_diag, up = rows == cols, rows < cols
+    diag = np.zeros(n, dtype=vals.dtype)
+    diag[rows[on_diag]] = vals[on_diag]
     above = [[] for _ in range(n)]
-    for i, j, v in upper:
-        if not 0 <= i < j < n:
-            raise ContractError(f"entry ({i}, {j}) is not strictly upper in a {n} x {n} matrix")
-        above[i].append((j, _as_exact(v)))
-    return sub, above
+    for i, j, v in zip(rows[up].tolist(), cols[up].tolist(), vals[up].tolist()):
+        above[i].append((j, v))
+    return diag.tolist(), sub.tolist(), above
 
 
-def hyman_det(diag, sub, above):
-    """det H by Hyman's recurrence, from H's diagonal (exact Python numbers)
-    and its off-diagonal part as laid out by `hyman_rows`.
+def hessenberg_det(diag, sub, above):
+    """det H of an upper Hessenberg matrix H with a ±1 subdiagonal, by
+    Hyman's method, from its layout by `unit_hessenberg` (the diagonal may be
+    replaced by any list of n exact Python numbers).
 
     With x_{n-1} = 1 and
 
@@ -169,10 +109,21 @@ def bareiss_det(rows):
 
 
 def exact_det(rows):
-    """Exact determinant; picks the Hessenberg recurrence when it applies."""
-    if is_upper_hessenberg(rows):
-        return hessenberg_det(rows)
-    return bareiss_det(rows)
+    """Exact determinant of a square matrix of ints, Fractions or numpy
+    integers (taken as Python ints, so nothing wraps), given as rows: by
+    Hyman's method when it is upper Hessenberg with a ±1 subdiagonal (a
+    Mandelbrot pencil, a scalar companion), by Bareiss elimination otherwise.
+    """
+    n = len(rows)
+    a = np.array(rows, dtype=object).reshape(n, n)
+    r, c = np.nonzero(a)
+    vals = np.array([_as_exact(v) for v in a[r, c]], dtype=object)
+    layout = unit_hessenberg(n, r, c, vals)
+    if layout is not None:
+        return hessenberg_det(*layout)
+    exact = np.zeros((n, n), dtype=object)  # Python int zeros, never numpy ones
+    exact[r, c] = vals
+    return bareiss_det(exact.tolist())
 
 
 def newton_interp(xs, ys):

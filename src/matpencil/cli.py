@@ -66,7 +66,10 @@ def eigen_csv(report) -> str:
     return "\n".join(rows) + "\n"
 
 
-def eigen_svg(report, size: int = 640) -> str:
+_SVG_SIZE = 640
+
+
+def eigen_svg(report) -> str:
     """Minimal scatter plot of the finite eigenvalues."""
     pts = np.asarray(report.finite)
     if pts.size:
@@ -77,16 +80,16 @@ def eigen_svg(report, size: int = 640) -> str:
     span = hi - lo or 1.0
 
     def sx(v):
-        return (v - lo) / span * size
+        return (v - lo) / span * _SVG_SIZE
 
     def sy(v):
-        return size - (v - lo) / span * size
+        return _SVG_SIZE - (v - lo) / span * _SVG_SIZE
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>',
-             f'<line x1="0" y1="{sy(0):.2f}" x2="{size}" y2="{sy(0):.2f}" stroke="#999"/>',
-             f'<line x1="{sx(0):.2f}" y1="0" x2="{sx(0):.2f}" y2="{size}" stroke="#999"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+             f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+             f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
+             f'<line x1="0" y1="{sy(0):.2f}" x2="{_SVG_SIZE}" y2="{sy(0):.2f}" stroke="#999"/>',
+             f'<line x1="{sx(0):.2f}" y1="0" x2="{sx(0):.2f}" y2="{_SVG_SIZE}" stroke="#999"/>']
     order = np.lexsort((pts.imag, pts.real)) if pts.size else []
     for i in order:
         parts.append(f'<circle cx="{sx(pts[i].real):.3f}" cy="{sy(pts[i].imag):.3f}" '

@@ -13,9 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _as_exact, hyman_det, hyman_rows
-# unused here; bench/spans.py patches this name
-from ._exact import hessenberg_det  # noqa: F401
+from ._exact import _as_exact, hessenberg_det, unit_hessenberg
 from .errors import ContractError, ResourceLimitError, VerificationError
 
 #: highest level built (dim 8191).  The outputs are held as their nonzeros at
@@ -169,27 +167,20 @@ def charpoly_identity(n: int, points) -> bool:
 
     M_n is read as its nonzeros, with no dense matrix; zI - M_n must be upper
     Hessenberg with a +-1 subdiagonal, or VerificationError is raised.  Only
-    its diagonal z - m_ii changes from point to point: the rest is checked and
-    laid out once (`hyman_rows`), and each determinant is taken by Hyman's
-    method (`hyman_det`): additions and products of one big integer with one
+    its diagonal z - m_ii changes from point to point: -M_n is laid out once
+    (`unit_hessenberg`), and each determinant is taken by Hyman's method
+    (`hessenberg_det`): additions and products of one big integer with one
     entry, no division.  Every point is taken exactly (`_exact_point`).
     """
     _check_level(n)
     points = [_exact_point(z) for z in points]
-    d = mandelbrot_dim(n)
     r, c, v = _matrix_nonzeros(n)
-    v = v.astype(np.int64)
-    on_diag, on_sub, up = r == c, r == c + 1, r < c
-    sub, m_diag = np.zeros(d - 1, dtype=np.int64), np.zeros(d, dtype=np.int64)
-    sub[c[on_sub]] = v[on_sub]
-    m_diag[r[on_diag]] = v[on_diag]
-    if (r > c + 1).any() or (np.abs(sub) != 1).any():
+    layout = unit_hessenberg(mandelbrot_dim(n), r, c, -v.astype(np.int64))
+    if layout is None:
         raise VerificationError(f"M_{n} is not upper Hessenberg with a -1/+1 subdiagonal")
-    sub, above = hyman_rows(d, (-sub).tolist(),
-                            zip(r[up].tolist(), c[up].tolist(), (-v[up]).tolist()))
-    m_diag = m_diag.tolist()
+    diag, sub, above = layout
     for z in points:
-        if hyman_det([z - a for a in m_diag], sub, above) != mandelbrot_poly_at(n, z):
+        if hessenberg_det([z + a for a in diag], sub, above) != mandelbrot_poly_at(n, z):
             return False
     return True
 

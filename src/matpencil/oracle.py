@@ -64,17 +64,20 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
     return DetEquality(worst <= tol, worst, n_points)
 
 
-def scalar_roots(coeffs, trim_tol: float = 1e-10):
+_TRIM_TOL = 1e-10
+
+
+def scalar_roots(coeffs):
     """Roots of a scalar polynomial, companion-matrix eigenvalues of the monic form.
 
-    Leading coefficients below trim_tol * max|coeff| are dropped first, which
+    Leading coefficients below _TRIM_TOL * max|coeff| are dropped first, which
     is how spurious (infinite) degrees of interpolated characteristic
     polynomials get discarded.
     """
     arr = np.asarray(coeffs, dtype=complex)
     if arr.size == 0 or not np.any(arr != 0):
         raise ContractError("polynomial is identically zero")
-    cutoff = trim_tol * float(np.abs(arr).max())
+    cutoff = _TRIM_TOL * float(np.abs(arr).max())
     deg = arr.size - 1
     while deg > 0 and abs(arr[deg]) <= cutoff:
         deg -= 1

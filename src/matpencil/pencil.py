@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import exact_det
+from ._exact import _as_exact, exact_det
 from .errors import ContractError, DegenerateInputError, SpectrumError, StructuralError
 from .matpoly import _common, eval_at
 
@@ -93,7 +93,8 @@ def _is_exact(arr: np.ndarray) -> bool:
 
 
 def pencil_det_at(p: Pencil, z: complex):
-    """det(z*D - A); exact when the pencil and z are integers/rationals."""
+    """det(z*D - A); exact when the pencil and z are (numpy) integers or rationals."""
+    z = _as_exact(z)
     if _is_exact(p.D) and _is_exact(p.A) and isinstance(z, (int, Fraction)):
         d = p.D.tolist()
         a = p.A.tolist()

@@ -4,6 +4,7 @@ outputs (bench/workloads.py).  A cleanup that drops one of those names, or
 changes what the workloads read, must fail here, not first in the
 benchmark's own runs."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -51,9 +52,31 @@ def test_reduced_pass_of_each_workload_passes_traced(name):
 
 def test_full_mandelbrot_pass_passes():
     # the benchmark's timed pass: levels 12-14 and the level-11 charpoly identity
-    ops = workloads.Mandelbrot(seed=0).run_pass()
+    tracer = spans.Tracer()
+    ops = tracer.run(lambda: workloads.Mandelbrot(seed=0).run_pass())
     assert [op.name for op in ops] == ["level_12", "level_13", "level_14", "charpoly_11"]
     assert all(op.ok and op.error is None for op in ops), ops
+    # one exact determinant per point of -3..3, each seen by the tracer
+    metrics = tracer.layer_metrics(0.0)
+    assert metrics["exact.hessenberg_det.calls"] == (7, "count")
+    assert metrics["exact.hessenberg_det.self_s"][0] > 0
+
+
+def test_every_unused_import_in_src_is_patched_by_the_tracer():
+    # a `# noqa: F401` import is kept only for a PATCHES entry to replace;
+    # it must go when that entry goes
+    patched = {(getattr(where, "__name__", None), attr) for where, attr, _, _ in spans.PATCHES}
+    shims = []
+    for path in sorted(Path(mp.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and any(
+                    "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                shims += [(f"matpencil.{path.stem}", alias.asname or alias.name)
+                          for alias in node.names]
+    assert shims
+    assert [shim for shim in shims if shim not in patched] == []
 
 
 def test_tracer_reads_the_size_of_the_mandelbrot_outputs():

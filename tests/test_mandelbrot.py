@@ -70,12 +70,12 @@ def test_charpoly_identity_small_levels():
 
 
 def test_charpoly_identity_negative_control():
-    from matpencil._exact import hessenberg_det
+    from matpencil._exact import exact_det
     m = [row[:] for row in mp.mandelbrot_matrix(4).entries.toarray().tolist()]
     m[0][6] = 0  # drop the top-right glue entry
     z = 2
     rows = [[(z if i == j else 0) - m[i][j] for j in range(7)] for i in range(7)]
-    assert hessenberg_det(rows) != mp.mandelbrot_poly_at(4, z)
+    assert exact_det(rows) != mp.mandelbrot_poly_at(4, z)
 
 
 def test_inverse_structure_level3_display():
@@ -221,34 +221,54 @@ def _random_hessenberg(rng, n, fractions):
     return [[entry() if i <= j + 1 else 0 for j in range(n)] for i in range(n)]
 
 
+def _nonzeros(rows):
+    """Rows, columns and (dtype object) values of the nonzeros of a square
+    matrix given as rows, in row-major order."""
+    a = np.array(rows, dtype=object).reshape(len(rows), len(rows))
+    r, c = np.nonzero(a)
+    return r, c, a[r, c]
+
+
+def _layout(rows):
+    from matpencil._exact import unit_hessenberg
+    return unit_hessenberg(len(rows), *_nonzeros(rows))
+
+
 @pytest.mark.parametrize("fractions", [False, True])
 def test_hessenberg_det_matches_dense_recurrence(fractions):
-    from matpencil._exact import hessenberg_det
+    # zero and non-unit subdiagonal entries: no Hyman layout, exact_det takes Bareiss
+    from matpencil._exact import exact_det, hessenberg_det
     rng = np.random.default_rng(11 + fractions)
     for n in range(13):
         for _ in range(25):
             rows = _random_hessenberg(rng, n, fractions)
             want = _dense_hessenberg_det(rows)
-            assert hessenberg_det(rows) == want
-            assert hessenberg_det(np.array(rows, dtype=object).reshape(n, n)) == want
+            assert exact_det(rows) == want
+            assert exact_det(np.array(rows, dtype=object).reshape(n, n)) == want
             if not fractions:
-                got = hessenberg_det(np.array(rows, dtype=np.int64).reshape(n, n))
+                got = exact_det(np.array(rows, dtype=np.int64).reshape(n, n))
                 assert got == want and type(got) is int
+            layout = _layout(rows)
+            assert (layout is None) == any(rows[i][i - 1] not in (1, -1) for i in range(1, n))
+            assert layout is None or hessenberg_det(*layout) == want
 
 
 def test_hessenberg_det_of_numpy_integers_is_an_exact_python_int():
-    from matpencil._exact import hessenberg_det
+    from matpencil._exact import exact_det
     for dtype in (np.int8, np.int64):
-        got = hessenberg_det(np.diag(np.full(40, 7, dtype=dtype)))
+        got = exact_det(np.diag(np.full(40, 7, dtype=dtype)))
         assert got == 7 ** 40 > 2 ** 63 and type(got) is int
-    # numpy scalars inside an object array are widened too
-    rows = np.empty((40, 40), dtype=object)
-    rows[:] = np.int64(0)
-    for i in range(40):
-        rows[i, i] = np.int64(7)
-        if i:
-            rows[i, i - 1] = np.int64(1)
-    assert hessenberg_det(rows) == 7 ** 40
+    # numpy scalars inside an object array are widened too, on Hyman's path
+    # (subdiagonal 1) and on Bareiss's (subdiagonal 0)
+    for sub in (np.int64(1), np.int64(0)):
+        rows = np.empty((40, 40), dtype=object)
+        rows[:] = np.int64(0)
+        for i in range(40):
+            rows[i, i] = np.int64(7)
+            if i:
+                rows[i, i - 1] = sub
+        got = exact_det(rows)
+        assert got == 7 ** 40 and type(got) is int
 
 
 def test_matrix_and_inverse_equal_int64_recursions():
@@ -322,6 +342,14 @@ def test_nonzero_matrix_densifies_on_demand_and_is_read_only():
     assert mp.pencil_det_at(p, 2) == mp.mandelbrot_poly_at(4, 2)
 
 
+def test_pencil_det_at_a_numpy_integer_point_is_exact():
+    m8 = mp.mandelbrot_matrix(8)
+    p = mp.Pencil(np.eye(m8.dim, dtype=np.int64), m8.entries)
+    got = mp.pencil_det_at(p, np.int64(3))
+    assert type(got) is int and got == mp.pencil_det_at(p, 3) == mp.mandelbrot_poly_at(8, 3)
+    assert got > 2 ** 200
+
+
 def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
     # points whose zI - M does not fit int8 take the exact object path
     points = [-129, -128, 126, 127, 1000, 2 ** 70, Fraction(1, 3)]
@@ -363,12 +391,12 @@ def test_charpoly_identity_negative_control_at_level_12(monkeypatch):
 def test_charpoly_identity_lays_out_hymans_rows_once_per_call(monkeypatch):
     from matpencil import mandelbrot
     calls = []
-    for name in ("hyman_rows", "hyman_det"):
+    for name in ("unit_hessenberg", "hessenberg_det"):
         real = getattr(mandelbrot, name)
         monkeypatch.setattr(mandelbrot, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
     assert mp.charpoly_identity(6, range(-3, 4))
-    assert calls == ["hyman_rows"] + ["hyman_det"] * 7
+    assert calls == ["unit_hessenberg"] + ["hessenberg_det"] * 7
 
 
 def test_charpoly_identity_at_numpy_integer_points():
@@ -450,53 +478,56 @@ def _unit_hessenberg(rng, n, diag_kind):
     return rows
 
 
-def _split(rows):
-    """(diag, sub, upper) of an upper Hessenberg matrix given as rows."""
-    n = len(rows)
-    return ([rows[i][i] for i in range(n)], [rows[i][i - 1] for i in range(1, n)],
-            [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j]])
-
-
 @pytest.mark.parametrize("diag_kind", ["zero", "small", "wide", "fraction"])
-def test_unit_hessenberg_det_matches_both_recurrences(diag_kind):
-    from matpencil._exact import hessenberg_det, unit_hessenberg_det
+def test_unit_hessenberg_det_matches_both_recurrences(diag_kind, monkeypatch):
+    from matpencil import _exact
+    from matpencil._exact import exact_det, hessenberg_det, unit_hessenberg
+    # exact_det takes Hyman's method here, never Bareiss
+    monkeypatch.setattr(_exact, "bareiss_det", None)
     rng = np.random.default_rng(("zero", "small", "wide", "fraction").index(diag_kind))
     for n in range(41):
         for _ in range(3):
             rows = _unit_hessenberg(rng, n, diag_kind)
             want = _dense_hessenberg_det(rows)
-            assert hessenberg_det(rows) == want
-            diag, sub, upper = _split(rows)
-            assert unit_hessenberg_det(diag, sub, upper) == want
-            # any order of the upper entries, numpy integers anywhere but the diagonal
-            shuffled = [upper[k] for k in rng.permutation(len(upper))]
-            assert unit_hessenberg_det(diag, np.array(sub, dtype=np.int8),
-                                       [(i, j, np.int64(v)) for i, j, v in shuffled]) == want
+            assert exact_det(rows) == want
+            assert hessenberg_det(*_layout(rows)) == want
+            # the nonzeros in any order, as numpy integers where they fit
+            r, c, v = _nonzeros(rows)
+            order = rng.permutation(len(r))
+            r, c, v = r[order], c[order], v[order]
+            if diag_kind in ("zero", "small"):
+                v = v.astype(np.int64)
+            assert hessenberg_det(*unit_hessenberg(n, r, c, v)) == want
 
 
 def test_unit_hessenberg_det_of_numpy_diagonal_is_an_exact_python_int():
-    from matpencil._exact import unit_hessenberg_det
-    got = unit_hessenberg_det(np.full(40, 7, dtype=np.int64), [1] * 39, [])
+    from matpencil._exact import hessenberg_det, unit_hessenberg
+    i = np.arange(40)
+    vals = np.r_[np.full(40, 7), np.ones(39, dtype=np.int64)]
+    got = hessenberg_det(*unit_hessenberg(40, np.r_[i, i[1:]], np.r_[i, i[:-1]], vals))
     assert got == 7 ** 40 and type(got) is int
 
 
 @pytest.mark.parametrize("bad", [0, 2])
 def test_unit_hessenberg_det_rejects_a_non_unit_subdiagonal(bad):
-    from matpencil._exact import unit_hessenberg_det
+    # no Hyman layout: exact_det takes Bareiss
+    from matpencil._exact import exact_det
     rows = _unit_hessenberg(np.random.default_rng(5), 6, "small")
-    diag, sub, upper = _split(rows)
-    sub[3] = bad
-    with pytest.raises(ContractError, match="subdiagonal"):
-        unit_hessenberg_det(diag, sub, upper)
+    rows[4][3] = bad
+    assert _layout(rows) is None
+    assert exact_det(rows) == _dense_hessenberg_det(rows)
 
 
 def test_unit_hessenberg_det_rejects_misplaced_entries():
-    from matpencil._exact import unit_hessenberg_det
-    with pytest.raises(ContractError, match="subdiagonal"):
-        unit_hessenberg_det([1, 2, 3], [1], [])  # one subdiagonal entry short
-    for bad in [(1, 1, 5), (2, 0, 5), (0, 3, 5)]:  # diagonal, below, outside
-        with pytest.raises(ContractError, match="not strictly upper"):
-            unit_hessenberg_det([1, 2, 3], [1, -1], [bad])
+    from matpencil._exact import unit_hessenberg
+    rows, cols = np.array([0, 1, 2, 1, 2]), np.array([0, 1, 2, 0, 1])
+    vals = np.array([1, 2, 3, 1, -1])
+    assert unit_hessenberg(3, rows, cols, vals) == ([1, 2, 3], [1, -1], [[], [], []])
+    # one subdiagonal entry short; a stored zero there
+    assert unit_hessenberg(3, rows[:4], cols[:4], vals[:4]) is None
+    assert unit_hessenberg(3, rows, cols, np.r_[vals[:4], 0]) is None
+    # an entry below the subdiagonal
+    assert unit_hessenberg(3, np.r_[rows, 2], np.r_[cols, 0], np.r_[vals, 5]) is None
 
 
 @pytest.mark.parametrize("where, value", [((1, 0), 0), ((5, 4), 0), ((5, 4), 2), ((6, 0), -1)],

@@ -1,16 +1,27 @@
 """Exact integer and rational linear algebra used by the big-integer code paths.
 
 Everything here works on plain Python ints / Fractions (arbitrary precision);
-no floating point enters these routines.  There is one Hessenberg
-determinant, Hyman's (`hessenberg_det`), for upper Hessenberg matrices with a
-±1 subdiagonal laid out by `unit_hessenberg`; `exact_det` takes it when the
-layout exists and Bareiss elimination (`bareiss_det`) otherwise, after
-turning numpy integer entries into Python ints.
+no floating point enters these routines.  `exact_point` is the one rule for
+what a point means on exact data.  `pencil_dets` is the one exact pencil
+determinant: Hyman's method (`hessenberg_det`, from the `unit_hessenberg`
+layout) when zD - A is upper Hessenberg with a ±1 subdiagonal and D is
+diagonal, Bareiss elimination (`bareiss_det`) otherwise.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+
+def exact_point(z):
+    """z as an exact number: an int or Fraction as is, a numpy integer as a
+    Python int (no wrap-around), a finite real float as the Fraction it
+    equals; None for a complex, NaN or infinite point."""
+    if isinstance(z, (float, np.floating)):
+        return Fraction(*z.as_integer_ratio()) if np.isfinite(z) else None
+    if isinstance(z, np.integer):
+        return int(z)
+    return z if isinstance(z, (int, Fraction)) else None
 
 
 def unit_hessenberg(n: int, rows, cols, vals):
@@ -69,11 +80,6 @@ def hessenberg_det(diag, sub, above):
     return -det if sub.count(1) & 1 else det
 
 
-def _as_exact(v):
-    """A numpy integer as a Python int (which cannot overflow); anything else as is."""
-    return int(v) if isinstance(v, np.integer) else v
-
-
 def _exact_quotient(num, den):
     """num / den for a den that divides num; stays an int for ints."""
     return num // den if isinstance(num, int) and isinstance(den, int) else num / den
@@ -108,22 +114,26 @@ def bareiss_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def exact_det(rows):
-    """Exact determinant of a square matrix of ints, Fractions or numpy
-    integers (taken as Python ints, so nothing wraps), given as rows: by
-    Hyman's method when it is upper Hessenberg with a ±1 subdiagonal (a
-    Mandelbrot pencil, a scalar companion), by Bareiss elimination otherwise.
-    """
-    n = len(rows)
-    a = np.array(rows, dtype=object).reshape(n, n)
-    r, c = np.nonzero(a)
-    vals = np.array([_as_exact(v) for v in a[r, c]], dtype=object)
-    layout = unit_hessenberg(n, r, c, vals)
-    if layout is not None:
-        return hessenberg_det(*layout)
-    exact = np.zeros((n, n), dtype=object)  # Python int zeros, never numpy ones
-    exact[r, c] = vals
-    return bareiss_det(exact.tolist())
+#: an object array with its numpy integers made Python ints
+_python_ints = np.frompyfunc(lambda v: int(v) if isinstance(v, np.integer) else v, 1, 1)
+
+
+def pencil_dets(D, A, points) -> list:
+    """[det(z*D - A) for z in points], exact for integer or object arrays D, A
+    and exact points.  When D is diagonal and -A is upper Hessenberg with a ±1
+    subdiagonal, -A is laid out once and each point only swaps in the
+    diagonal z d_ii - a_ii for Hyman's method; any other pencil takes Bareiss
+    elimination at each point."""
+    d, a = (m.astype(object) if m.dtype != object else _python_ints(m) for m in (D, A))
+    d_diag = np.diag(d)
+    if np.count_nonzero(d) == np.count_nonzero(d_diag):
+        r, c = np.nonzero(a)
+        layout = unit_hessenberg(len(a), r, c, -a[r, c])
+        if layout is not None:
+            diag, sub, above = layout
+            pairs = list(zip(d_diag.tolist(), diag))
+            return [hessenberg_det([z * e + f for e, f in pairs], sub, above) for z in points]
+    return [bareiss_det((z * d - a).tolist()) for z in points]
 
 
 def newton_interp(xs, ys):
@@ -148,14 +158,3 @@ def newton_interp(xs, ys):
         deg += 1
         coeffs[0] += dd[k]
     return coeffs
-
-
-def interp_int(xs, ys):
-    """Like newton_interp but asserts the result is an integer polynomial."""
-    coeffs = newton_interp(xs, ys)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation of integer data produced a non-integer")
-        out.append(int(c))
-    return out

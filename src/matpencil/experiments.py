@@ -37,9 +37,10 @@ class FamilyLevelReport:
 
 def family_triple(k_max: int) -> list[StandardTriple]:
     """Triples for h_1 .. h_{k_max}: start from the companion of z I + c_0 and
-    square through the composite rule with d0 = I."""
-    if not 1 <= k_max <= 64:
-        raise ContractError("k_max out of range")
+    square through the composite rule with d0 = I.  Each level quadruples the
+    pencil's bytes, so k_max is capped at FAMILY_DESK_CAP."""
+    if not 1 <= k_max <= FAMILY_DESK_CAP:
+        raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
     h1 = MatPoly.monomial_poly(np.stack([fixtures.family_constant(0), np.eye(4)]))
     out = [frobenius_triple(h1)]
     for k in range(1, k_max):
@@ -72,8 +73,6 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    if not 1 <= k_max <= FAMILY_DESK_CAP:
-        raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
     triples = family_triple(k_max)
     rng = as_rng(rng)
     pool = ThreadPoolExecutor(_family_workers(k_max))

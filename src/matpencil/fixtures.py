@@ -116,15 +116,3 @@ def mixed_lagrange_poly() -> MatPoly:
 
 def mixed_chebyshev_poly() -> MatPoly:
     return MatPoly.chebyshev_poly(MIXED_CHEB)
-
-
-def checksum(mats) -> str:
-    """Stable content hash used by the fixture-integrity tests."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for m in mats:
-        arr = np.asarray(m, dtype=float)
-        h.update(str(arr.shape).encode())
-        h.update(",".join(repr(float(x)) for x in arr.ravel()).encode())
-    return h.hexdigest()

@@ -9,11 +9,10 @@ no floating point is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _as_exact, hessenberg_det, unit_hessenberg
+from ._exact import exact_point, hessenberg_det, unit_hessenberg
 from .errors import ContractError, ResourceLimitError, VerificationError
 
 #: highest level built (dim 8191).  The outputs are held as their nonzeros at
@@ -132,13 +131,13 @@ def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
 
 
 def mandelbrot_poly_at(n: int, z):
-    """p_n(z) by the recurrence p_0 = 0, p_{k+1} = z p_k^2 + 1 (exact for exact z).
-
-    A numpy integer z is taken as a Python int, so p_n does not wrap around.
-    """
+    """p_n(z) by the recurrence p_0 = 0, p_{k+1} = z p_k^2 + 1, exact at every
+    point `exact_point` makes exact (a float neither rounds nor overflows);
+    a complex, NaN or infinite z is evaluated in floating point."""
     if n < 0:
         raise ContractError("level must be non-negative")
-    z = _as_exact(z)
+    x = exact_point(z)
+    z = z if x is None else x
     p = 0
     for _ in range(n):
         p = z * p * p + 1
@@ -170,33 +169,22 @@ def charpoly_identity(n: int, points) -> bool:
     its diagonal z - m_ii changes from point to point: -M_n is laid out once
     (`unit_hessenberg`), and each determinant is taken by Hyman's method
     (`hessenberg_det`): additions and products of one big integer with one
-    entry, no division.  Every point is taken exactly (`_exact_point`).
+    entry, no division.  Every point is taken exactly (`exact_point`), and a
+    complex, NaN or infinite one raises ContractError.
     """
     _check_level(n)
-    points = [_exact_point(z) for z in points]
+    exact = [exact_point(z) for z in points]
+    if None in exact:
+        raise ContractError("the points must be real and finite; one is complex, NaN or infinite")
     r, c, v = _matrix_nonzeros(n)
     layout = unit_hessenberg(mandelbrot_dim(n), r, c, -v.astype(np.int64))
     if layout is None:
         raise VerificationError(f"M_{n} is not upper Hessenberg with a -1/+1 subdiagonal")
     diag, sub, above = layout
-    for z in points:
+    for z in exact:
         if hessenberg_det([z + a for a in diag], sub, above) != mandelbrot_poly_at(n, z):
             return False
     return True
-
-
-def _exact_point(z):
-    """z as an exact number: a numpy integer as a Python int, a finite real
-    float as the Fraction it equals, anything else as is.  A complex, NaN or
-    infinite point raises ContractError: in floats, p_n(z) would round, and
-    overflow to inf on both sides of the identity."""
-    if isinstance(z, (complex, np.complexfloating)):
-        raise ContractError(f"the point {z!r} is complex; the identity is checked at real points")
-    if isinstance(z, (float, np.floating)):
-        if not np.isfinite(z):
-            raise ContractError(f"the point {z!r} is not finite")
-        return Fraction(*z.as_integer_ratio())
-    return _as_exact(z)
 
 
 @dataclass(eq=False)

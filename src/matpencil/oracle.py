@@ -11,28 +11,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import interp_int, newton_interp
-from .errors import ContractError
+from ._exact import newton_interp, pencil_dets
+from .errors import ContractError, VerificationError
 from .matpoly import _interp_roots_of_unity, eval_at
-from .pencil import (Pencil, pencil_det_at, _check_numeric, _check_sampling, _is_exact,
-                     _rel_det_dev)
+from .pencil import Pencil, _check_numeric, _check_sampling, _is_exact, _rel_det_dev
 
 
 def interp_charpoly(p: Pencil):
     """Coefficients (low-to-high) of det(zD - A), degree <= N.
 
     Float path: N+1 roots of unity and an inverse DFT.  Integer and object
-    (e.g. Fraction) pencils take the exact path: integer points 0..N, exact
-    determinants, exact interpolation.  An integer-dtype pencil gets Python
-    int coefficients, checked to be integers; an object pencil gets Fractions.
+    (e.g. Fraction) pencils take the exact path: `pencil_dets` at the points
+    0..N, exact interpolation.  An integer-dtype pencil gets Python int
+    coefficients (VerificationError unless integers), an object one Fractions.
     """
     n = p.N
     if _is_exact(p.D) and _is_exact(p.A):
         xs = list(range(n + 1))
-        ys = [pencil_det_at(p, x) for x in xs]
+        coeffs = newton_interp(xs, pencil_dets(p.D, p.A, xs))
         if p.D.dtype == object or p.A.dtype == object:
-            return newton_interp(xs, ys)
-        return interp_int(xs, ys)
+            return coeffs
+        if any(c.denominator != 1 for c in coeffs):
+            raise VerificationError("interpolation of integer data produced a non-integer")
+        return [int(c) for c in coeffs]
     return _interp_roots_of_unity(lambda pts: np.linalg.det(p.at(pts)), n)
 
 

@@ -7,11 +7,10 @@ construction in this package is verified against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _as_exact, exact_det
+from ._exact import exact_point, pencil_dets
 from .errors import ContractError, DegenerateInputError, SpectrumError, StructuralError
 from .matpoly import _common, eval_at
 
@@ -23,8 +22,8 @@ COND_CAP = 1e12
 class Pencil:
     """The matrix pencil z*D - A (two equal-size square matrices).
 
-    An object (e.g. Fraction) pencil is accepted by `pencil_det_at` (exact at
-    an int or Fraction point) and `oracle.interp_charpoly` (Fraction
+    An object (e.g. Fraction) pencil is accepted by `pencil_det_at` (exact
+    wherever `exact_point` is) and `oracle.interp_charpoly` (Fraction
     coefficients) only; `resolvent_eval`, `verify_triple`,
     `oracle.det_equality` and `eigensolve.generalized_eigen` are numeric-only
     and raise StructuralError for one.
@@ -93,13 +92,11 @@ def _is_exact(arr: np.ndarray) -> bool:
 
 
 def pencil_det_at(p: Pencil, z: complex):
-    """det(z*D - A); exact when the pencil and z are (numpy) integers or rationals."""
-    z = _as_exact(z)
-    if _is_exact(p.D) and _is_exact(p.A) and isinstance(z, (int, Fraction)):
-        d = p.D.tolist()
-        a = p.A.tolist()
-        rows = [[z * d[i][j] - a[i][j] for j in range(p.N)] for i in range(p.N)]
-        return exact_det(rows)
+    """det(z*D - A): exact (`pencil_dets`) for an integer or object pencil at
+    a point `exact_point` makes exact, by slogdet otherwise."""
+    x = exact_point(z)
+    if _is_exact(p.D) and _is_exact(p.A) and x is not None:
+        return pencil_dets(p.D, p.A, [x])[0]
     m = p.at(z)
     # a rational (object) pencil at a point that is not exact: no LAPACK dtype
     sign, logdet = np.linalg.slogdet(m.astype(complex) if m.dtype == object else m)

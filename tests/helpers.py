@@ -7,17 +7,48 @@ import numpy as np
 
 import matpencil as mp
 from matpencil import experiments, fixtures
-from matpencil._compose import (composite_coeffs, mono_add, mono_mul,
-                                shift_left_coeffs, shift_right_coeffs)
+from matpencil._compose import composite_coeffs, mono_mul
+from matpencil._exact import pencil_dets
 from matpencil.errors import VerificationError
-from matpencil.matpoly import HeightReport, _interp_roots_of_unity
+from matpencil.matpoly import HeightReport, _common, _interp_roots_of_unity
 from matpencil.pencil import as_rng
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "composite_coeffs", "mono_add", "mono_mul", "shift_left_coeffs",
            "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
            "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
-           "rational_pencil", "height_report_reference", "run_family_sequential"]
+           "rational_pencil", "matrix_det", "height_report_reference", "run_family_sequential"]
+
+
+def mono_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a(z) + b(z), in the `_common` dtype."""
+    a, b = _common(a, b)
+    if a.shape[0] < b.shape[0]:
+        a, b = b, a
+    out = a.copy()
+    out[: b.shape[0]] += b
+    return out
+
+
+def _times_z_plus(prod: np.ndarray, c0) -> np.ndarray:
+    """z * prod(z) + c0."""
+    prod, c0 = _common(prod, c0)
+    out = np.zeros((prod.shape[0] + 1,) + prod.shape[1:], dtype=prod.dtype)
+    out[1:] = prod
+    out[0] += c0
+    return out
+
+
+def shift_left_coeffs(a: np.ndarray, d0, c0) -> np.ndarray:
+    """z * d0 * a(z) + c0."""
+    a, d0 = _common(a, d0)
+    return _times_z_plus(d0 @ a, c0)
+
+
+def shift_right_coeffs(a: np.ndarray, d0, c0) -> np.ndarray:
+    """z * a(z) * d0 + c0."""
+    a, d0 = _common(a, d0)
+    return _times_z_plus(a @ d0, c0)
 
 
 def rand_mat(rng, r):
@@ -51,6 +82,15 @@ def rational_pencil():
     half = Fraction(1, 2)
     return mp.Pencil(np.array([[1, 0], [0, half]], dtype=object),
                      np.array([[half, 1], [0, 2]], dtype=object))
+
+
+def matrix_det(m):
+    """Exact det M of a square matrix (rows, or an integer or object array):
+    `_exact.pencil_dets` of z*D - A at z = 0 with D = 0 and A = -M.  The zero
+    D is diagonal, so M is laid out for Hyman's method when it can be."""
+    m = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
+    n = len(m)
+    return pencil_dets(np.zeros((n, n), dtype=np.int64), -m.reshape(n, n), [0])[0]
 
 
 def chebyshev_to_monomial(cheb_coeffs):

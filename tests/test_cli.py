@@ -36,6 +36,29 @@ def test_eig_subcommand(capsys, tmp_path):
     np.testing.assert_allclose(finite, [1, 2, 3], atol=1e-10)
 
 
+def test_eig_with_poly_fills_the_residual_column(capsys, tmp_path):
+    a = rand_mono(np.random.default_rng(2), 2, 2)
+    t = mp.frobenius_triple(a)
+    (tmp_path / "pencil.json").write_text(json.dumps(jsonio.pencil_to_json(t.pencil)))
+    (tmp_path / "poly.json").write_text(json.dumps(jsonio.matpoly_to_json(a)))
+    code, out, _ = run(capsys, "--emit", "csv", "--out", str(tmp_path), "eig",
+                       str(tmp_path / "pencil.json"), "--poly", str(tmp_path / "poly.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["residuals"]) == len(report["finite"]) == 4
+    assert max(report["residuals"]) < 1e-10
+    rows = (tmp_path / "eig.csv").read_text().splitlines()
+    assert rows[0] == "re,im,residual" and len(rows) == 5
+    assert all(float(row.split(",")[2]) < 1e-10 for row in rows[1:])
+
+
+def test_emit_without_out_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--emit", "csv", "quintic"])
+    assert info.value.code == 1
+    assert "--emit needs --out" in capsys.readouterr().err
+
+
 def test_verify_subcommand_pass_and_fail(capsys, tmp_path):
     rng = np.random.default_rng(0)
     a = rand_mono(rng, 2, 2)
@@ -86,6 +109,16 @@ def test_build_subcommand(capsys, tmp_path):
     assert code == 0
     triple = jsonio.triple_from_json(json.loads(out))
     assert triple.N == 1
+
+
+def test_build_subcommand_writes_the_triple_to_out(capsys, tmp_path):
+    a = rand_mono(np.random.default_rng(1), 1, 1)
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps({"frobenius": jsonio.matpoly_to_json(a)}))
+    code, printed, _ = run(capsys, "build", str(path))
+    code_out, out, _ = run(capsys, "--out", str(tmp_path / "art"), "build", str(path))
+    assert code == code_out == 0 and out == ""
+    assert (tmp_path / "art" / "triple.json").read_text() == printed
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 import time
@@ -23,19 +24,29 @@ def test_fixture_shapes_and_structure():
         assert abs(np.linalg.det(c)) > 1e-9  # nonsingular, per the family's rules
 
 
+def _checksum(mats) -> str:
+    """Stable content hash of the fixture matrices."""
+    h = hashlib.sha256()
+    for m in mats:
+        arr = np.asarray(m, dtype=float)
+        h.update(str(arr.shape).encode())
+        h.update(",".join(repr(float(x)) for x in arr.ravel()).encode())
+    return h.hexdigest()
+
+
 def test_fixture_checksums():
     # guard the embedded data against silent edits
-    assert fixtures.checksum(fixtures.FAMILY_CONSTANTS) == \
+    assert _checksum(fixtures.FAMILY_CONSTANTS) == \
         "155dfb4fdcd5361e04f12e59239555ddaa94bedec031dab998402b55492096cb"
-    assert fixtures.checksum(fixtures.QUINTIC_A) == \
+    assert _checksum(fixtures.QUINTIC_A) == \
         "3d213fb406506baec1d1a9b53efd6f4c02058ef9391ab9dae0f891425c986d70"
-    assert fixtures.checksum([fixtures.QUINTIC_B0]) == \
+    assert _checksum([fixtures.QUINTIC_B0]) == \
         "b0372e7e4ce9746d5dc5d9effca1c89e894a5ca7046c3d008c89d9966d092569"
-    assert fixtures.checksum(fixtures.MIXED_SAMPLES) == \
+    assert _checksum(fixtures.MIXED_SAMPLES) == \
         "165656a68f9cc5f155acb2fc18d82c89064ca6869f0fbe5e39d6337cc2b5044f"
-    assert fixtures.checksum(fixtures.MIXED_CHEB) == \
+    assert _checksum(fixtures.MIXED_CHEB) == \
         "42c457294468a1433dce8f783cc0df0190f98752ae698e70b461d31565d3974c"
-    assert fixtures.checksum([fixtures.MIXED_NODES, fixtures.MIXED_WEIGHTS]) == \
+    assert _checksum([fixtures.MIXED_NODES, fixtures.MIXED_WEIGHTS]) == \
         "17059cfb6a1edb222bf48c8b842bfc1e32d8ec15abb5760a1056b1f9a350387c"
 
 
@@ -135,6 +146,13 @@ def test_stacked_residuals_equal_per_point_loops():
 def test_family_cap():
     with pytest.raises(ContractError):
         experiments.run_family(9)
+
+
+@pytest.mark.parametrize("k_max", [0, experiments.FAMILY_DESK_CAP + 1])
+def test_family_triple_cap(k_max):
+    # k = 9 alone would be a 2,044-dim pencil (about 114 MB at its peak)
+    with pytest.raises(ContractError, match="k_max must be within 1..8"):
+        experiments.family_triple(k_max)
 
 
 def test_quintic_counts():

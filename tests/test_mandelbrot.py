@@ -8,7 +8,7 @@ from matpencil.errors import ContractError, ResourceLimitError, VerificationErro
 from matpencil.mandelbrot import mandelbrot_dim
 
 import helpers
-from helpers import inverse_fraction_fallback
+from helpers import inverse_fraction_fallback, matrix_det
 
 
 def _plant(monkeypatch, where, value):
@@ -70,12 +70,11 @@ def test_charpoly_identity_small_levels():
 
 
 def test_charpoly_identity_negative_control():
-    from matpencil._exact import exact_det
-    m = [row[:] for row in mp.mandelbrot_matrix(4).entries.toarray().tolist()]
-    m[0][6] = 0  # drop the top-right glue entry
+    from matpencil._exact import pencil_dets
+    m = mp.mandelbrot_matrix(4).entries.toarray()
+    m[0, 6] = 0  # drop the top-right glue entry
     z = 2
-    rows = [[(z if i == j else 0) - m[i][j] for j in range(7)] for i in range(7)]
-    assert exact_det(rows) != mp.mandelbrot_poly_at(4, z)
+    assert pencil_dets(np.eye(7, dtype=np.int64), m, [z])[0] != mp.mandelbrot_poly_at(4, z)
 
 
 def test_inverse_structure_level3_display():
@@ -146,9 +145,8 @@ def test_level_bounds():
 
 
 def test_determinant_is_unimodular():
-    from matpencil._exact import exact_det
     for n in (2, 3, 4, 5, 6):
-        det = exact_det(mp.mandelbrot_matrix(n).entries.toarray().tolist())
+        det = matrix_det(mp.mandelbrot_matrix(n).entries.toarray().tolist())
         assert det in (-1, 1)
         # sign consistent with the recurrence at 0: det(-M) = p_n(0) = 1
         assert det == (-1) ** mandelbrot_dim(n)
@@ -236,17 +234,17 @@ def _layout(rows):
 
 @pytest.mark.parametrize("fractions", [False, True])
 def test_hessenberg_det_matches_dense_recurrence(fractions):
-    # zero and non-unit subdiagonal entries: no Hyman layout, exact_det takes Bareiss
-    from matpencil._exact import exact_det, hessenberg_det
+    # zero and non-unit subdiagonal entries: no Hyman layout, pencil_dets takes Bareiss
+    from matpencil._exact import hessenberg_det
     rng = np.random.default_rng(11 + fractions)
     for n in range(13):
         for _ in range(25):
             rows = _random_hessenberg(rng, n, fractions)
             want = _dense_hessenberg_det(rows)
-            assert exact_det(rows) == want
-            assert exact_det(np.array(rows, dtype=object).reshape(n, n)) == want
+            assert matrix_det(rows) == want
+            assert matrix_det(np.array(rows, dtype=object).reshape(n, n)) == want
             if not fractions:
-                got = exact_det(np.array(rows, dtype=np.int64).reshape(n, n))
+                got = matrix_det(np.array(rows, dtype=np.int64).reshape(n, n))
                 assert got == want and type(got) is int
             layout = _layout(rows)
             assert (layout is None) == any(rows[i][i - 1] not in (1, -1) for i in range(1, n))
@@ -254,9 +252,8 @@ def test_hessenberg_det_matches_dense_recurrence(fractions):
 
 
 def test_hessenberg_det_of_numpy_integers_is_an_exact_python_int():
-    from matpencil._exact import exact_det
     for dtype in (np.int8, np.int64):
-        got = exact_det(np.diag(np.full(40, 7, dtype=dtype)))
+        got = matrix_det(np.diag(np.full(40, 7, dtype=dtype)))
         assert got == 7 ** 40 > 2 ** 63 and type(got) is int
     # numpy scalars inside an object array are widened too, on Hyman's path
     # (subdiagonal 1) and on Bareiss's (subdiagonal 0)
@@ -267,7 +264,7 @@ def test_hessenberg_det_of_numpy_integers_is_an_exact_python_int():
             rows[i, i] = np.int64(7)
             if i:
                 rows[i, i - 1] = sub
-        got = exact_det(rows)
+        got = matrix_det(rows)
         assert got == 7 ** 40 and type(got) is int
 
 
@@ -348,6 +345,63 @@ def test_pencil_det_at_a_numpy_integer_point_is_exact():
     got = mp.pencil_det_at(p, np.int64(3))
     assert type(got) is int and got == mp.pencil_det_at(p, 3) == mp.mandelbrot_poly_at(8, 3)
     assert got > 2 ** 200
+
+
+def test_pencil_det_at_a_float_point_on_an_exact_pencil_is_exact():
+    # the float point is the Fraction it equals; slogdet gave 18.999999999999996
+    p = mp.Pencil(np.eye(3, dtype=np.int64), mp.mandelbrot_matrix(3).entries)
+    assert mp.pencil_det_at(p, 2.0) == 19 == mp.pencil_det_at(p, 2)
+    assert mp.pencil_det_at(p, np.float64(0.5)) == mp.mandelbrot_poly_at(3, Fraction(1, 2))
+    # complex, NaN and infinite points still take the float path
+    assert mp.pencil_det_at(p, 2 + 0j) == pytest.approx(19)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(mp.pencil_det_at(p, float("nan")))
+
+
+def test_exact_point_is_the_one_rule():
+    from matpencil._exact import exact_point
+    for z, want in [(3, 3), (2 ** 70, 2 ** 70), (Fraction(1, 3), Fraction(1, 3)),
+                    (np.int8(-2), -2), (np.int64(7), 7), (0.5, Fraction(1, 2)),
+                    (np.float32(-0.25), Fraction(-1, 4)), (3.0, 3)]:
+        got = exact_point(z)
+        assert got == want and type(got) in (int, Fraction), z
+    assert type(exact_point(np.int64(7))) is int and type(exact_point(3.0)) is Fraction
+    for z in (1j, complex(3, 0), np.complex64(2), float("nan"), -np.inf, np.float32("inf")):
+        assert exact_point(z) is None, z
+
+
+def test_mandelbrot_poly_at_a_float_point_is_exact():
+    # in float64, p_11(3.0) overflowed to inf and p_n(0.1) rounded
+    assert mp.mandelbrot_poly_at(11, 3.0) == mp.mandelbrot_poly_at(11, 3)
+    assert mp.mandelbrot_poly_at(4, 0.5) == mp.mandelbrot_poly_at(4, Fraction(1, 2))
+    tenth = Fraction(*(0.1).as_integer_ratio())
+    assert mp.mandelbrot_poly_at(3, 0.1) == mp.mandelbrot_poly_at(3, tenth)
+    assert type(mp.mandelbrot_poly_at(3, 0.1)) is Fraction
+    # a complex point is evaluated in floats
+    assert mp.mandelbrot_poly_at(3, 1j) == pytest.approx(1j * (1j + 1) ** 2 + 1)
+
+
+def test_pencil_dets_lays_out_a_diagonal_d_pencil_once_and_takes_bareiss_otherwise(monkeypatch):
+    from matpencil import _exact
+    m = mp.mandelbrot_matrix(5).entries.toarray()
+    d = np.diag(np.arange(1, 16))
+    d_upper = d.copy()
+    d_upper[3, 4] = 1  # zD - A is no longer -A but for its diagonal
+    points = [-1, 0, Fraction(1, 2)]
+    # each path checked against the other: Bareiss for Hyman's, Hyman's
+    # (zD - A is still unit Hessenberg) for Bareiss
+    want = [_exact.bareiss_det((z * d - m).astype(object).tolist()) for z in points]
+    want_upper = [matrix_det(z * d_upper - m) for z in points]
+    calls = []
+    for name in ("unit_hessenberg", "hessenberg_det", "bareiss_det"):
+        real = getattr(_exact, name)
+        monkeypatch.setattr(_exact, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert _exact.pencil_dets(d, m, points) == want
+    assert calls == ["unit_hessenberg"] + ["hessenberg_det"] * 3
+    calls.clear()
+    assert _exact.pencil_dets(d_upper, m, points) == want_upper
+    assert calls == ["bareiss_det"] * 3
 
 
 def test_charpoly_identity_at_wide_and_rational_points(monkeypatch):
@@ -481,15 +535,15 @@ def _unit_hessenberg(rng, n, diag_kind):
 @pytest.mark.parametrize("diag_kind", ["zero", "small", "wide", "fraction"])
 def test_unit_hessenberg_det_matches_both_recurrences(diag_kind, monkeypatch):
     from matpencil import _exact
-    from matpencil._exact import exact_det, hessenberg_det, unit_hessenberg
-    # exact_det takes Hyman's method here, never Bareiss
+    from matpencil._exact import hessenberg_det, unit_hessenberg
+    # pencil_dets takes Hyman's method here, never Bareiss
     monkeypatch.setattr(_exact, "bareiss_det", None)
     rng = np.random.default_rng(("zero", "small", "wide", "fraction").index(diag_kind))
     for n in range(41):
         for _ in range(3):
             rows = _unit_hessenberg(rng, n, diag_kind)
             want = _dense_hessenberg_det(rows)
-            assert exact_det(rows) == want
+            assert matrix_det(rows) == want
             assert hessenberg_det(*_layout(rows)) == want
             # the nonzeros in any order, as numpy integers where they fit
             r, c, v = _nonzeros(rows)
@@ -510,12 +564,11 @@ def test_unit_hessenberg_det_of_numpy_diagonal_is_an_exact_python_int():
 
 @pytest.mark.parametrize("bad", [0, 2])
 def test_unit_hessenberg_det_rejects_a_non_unit_subdiagonal(bad):
-    # no Hyman layout: exact_det takes Bareiss
-    from matpencil._exact import exact_det
+    # no Hyman layout: pencil_dets takes Bareiss
     rows = _unit_hessenberg(np.random.default_rng(5), 6, "small")
     rows[4][3] = bad
     assert _layout(rows) is None
-    assert exact_det(rows) == _dense_hessenberg_det(rows)
+    assert matrix_det(rows) == _dense_hessenberg_det(rows)
 
 
 def test_unit_hessenberg_det_rejects_misplaced_entries():

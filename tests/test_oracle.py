@@ -3,7 +3,7 @@ import pytest
 
 import matpencil as mp
 from matpencil import fixtures
-from matpencil.errors import ContractError, StructuralError
+from matpencil.errors import ContractError, StructuralError, VerificationError
 
 from helpers import (composite_coeffs, controllability_matrix, det_poly, rand_mono,
                      rational_pencil)
@@ -26,6 +26,26 @@ def test_interp_charpoly_exact_matches_recurrence_bitwise():
         m = mp.mandelbrot_matrix(n)
         pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries.toarray())
         assert mp.interp_charpoly(pencil) == mp.mandelbrot_poly_coeffs(n)
+
+
+def test_interp_charpoly_lays_the_pencil_out_once(monkeypatch):
+    # one Hyman layout for all 64 points (one per point before)
+    from matpencil import _exact
+    calls = []
+    real = _exact.unit_hessenberg
+    monkeypatch.setattr(_exact, "unit_hessenberg", lambda *a: calls.append(1) or real(*a))
+    m = mp.mandelbrot_matrix(7)
+    pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries.toarray())
+    assert mp.interp_charpoly(pencil) == mp.mandelbrot_poly_coeffs(7)
+    assert len(calls) == 1
+
+
+def test_interp_charpoly_rejects_non_integer_coefficients_of_an_integer_pencil(monkeypatch):
+    # values at 0, 1, 2 that no integer polynomial takes: z (z + 1) / 2
+    from matpencil import oracle
+    monkeypatch.setattr(oracle, "pencil_dets", lambda D, A, xs: [0, 1, 3])
+    with pytest.raises(VerificationError, match="non-integer"):
+        mp.interp_charpoly(mp.Pencil(np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)))
 
 
 def test_interp_charpoly_float_vs_expanded_family_step():

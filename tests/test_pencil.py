@@ -4,7 +4,7 @@ import pytest
 import matpencil as mp
 from matpencil.errors import ContractError, SpectrumError, StructuralError
 
-from helpers import rational_pencil
+from helpers import matrix_det, rational_pencil
 
 
 def mandelbrot_triple(n):
@@ -319,16 +319,16 @@ def _random_rational_rows(rng, n):
 
 def test_bareiss_det_of_rational_matrices_is_exact():
     from fractions import Fraction
-    from matpencil._exact import bareiss_det, exact_det
+    from matpencil._exact import bareiss_det
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert bareiss_det([[half, 1, 0], [0, third, 1], [1, 0, 1]]) == Fraction(7, 6)
     rng = np.random.default_rng(8)
     for _ in range(60):
         rows = _random_rational_rows(rng, int(rng.integers(3, 6)))
-        assert rows[-1][0] != 0  # below the subdiagonal: exact_det takes Bareiss
+        assert rows[-1][0] != 0  # below the subdiagonal: pencil_dets takes Bareiss
         want = _leibniz_det(rows)
         assert bareiss_det(rows) == want
-        assert exact_det(rows) == want
+        assert matrix_det(rows) == want
 
 
 def test_rational_pencil_det_at_off_hessenberg_pencil():

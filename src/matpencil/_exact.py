@@ -5,7 +5,8 @@ no floating point enters these routines.  `exact_point` is the one rule for
 what a point means on exact data.  `pencil_dets` is the one exact pencil
 determinant: Hyman's method (`hessenberg_det`, from the `unit_hessenberg`
 layout) when zD - A is upper Hessenberg with a ±1 subdiagonal and D is
-diagonal, Bareiss elimination (`bareiss_det`) otherwise.
+diagonal, Bareiss elimination (`bareiss_det`) otherwise.  `forward_interp`
+is the one exact interpolation, at the points 0..N, in ints for int values.
 """
 
 from fractions import Fraction
@@ -136,25 +137,23 @@ def pencil_dets(D, A, points) -> list:
     return [bareiss_det((z * d - a).tolist()) for z in points]
 
 
-def newton_interp(xs, ys):
-    """Interpolating polynomial through (xs[i], ys[i]), exact rational arithmetic.
-
-    Returns coefficients low-to-high as Fractions.  O(n^2).
-    """
-    n = len(xs)
-    dd = [Fraction(y) for y in ys]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    # Horner assembly of the Newton form
-    coeffs = [Fraction(0)] * n
-    coeffs[0] = dd[n - 1]
-    deg = 0
-    for k in range(n - 2, -1, -1):
-        # multiply by (x - xs[k]), then add dd[k]
-        for i in range(deg, -1, -1):
-            coeffs[i + 1] += coeffs[i]
-            coeffs[i] = -coeffs[i] * xs[k]
-        deg += 1
-        coeffs[0] += dd[k]
+def forward_interp(ys) -> list:
+    """Coefficients, low-to-high, of the polynomial of degree < len(ys) that
+    takes the value ys[k] at z = k (ys non-empty), exact: Newton's forward
+    differences Delta^k y_0 in the values' own arithmetic (an int stays an int,
+    any other value becomes the Fraction it equals), each divided once by k!
+    (an int where k! divides it, a Fraction otherwise), then Horner's rule in
+    the falling factorials z (z - 1) ... (z - k + 1)."""
+    d = [y if isinstance(y, int) else Fraction(y) for y in ys]
+    n = len(d)
+    for level in range(1, n):  # d[i] becomes Delta^level y_{i - level}
+        d[level:] = [b - a for a, b in zip(d[level - 1:], d[level:])]
+    fact = 1
+    for k in range(2, n):
+        fact *= k
+        q, r = divmod(d[k], fact)
+        d[k] = q if r == 0 else Fraction(d[k], fact)
+    coeffs = [d[n - 1]]
+    for k in range(n - 2, -1, -1):  # coeffs * (z - k) + d[k]
+        coeffs = [d[k] - k * coeffs[0]] + [a - k * b for a, b in zip(coeffs, coeffs[1:] + [0])]
     return coeffs

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, SpectrumError, StructuralError
 from .matpoly import _common, eval_at
-from .pencil import COND_CAP, Pencil, _check_numeric, as_rng, pivot_condition
+from .pencil import COND_CAP, Pencil, _check_numeric, pivot_condition
 
 BACKEND = "shift-invert + numpy eigvals"
 BACKEND_STANDARD = "numpy eigvals (D = I)"
@@ -68,7 +68,7 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
         (A,) = _common(p.A)
         finite = np.linalg.eigvals(A).astype(complex, copy=False)
         return EigenReport(finite, 0, None, 0j, backend=BACKEND_STANDARD)
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     D, A = p.D, p.A
     best = None
     for draw in range(MAX_DRAWS):

@@ -17,7 +17,7 @@ from .eigensolve import EigenReport, generalized_eigen, match_roots, sigma_ratio
 from .errors import ContractError
 from .matpoly import MatPoly, height_report
 from .oracle import interp_charpoly, scalar_roots
-from .pencil import Pencil, StandardTriple, as_rng
+from .pencil import Pencil, StandardTriple
 
 FAMILY_DESK_CAP = 8
 
@@ -74,7 +74,7 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     from concurrent.futures import ThreadPoolExecutor
 
     triples = family_triple(k_max)
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     pool = ThreadPoolExecutor(_family_workers(k_max))
     try:
         solves = {k: pool.submit(_solve_level, k, triples[k - 1].pencil, rng)
@@ -153,7 +153,7 @@ def run_random_quintic(rng=None) -> QuinticComparison:
     evaluate z a(z) b(z) + I from the cubic factors directly, in _WIDE, and
     take the singular value ratio.
     """
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     r = 5
     c0 = np.eye(r)
     a = MatPoly.monomial_poly(np.stack(fixtures.QUINTIC_A))
@@ -198,7 +198,7 @@ class MixedBasisReport:
 def run_mixed_basis(rng=None) -> MixedBasisReport:
     """Glue a barycentric-Lagrange cubic with a Chebyshev cubic and check the
     eigenvalues against roots of the interpolated characteristic polynomial."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     a = fixtures.mixed_lagrange_poly()
     b = fixtures.mixed_chebyshev_poly()
     r = a.dim

@@ -40,18 +40,26 @@ def matrix_to_json(mat) -> list:
     return [[complex_to_json(x) for x in row] for row in np.asarray(mat, dtype=complex)]
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """arr, unless an entry is NaN or infinite (Python's json reads the
+    non-standard tokens NaN and Infinity); one vectorized check per array."""
+    if not np.isfinite(arr).all():
+        raise StructuralError("the input holds a non-finite number (NaN or Infinity)")
+    return arr
+
+
 def matrix_from_json(rows) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise StructuralError(f"expected a matrix as a list of rows, got {rows!r:.80}")
     if len({len(row) for row in rows}) > 1:
         raise StructuralError("matrix rows differ in length")
-    return np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex)
+    return _finite(np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex))
 
 
 def vector_from_json(vals) -> np.ndarray:
     if not isinstance(vals, list):
         raise StructuralError(f"expected a list of numbers, got {vals!r:.80}")
-    return np.array([complex_from_json(x) for x in vals], dtype=complex)
+    return _finite(np.array([complex_from_json(x) for x in vals], dtype=complex))
 
 
 def matpoly_to_json(p: MatPoly) -> dict:

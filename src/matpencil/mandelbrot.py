@@ -133,7 +133,8 @@ def mandelbrot_matrix(n: int) -> MandelbrotMatrix:
 def mandelbrot_poly_at(n: int, z):
     """p_n(z) by the recurrence p_0 = 0, p_{k+1} = z p_k^2 + 1, exact at every
     point `exact_point` makes exact (a float neither rounds nor overflows);
-    a complex, NaN or infinite z is evaluated in floating point."""
+    a complex, NaN or infinite z is evaluated in floating point, and any
+    other z, such as an indeterminate, in its own arithmetic."""
     if n < 0:
         raise ContractError("level must be non-negative")
     x = exact_point(z)
@@ -145,20 +146,12 @@ def mandelbrot_poly_at(n: int, z):
 
 
 def mandelbrot_poly_coeffs(n: int) -> list:
-    """Exact integer coefficients of p_n, low-to-high."""
-    if n < 0:
-        raise ContractError("level must be non-negative")
-    p = [0]
-    for _ in range(n):
-        sq = [0] * (2 * len(p) - 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(p):
-                    sq[i + j] += a * b
-        p = [1] + sq  # z * p^2 + 1
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-    return p
+    """Exact integer coefficients of p_n, low-to-high: `mandelbrot_poly_at`'s
+    recurrence run on the indeterminate z, a numpy Polynomial with Python-int
+    coefficients (numpy's arithmetic trims their zero leading terms)."""
+    from numpy.polynomial import Polynomial
+    p = mandelbrot_poly_at(n, Polynomial(np.array([0, 1], dtype=object)))
+    return p.coef.tolist() if n else [p]  # p_0 is the int 0 the recurrence starts from
 
 
 def charpoly_identity(n: int, points) -> bool:

@@ -8,10 +8,11 @@ polynomials, pointwise determinant equality, and scalar root extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._exact import newton_interp, pencil_dets
+from ._exact import forward_interp, pencil_dets
 from .errors import ContractError, VerificationError
 from .matpoly import _interp_roots_of_unity, eval_at
 from .pencil import Pencil, _check_numeric, _check_sampling, _is_exact, _rel_det_dev
@@ -22,18 +23,17 @@ def interp_charpoly(p: Pencil):
 
     Float path: N+1 roots of unity and an inverse DFT.  Integer and object
     (e.g. Fraction) pencils take the exact path: `pencil_dets` at the points
-    0..N, exact interpolation.  An integer-dtype pencil gets Python int
+    0..N, then `forward_interp`.  An integer-dtype pencil gets Python int
     coefficients (VerificationError unless integers), an object one Fractions.
     """
     n = p.N
     if _is_exact(p.D) and _is_exact(p.A):
-        xs = list(range(n + 1))
-        coeffs = newton_interp(xs, pencil_dets(p.D, p.A, xs))
+        coeffs = forward_interp(pencil_dets(p.D, p.A, list(range(n + 1))))
         if p.D.dtype == object or p.A.dtype == object:
-            return coeffs
-        if any(c.denominator != 1 for c in coeffs):
+            return [Fraction(c) for c in coeffs]
+        if any(isinstance(c, Fraction) for c in coeffs):
             raise VerificationError("interpolation of integer data produced a non-integer")
-        return [int(c) for c in coeffs]
+        return coeffs
     return _interp_roots_of_unity(lambda pts: np.linalg.det(p.at(pts)), n)
 
 
@@ -73,9 +73,12 @@ def scalar_roots(coeffs):
 
     Leading coefficients below _TRIM_TOL * max|coeff| are dropped first, which
     is how spurious (infinite) degrees of interpolated characteristic
-    polynomials get discarded.
+    polynomials get discarded.  ContractError for a NaN or infinite
+    coefficient.
     """
     arr = np.asarray(coeffs, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ContractError("the polynomial has a non-finite coefficient")
     if arr.size == 0 or not np.any(arr != 0):
         raise ContractError("polynomial is identically zero")
     cutoff = _TRIM_TOL * float(np.abs(arr).max())

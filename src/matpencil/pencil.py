@@ -154,12 +154,6 @@ def resolvent_eval(t: StandardTriple, z, cond_cap: float = COND_CAP) -> np.ndarr
     return _resolvent(t, m)
 
 
-def as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _rel_det_dev(det_pencil: tuple, det_poly: tuple) -> np.ndarray:
     """|dp - dq| / max(1, |dq|) from the (sign, log|.|) pairs slogdet returns,
     one deviation per point; overflow-safe."""
@@ -222,7 +216,7 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     if n_points is None:
         n_points = max(t.N, p.dim * p.grade) + 1
     _check_sampling(n_points, tol)
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     cond_cap = 1.0 / tol
     points = np.empty(0, dtype=complex)
     attempts = 0

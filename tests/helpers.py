@@ -11,7 +11,6 @@ from matpencil._compose import composite_coeffs, mono_mul
 from matpencil._exact import pencil_dets
 from matpencil.errors import VerificationError
 from matpencil.matpoly import HeightReport, _common, _interp_roots_of_unity
-from matpencil.pencil import as_rng
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "composite_coeffs", "mono_add", "mono_mul", "shift_left_coeffs",
@@ -187,7 +186,7 @@ def height_report_reference(mat):
 def run_family_sequential(k_max, rng=None):
     """experiments.run_family as one level after another in the calling
     thread, every level drawing from rng itself (reference)."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     reports = []
     for k, triple in enumerate(experiments.family_triple(k_max), start=1):
         eig = experiments.generalized_eigen(triple.pencil, rng=rng)

@@ -249,16 +249,30 @@ def test_eig_null_entry_exit_code(capsys, tmp_path):
     _one_line_error(capsys, "eig", str(path))
 
 
+_POLY_Z_PLUS_2 = '{"basis": "monomial", "dim": 1, "grade": 1, "data": [[[%s]], [[1]]]}'
+_TRIPLE_Z_PLUS_2 = json.dumps(jsonio.triple_to_json(
+    mp.frobenius_triple(mp.MatPoly.monomial_poly([2.0, 1.0]))))
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-@pytest.mark.parametrize("layout", ['{"D": [[1, 0], [0, 1]], "A": [[%s, 0], [0, 1]]}',
-                                    '{"D": [[2, 0], [0, 1]], "A": [[%s, 0], [0, 1]]}',
-                                    '{"D": [[%s, 0], [0, 1]], "A": [[1, 0], [0, 1]]}'],
-                         ids=["D_identity", "D_not_identity", "in_D"])
-def test_eig_non_finite_entry_exit_code(capsys, tmp_path, layout, value):
-    # Python's json reads NaN and Infinity as floats
-    path = tmp_path / "pencil.json"
-    path.write_text(layout % value)
-    assert "non-finite" in _one_line_error(capsys, "eig", str(path))
+@pytest.mark.parametrize("argv, texts", [
+    (["eig", 0], ['{"D": [[1, 0], [0, 1]], "A": [[%s, 0], [0, 1]]}']),
+    (["eig", 0], ['{"D": [[2, 0], [0, 1]], "A": [[%s, 0], [0, 1]]}']),
+    (["eig", 0], ['{"D": [[%s, 0], [0, 1]], "A": [[1, 0], [0, 1]]}']),
+    (["eig", 0, "--poly", 1], ['{"D": [[1]], "A": [[-2]]}', _POLY_Z_PLUS_2]),
+    (["height", 0], ["[[%s, 1], [0, 1]]"]),
+    (["build", 0], ['{"frobenius": %s}' % _POLY_Z_PLUS_2]),
+    (["verify", "--triple", 0, "--poly", 1], [_TRIPLE_Z_PLUS_2, _POLY_Z_PLUS_2]),
+], ids=["D_identity", "D_not_identity", "in_D", "eig_poly", "height", "build", "verify"])
+def test_eig_non_finite_entry_exit_code(capsys, tmp_path, argv, texts, value):
+    # Python's json reads NaN and Infinity as floats; argv's ints name the
+    # files written from texts, with the number put in for %s
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"in{i}.json")
+        paths[-1].write_text(text.replace("%s", value))
+    argv = [str(paths[a]) if isinstance(a, int) else a for a in argv]
+    assert "non-finite" in _one_line_error(capsys, *argv)
 
 
 @pytest.mark.parametrize("option", [["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],

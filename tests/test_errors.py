@@ -62,6 +62,8 @@ _CHECKS = [
      StructuralError, "unknown expression op"),
     ("poly_at_level", lambda: mp.mandelbrot_poly_at(-1, 2), ContractError, "non-negative"),
     ("poly_coeffs_level", lambda: mp.mandelbrot_poly_coeffs(-1), ContractError, "non-negative"),
+    ("scalar_roots_non_finite", lambda: mp.scalar_roots([1.0, np.nan, 1.0]), ContractError,
+     "non-finite"),
     ("basis_kind", lambda: mp.BasisSpec("hermite"), StructuralError, "unknown basis kind"),
     ("basis_lagrange_data", lambda: mp.BasisSpec("lagrange"), StructuralError,
      "nodes and weights"),

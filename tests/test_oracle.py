@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matpencil as mp
 from matpencil import fixtures
@@ -22,7 +23,9 @@ def test_interp_charpoly_zero_matrix():
 
 
 def test_interp_charpoly_exact_matches_recurrence_bitwise():
-    for n in range(2, 9):
+    # det(zI - M_n) = p_n coefficient by coefficient, by two exact routes:
+    # Hyman's method at 0..N and `forward_interp`, and the squaring recurrence
+    for n in range(2, 11):
         m = mp.mandelbrot_matrix(n)
         pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries.toarray())
         assert mp.interp_charpoly(pencil) == mp.mandelbrot_poly_coeffs(n)
@@ -38,6 +41,42 @@ def test_interp_charpoly_lays_the_pencil_out_once(monkeypatch):
     pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries.toarray())
     assert mp.interp_charpoly(pencil) == mp.mandelbrot_poly_coeffs(7)
     assert len(calls) == 1
+
+
+def test_interp_charpoly_of_an_integer_pencil_builds_no_fraction(monkeypatch):
+    # the values, differences and coefficients stay Python ints
+    from fractions import Fraction
+    from matpencil import _exact
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(_exact, "Fraction", CountingFraction)
+    m = mp.mandelbrot_matrix(8)
+    pencil = mp.Pencil(np.eye(m.dim, dtype=np.int64), m.entries.toarray())
+    assert mp.interp_charpoly(pencil) == mp.mandelbrot_poly_coeffs(8)
+    assert built == []
+
+
+_COEFFS = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+    st.lists(st.fractions(-100, 100, max_denominator=12), min_size=1, max_size=9))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(coeffs=_COEFFS, padding=st.integers(0, 3))
+def test_forward_interp_recovers_the_polynomial_from_its_values_at_0_to_n(coeffs, padding):
+    # padding adds zero leading coefficients; a list of length 1 is a constant
+    from matpencil._exact import forward_interp
+    coeffs = coeffs + [0] * padding
+    ys = [sum(c * k ** i for i, c in enumerate(coeffs)) for k in range(len(coeffs))]
+    got = forward_interp(ys)
+    assert got == coeffs
+    if all(type(c) is int for c in coeffs):
+        assert all(type(c) is int for c in got)
 
 
 def test_interp_charpoly_rejects_non_integer_coefficients_of_an_integer_pencil(monkeypatch):

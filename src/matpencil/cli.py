@@ -19,7 +19,7 @@ from .errors import (ContractError, DegenerateInputError, ResourceLimitError, Sp
                      StructuralError, VerificationError)
 from .matpoly import height_report
 from .oracle import det_equality
-from .pencil import verify_triple
+from .pencil import _check_sampling, verify_triple
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,10 +177,10 @@ def cmd_eig(args) -> int:
     if isinstance(obj, dict) and "pencil" in obj:  # a triple file holds its pencil
         obj = obj["pencil"]
     pencil = jsonio.pencil_from_json(obj)
+    p = jsonio.matpoly_from_json(_load_json(args.poly)) if args.poly else None
     rng = np.random.default_rng(args.seed)
     report = generalized_eigen(pencil, rng=rng)
-    if args.poly:
-        p = jsonio.matpoly_from_json(_load_json(args.poly))
+    if p is not None:
         report.residuals = residuals(p, report.finite)
     print(jsonio.dumps(jsonio.eigenreport_to_json(report)), end="")
     _emit(args, "eig", report)
@@ -309,6 +309,7 @@ def main(argv=None) -> int:
     if args.emit and not args.out:
         parser.error("--emit needs --out")
     try:
+        _check_sampling(1 if args.points is None else args.points, args.tol)
         return args.fn(args)
     except (ContractError, StructuralError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

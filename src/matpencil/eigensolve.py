@@ -23,8 +23,7 @@ BACKEND_STANDARD = "numpy eigvals (D = I)"
 BACKEND_QZ = "lapack qz"
 
 INF_TOL = 1e-12       # relative cutoff below which an eigenvalue is classed infinite
-SHIFT_CANDIDATES = 5  # shift draws always tried
-MAX_DRAWS = 50        # shift draws at most, while none is admissible
+SHIFT_CANDIDATES = 5  # shifts drawn at once; the best-conditioned is used
 
 
 @dataclass(eq=False)
@@ -47,10 +46,10 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
 
     When D is exactly the identity, the eigenvalues are those of A: no shift
     is drawn from rng, none is infinite, and shift_used is 0.  Otherwise the
-    default reduction picks the best-conditioned of SHIFT_CANDIDATES
-    random shift draws on |z| = 2 (continuing up to MAX_DRAWS until one has
-    1-norm condition number at most COND_CAP), forms W = (sigma D - A)^-1 D,
-    and maps W's spectrum back by z = sigma - 1/mu.  INF_TOL is relative to
+    default reduction draws SHIFT_CANDIDATES random shifts on |z| = 2 at once,
+    takes the first with the least 1-norm condition number (SpectrumError if
+    that exceeds COND_CAP), forms W = (sigma D - A)^-1 D, and maps W's
+    spectrum back by z = sigma - 1/mu.  INF_TOL is relative to
     the max row sum of W.  backend="qz" instead calls the LAPACK QZ solver on
     (A, D) directly, classifying |beta| below INF_TOL * |(alpha, beta)| as
     infinite.
@@ -70,19 +69,14 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
         return EigenReport(finite, 0, None, 0j, backend=BACKEND_STANDARD)
     rng = np.random.default_rng(rng)
     D, A = p.D, p.A
-    best = None
-    for draw in range(MAX_DRAWS):
-        sigma = 2.0 * np.exp(2j * np.pi * rng.random())
-        cond = pivot_condition(sigma * D - A)
-        if best is None or cond < best[1]:
-            best = (sigma, cond)
-        if draw + 1 >= SHIFT_CANDIDATES and best[1] <= COND_CAP:
-            break
-    if best[1] > COND_CAP:
-        raise SpectrumError(
-            f"no admissible shift in {MAX_DRAWS} draws; the pencil looks singular"
-        )
-    sigma = best[0]
+    sigmas = 2.0 * np.exp(2j * np.pi * rng.random(SHIFT_CANDIDATES))
+    # one candidate at a time, so one N x N inverse is held at once
+    conds = [pivot_condition(s * D - A) for s in sigmas]
+    best = int(np.argmin(conds))
+    if conds[best] > COND_CAP:
+        raise SpectrumError(f"no admissible shift in {SHIFT_CANDIDATES} draws; "
+                            "the pencil looks singular")
+    sigma = sigmas[best]
     w = np.linalg.solve(sigma * D - A, D)
     mu = np.linalg.eigvals(w)
     scale = float(np.abs(w).sum(axis=1).max())

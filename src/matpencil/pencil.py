@@ -145,11 +145,11 @@ def _resolvent(t: StandardTriple, m: np.ndarray) -> np.ndarray:
     return t.X @ np.linalg.solve(m, t.Y)
 
 
-def resolvent_eval(t: StandardTriple, z, cond_cap: float = COND_CAP) -> np.ndarray:
+def resolvent_eval(t: StandardTriple, z) -> np.ndarray:
     """X (zD - A)^-1 Y; an array of points gives a stack."""
     _check_numeric(t.X, t.pencil.D, t.pencil.A, t.Y)
     m = t.pencil.at(z)
-    if np.any(pivot_condition(m) > cond_cap):
+    if np.any(pivot_condition(m) > COND_CAP):
         raise SpectrumError(f"z = {z} is too close to the pencil spectrum")
     return _resolvent(t, m)
 

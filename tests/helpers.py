@@ -16,7 +16,8 @@ __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "composite_coeffs", "mono_add", "mono_mul", "shift_left_coeffs",
            "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
            "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
-           "rational_pencil", "matrix_det", "height_report_reference", "run_family_sequential"]
+           "rational_pencil", "matrix_det", "height_report_reference", "run_family_sequential",
+           "shift_invert_reference"]
 
 
 def mono_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,3 +213,26 @@ def match_roots_reference(eigs, refs):
                           float(errors.max()) if errors.size else 0.0,
                           sorted(set(range(eigs.size)) - set(rows.tolist())),
                           sorted(set(range(refs.size)) - set(cols.tolist())))
+
+
+def shift_invert_reference(p, rng):
+    """`generalized_eigen`'s shift-invert path as it was when it drew one
+    scalar shift at a time and kept the first draw of least κ₁ among its
+    first five (reference; it raises where that loop went on drawing).
+    Returns the finite eigenvalues, the infinite count and the shift."""
+    from matpencil.eigensolve import COND_CAP, INF_TOL
+    from matpencil.errors import SpectrumError
+    best = None
+    for _ in range(5):
+        sigma = 2.0 * np.exp(2j * np.pi * rng.random())
+        cond = mp.pivot_condition(sigma * p.D - p.A)
+        if best is None or cond < best[1]:
+            best = (sigma, cond)
+    if best[1] > COND_CAP:
+        raise SpectrumError("no admissible shift in the first five draws")
+    sigma = best[0]
+    w = np.linalg.solve(sigma * p.D - p.A, p.D)
+    mu = np.linalg.eigvals(w)
+    cutoff = INF_TOL * max(float(np.abs(w).sum(axis=1).max()), 1e-300)
+    infinite = np.abs(mu) < cutoff
+    return sigma - 1.0 / mu[~infinite], int(infinite.sum()), sigma

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,16 +276,44 @@ def test_eig_non_finite_entry_exit_code(capsys, tmp_path, argv, texts, value):
     assert "non-finite" in _one_line_error(capsys, *argv)
 
 
+def test_eig_reads_poly_before_it_solves(capsys, tmp_path, monkeypatch):
+    from matpencil import cli
+    solves = []
+    monkeypatch.setattr(cli, "generalized_eigen",
+                        lambda *a, **k: solves.append(a) or mp.generalized_eigen(*a, **k))
+    pencil, poly = tmp_path / "pencil.json", tmp_path / "poly.json"
+    pencil.write_text('{"D": [[2]], "A": [[-4]]}')
+    poly.write_text(_POLY_Z_PLUS_2.replace("%s", "NaN"))
+    assert "non-finite" in _one_line_error(capsys, "eig", str(pencil), "--poly", str(poly))
+    assert solves == []
+
+
+def test_readme_cli_examples_parse(monkeypatch):
+    from matpencil import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI")[1].split("```sh")[1].split("```")[0]
+    lines = [line.split("#")[0].split()[1:] for line in block.splitlines()
+             if line.startswith("matpencil ")]
+    assert len(lines) == 8
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: 0)
+    for argv in lines:
+        assert main(argv) == 0, argv
+
+
 @pytest.mark.parametrize("option", [["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
                                     ["--tol", "inf"], ["--points", "-3"], ["--points", "0"]],
                          ids=["tol_zero", "tol_negative", "tol_nan", "tol_inf",
                               "points_negative", "points_zero"])
 def test_verify_bad_sampling_option_exit_code(capsys, tmp_path, option):
+    # the global options are checked for every subcommand, not only verify
     a = rand_mono(np.random.default_rng(0), 2, 2)
     path = tmp_path / "expr.json"
     path.write_text(json.dumps({"frobenius": jsonio.matpoly_to_json(a)}))
-    assert run(capsys, "verify", "--expr", str(path))[0] == 0
-    _one_line_error(capsys, *option, "verify", "--expr", str(path))
+    for argv in (["verify", "--expr", str(path)], ["mandelbrot", "3"]):
+        assert run(capsys, *argv)[0] == 0
+        _one_line_error(capsys, *option, *argv)
 
 
 @pytest.mark.parametrize("argv", [["height", "missing.csv"], ["height", "missing.json"],

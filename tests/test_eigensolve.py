@@ -8,7 +8,7 @@ import pytest
 import matpencil as mp
 from matpencil.errors import SpectrumError, StructuralError
 
-from helpers import match_roots_reference, rand_mat, rational_pencil
+from helpers import match_roots_reference, rand_mat, rational_pencil, shift_invert_reference
 
 
 def test_standard_diagonal_pencil():
@@ -96,6 +96,44 @@ def test_singular_pencil_raises():
     zero = np.zeros((3, 3))
     with pytest.raises(SpectrumError):
         mp.generalized_eigen(mp.Pencil(zero, zero), rng=0)
+
+
+def test_singular_pencil_takes_the_condition_of_five_shifts(monkeypatch):
+    from matpencil import eigensolve
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return mp.pivot_condition(mat)
+
+    monkeypatch.setattr(eigensolve, "pivot_condition", counting)
+    zero = np.zeros((4, 4))
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    with pytest.raises(SpectrumError, match="no admissible shift in 5 draws"):
+        mp.generalized_eigen(mp.Pencil(zero, zero), rng=rng)
+    assert calls == [(4, 4)] * 5  # one candidate at a time
+    ref.random(5)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_shift_batch_matches_one_draw_at_a_time():
+    # real and complex D, every third with a zero column (a singular D)
+    gen = np.random.default_rng(44)
+    for i in range(50):
+        n = 1 + i % 12
+        D = gen.standard_normal((n, n))
+        if i % 2:
+            D = D + 1j * gen.standard_normal((n, n))
+        if i % 3 == 0:
+            D[:, gen.integers(n)] = 0
+        p = mp.Pencil(D, gen.standard_normal((n, n)))
+        rng, ref = np.random.default_rng(i), np.random.default_rng(i)
+        rep = mp.generalized_eigen(p, rng=rng)
+        finite, n_inf, sigma = shift_invert_reference(p, ref)
+        assert rep.shift_used == sigma
+        assert rep.finite.tobytes() == finite.tobytes()
+        assert rep.infinite_count == n_inf
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_colleague_roots_match_cosine_formula():

@@ -101,8 +101,14 @@ def test_family_eval_stack_equals_scalar_calls():
         assert stack.tobytes() == scalar.tobytes()
         for z, h in zip(pts.ravel(), stack.reshape(-1, 4, 4)):
             assert h.tobytes() == _family_eval_one(k, z).tobytes()
+        # extended points are evaluated in extended precision
+        wide = fixtures.family_eval(k, pts.astype(experiments._WIDE))
+        assert wide.dtype == experiments._WIDE
+        scale = np.abs(stack).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(wide.astype(complex) - stack) <= 1e-13 * scale)
     one = fixtures.family_eval(2, 0.5)
-    assert one.shape == (4, 4) and one.dtype == complex
+    assert one.shape == (4, 4) and one.dtype == np.float64  # a real point stays real
+    assert one.tobytes() == _family_eval_one(2, 0.5).real.tobytes()
 
 
 def _horner_wide(coeffs, z):

@@ -145,7 +145,7 @@ def _sequential_verify(t, p, n_points, tol, rng):
         det_dev = max(det_dev, abs(dp - dq) / max(1.0, abs(dq)))
         if mp.pivot_condition(az) <= cond_cap:
             inv = np.linalg.inv(az)
-            got = mp.resolvent_eval(t, z, cond_cap=cond_cap)
+            got = mp.resolvent_eval(t, z)
             dev = np.linalg.norm(got - inv) / np.linalg.norm(inv)
             res_dev = dev if res_dev is None else max(res_dev, dev)
     return points, attempts, det_dev, res_dev

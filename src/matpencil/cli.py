@@ -44,6 +44,8 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise StructuralError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}") from None
+    except ValueError:  # an integer past Python's digit limit for str -> int
+        raise StructuralError(f"{path}: a number lies beyond float64's range") from None
 
 
 def _outdir(args) -> Path:

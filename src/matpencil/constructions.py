@@ -8,9 +8,13 @@ and carries X, Y realizing its inverse as a resolvent.
 
 One dtype rule (`matpoly._common`) covers every output: X, Y, D and A are float64
 when all inputs are real or integer, and complex128 once any input is complex.
+Outputs are assembled in place: each matrix is allocated once, as zeros in that
+dtype, and its nonzero blocks are written into it by slice (`_assemble`).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,12 +42,12 @@ def scalar_shift_left(ta: StandardTriple, d0, c0) -> StandardTriple:
     r, n = ta.r, ta.N
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
-    E1 = np.block([[np.zeros((r, r)), c0 @ Xa],
-                   [-Ya, A]])
+    sizes, dt = [r, n], A.dtype
+    E1 = _assemble(sizes, sizes, dt, {(0, 1): c0 @ Xa, (1, 0): -Ya, (1, 1): A})
     D1 = _blockdiag(d0, Da)
-    X = np.hstack([np.zeros((r, r)), -Xa])
-    Y = np.vstack([np.eye(r, dtype=A.dtype), np.zeros((n, r))])
-    meta = {"blocks": [r, n]}
+    X = _assemble([r], sizes, dt, {(0, 1): -Xa})
+    Y = _assemble(sizes, [r], dt, {(0, 0): np.eye(r)})
+    meta = {"blocks": sizes}
     grade = None if ta.grade is None else ta.grade + 1
     return StandardTriple(X, Pencil(D1, E1, meta), Y, grade=grade)
 
@@ -53,12 +57,12 @@ def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
     r, n = ta.r, ta.N
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
-    E2 = np.block([[A, Ya @ c0],
-                   [-Xa, np.zeros((r, r))]])
+    sizes, dt = [n, r], A.dtype
+    E2 = _assemble(sizes, sizes, dt, {(0, 0): A, (0, 1): Ya @ c0, (1, 0): -Xa})
     D2 = _blockdiag(Da, d0)
-    X = np.hstack([np.zeros((r, n), A.dtype), np.eye(r)])
-    Y = np.vstack([-Ya, np.zeros((r, r))])
-    meta = {"blocks": [n, r]}
+    X = _assemble([r], sizes, dt, {(0, 1): np.eye(r)})
+    Y = _assemble(sizes, [r], dt, {(0, 0): -Ya})
+    meta = {"blocks": sizes}
     grade = None if ta.grade is None else ta.grade + 1
     return StandardTriple(X, Pencil(D2, E2, meta), Y, grade=grade)
 
@@ -74,21 +78,22 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
         raise StructuralError("factors must share the polynomial dimension r")
     na, nb, r = ta.N, tb.N, ta.r
     Xa, Da, A, Ya, Xb, Db, B, Yb = _common(*_matrices(ta), *_matrices(tb))
-    couple = Yb @ Xa
+    couple, dt = Yb @ Xa, A.dtype
     if variant == "F1":
-        F = np.block([[A, np.zeros((na, nb))], [couple, B]])
+        sizes = [na, nb]
+        F = _assemble(sizes, sizes, dt, {(0, 0): A, (1, 0): couple, (1, 1): B})
         D = _blockdiag(Da, Db)
-        X = np.hstack([np.zeros((r, na)), Xb])
-        Y = np.vstack([Ya, np.zeros((nb, r))])
-        meta = {"blocks": [na, nb]}
+        X = _assemble([r], sizes, dt, {(0, 1): Xb})
+        Y = _assemble(sizes, [r], dt, {(0, 0): Ya})
     elif variant == "F2":
-        F = np.block([[B, couple], [np.zeros((na, nb)), A]])
+        sizes = [nb, na]
+        F = _assemble(sizes, sizes, dt, {(0, 0): B, (0, 1): couple, (1, 1): A})
         D = _blockdiag(Db, Da)
-        X = np.hstack([Xb, np.zeros((r, na))])
-        Y = np.vstack([np.zeros((nb, r)), Ya])
-        meta = {"blocks": [nb, na]}
+        X = _assemble([r], sizes, dt, {(0, 0): Xb})
+        Y = _assemble(sizes, [r], dt, {(1, 0): Ya})
     else:
         raise ContractError(f"variant must be 'F1' or 'F2', got {variant!r}")
+    meta = {"blocks": sizes}
     grade = None if None in (ta.grade, tb.grade) else ta.grade + tb.grade
     return StandardTriple(X, Pencil(D, F, meta), Y, grade=grade)
 
@@ -128,28 +133,30 @@ def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
     r, na, nb = ta.r, ta.N, tb.N
     Xa, Da, A, Ya, Xb, Db, B, Yb, d0, c0 = _common(
         *_matrices(ta), *_matrices(tb), _square(d0, r, "d0"), _square(c0, r, "c0"))
-    H = np.block([
-        [A, np.zeros((na, r)), -Ya @ c0 @ Xb],
-        [-Xa, np.zeros((r, r)), np.zeros((r, nb))],
-        [np.zeros((nb, na)), -Yb, B],
-    ])
+    sizes, dt = [na, r, nb], A.dtype
+    H = _assemble(sizes, sizes, dt, {(0, 0): A, (0, 2): -Ya @ c0 @ Xb, (1, 0): -Xa,
+                                     (2, 1): -Yb, (2, 2): B})
     D = _blockdiag(Da, d0, Db)
-    X = np.hstack([np.zeros((r, na + r)), Xb])
-    Y = np.vstack([Ya, np.zeros((r + nb, r))])
+    X = _assemble([r], sizes, dt, {(0, 2): Xb})
+    Y = _assemble(sizes, [r], dt, {(0, 0): Ya})
     grade = None if None in (ta.grade, tb.grade) else ta.grade + tb.grade + 1
-    return StandardTriple(X, Pencil(D, H, {"blocks": [na, r, nb]}), Y, grade=grade)
+    return StandardTriple(X, Pencil(D, H, {"blocks": sizes}), Y, grade=grade)
+
+
+def _assemble(rows: list[int], cols: list[int], dtype, blocks: dict) -> np.ndarray:
+    """The matrix with block row heights `rows` and block column widths `cols`:
+    zeros of `dtype`, with blocks[i, j] written into block (i, j)."""
+    out = np.zeros((sum(rows), sum(cols)), dtype)
+    r_at, c_at = list(accumulate(rows, initial=0)), list(accumulate(cols, initial=0))
+    for (i, j), block in blocks.items():
+        out[r_at[i]:r_at[i + 1], c_at[j]:c_at[j + 1]] = block
+    return out
 
 
 def _blockdiag(*mats) -> np.ndarray:
-    mats = _common(*mats)
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=mats[0].dtype)
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        out[at:at + k, at:at + k] = m
-        at += k
-    return out
+    """blockdiag(mats), the matrices given in one dtype."""
+    sizes = [m.shape[0] for m in mats]
+    return _assemble(sizes, sizes, mats[0].dtype, {(i, i): m for i, m in enumerate(mats)})
 
 
 def frobenius_triple(p: MatPoly) -> StandardTriple:

@@ -26,13 +26,17 @@ _REAL = (int, float)
 
 
 def complex_from_json(v) -> complex:
-    """A number or an [re, im] pair; anything else is malformed input."""
-    if isinstance(v, _REAL):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        re, im = v
-        if isinstance(re, _REAL) and isinstance(im, _REAL):
-            return complex(re, im)
+    """A number or an [re, im] pair; anything else, or an integer beyond
+    float64's range, is malformed input."""
+    try:
+        if isinstance(v, _REAL):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2:
+            re, im = v
+            if isinstance(re, _REAL) and isinstance(im, _REAL):
+                return complex(re, im)
+    except OverflowError:
+        raise StructuralError("a number lies beyond float64's range") from None
     raise StructuralError(f"expected a number or an [re, im] pair, got {v!r:.80}")
 
 

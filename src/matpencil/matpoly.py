@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ContractError, StructuralError
 
 MONOMIAL = "monomial"
 LAGRANGE = "lagrange"
@@ -222,14 +222,34 @@ class HeightReport:
 
 
 def height_report(mat) -> HeightReport:
+    """Height, t_metric and the two height-1 flags of a matrix; an entry
+    beyond float64's range raises ContractError."""
     arr = np.asarray(mat)
-    # one magnitude array, and one comparison mask at a time
-    mags = np.abs(arr).astype(float, copy=False)
-    height = float(mags.max()) if arr.size else 0.0
-    positive = mags > 0
-    t_metric = (float(mags.min(where=positive, initial=np.inf) / height)
-                if positive.any() else None)
-    del mags, positive
+    height, smallest = _extremes(arr) if arr.size else (0.0, None)
+    t_metric = None if smallest is None else smallest / height
     zero_or_minus_one = int(np.count_nonzero(arr == 0)) + int(np.count_nonzero(arr == -1))
     return HeightReport(height, t_metric, zero_or_minus_one == arr.size,
                         zero_or_minus_one + int(np.count_nonzero(arr == 1)) == arr.size)
+
+
+def _extremes(arr: np.ndarray) -> tuple[float, float | None]:
+    """(height, smallest nonzero magnitude or None) of non-empty data, from
+    its signed extremes, one comparison mask at a time.
+
+    Real floats that float64 holds exactly (float16/32/64) are read as they
+    are, with no copy.  Other data (integer, bool, complex, object, and
+    extended floats, whose entries round to float64 one by one) is read as
+    one float64 magnitude array.  A NaN entry makes both extremes, and so the
+    height, NaN, and no mask holds it; abs() keeps -0.0 out of the height.
+    """
+    if not (arr.dtype.kind == "f" and np.can_cast(arr.dtype, np.float64)):
+        try:
+            arr = np.abs(arr).astype(float, copy=False)
+        except OverflowError:
+            raise ContractError("matrix entries must lie within float64's range") from None
+    height = max(abs(float(arr.min())), abs(float(arr.max())))
+    smallest = min(float(arr.min(where=arr > 0, initial=np.inf)),
+                   -float(arr.max(where=arr < 0, initial=-np.inf)))
+    if smallest == np.inf and not np.isinf(arr).any():
+        return height, None  # no nonzero entry besides NaN
+    return height, smallest

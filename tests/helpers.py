@@ -17,7 +17,7 @@ __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
            "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
            "rational_pencil", "matrix_det", "height_report_reference", "run_family_sequential",
-           "shift_invert_reference"]
+           "shift_invert_reference", "composition_reference"]
 
 
 def mono_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,6 +182,49 @@ def height_report_reference(mat):
     zero_or_minus_one = (arr == 0) | (arr == -1)
     return HeightReport(height, t_metric, bool(np.all(zero_or_minus_one)),
                         bool(np.all(zero_or_minus_one | (arr == 1))))
+
+
+def composition_reference(rule, ta, tb=None, d0=None, c0=None):
+    """(X, D, A, Y, block_meta) of a composition rule, assembled with
+    `np.block`, `np.hstack`/`np.vstack` and scipy's `block_diag` as
+    `constructions` did before it wrote its blocks in place (test oracle).
+    rule is "shift_left" or "shift_right" (ta, d0, c0), "F1" or "F2" (ta, tb),
+    or "composite" (ta, tb, d0, c0)."""
+    from scipy.linalg import block_diag
+
+    def parts(t):
+        return t.X, t.pencil.D, t.pencil.A, t.Y
+
+    r, na = ta.r, ta.N
+    if rule in ("shift_left", "shift_right"):
+        Xa, Da, A, Ya, d0, c0 = _common(*parts(ta), d0, c0)
+        if rule == "shift_left":
+            return (np.hstack([np.zeros((r, r)), -Xa]), block_diag(d0, Da),
+                    np.block([[np.zeros((r, r)), c0 @ Xa], [-Ya, A]]),
+                    np.vstack([np.eye(r, dtype=A.dtype), np.zeros((na, r))]),
+                    {"blocks": [r, na]})
+        return (np.hstack([np.zeros((r, na), A.dtype), np.eye(r)]), block_diag(Da, d0),
+                np.block([[A, Ya @ c0], [-Xa, np.zeros((r, r))]]),
+                np.vstack([-Ya, np.zeros((r, r))]), {"blocks": [na, r]})
+    nb = tb.N
+    if rule in ("F1", "F2"):
+        Xa, Da, A, Ya, Xb, Db, B, Yb = _common(*parts(ta), *parts(tb))
+        couple = Yb @ Xa
+        if rule == "F1":
+            return (np.hstack([np.zeros((r, na)), Xb]), block_diag(Da, Db),
+                    np.block([[A, np.zeros((na, nb))], [couple, B]]),
+                    np.vstack([Ya, np.zeros((nb, r))]), {"blocks": [na, nb]})
+        return (np.hstack([Xb, np.zeros((r, na))]), block_diag(Db, Da),
+                np.block([[B, couple], [np.zeros((na, nb)), A]]),
+                np.vstack([np.zeros((nb, r)), Ya]), {"blocks": [nb, na]})
+    Xa, Da, A, Ya, Xb, Db, B, Yb, d0, c0 = _common(*parts(ta), *parts(tb), d0, c0)
+    H = np.block([
+        [A, np.zeros((na, r)), -Ya @ c0 @ Xb],
+        [-Xa, np.zeros((r, r)), np.zeros((r, nb))],
+        [np.zeros((nb, na)), -Yb, B],
+    ])
+    return (np.hstack([np.zeros((r, na + r)), Xb]), block_diag(Da, d0, Db), H,
+            np.vstack([Ya, np.zeros((r + nb, r))]), {"blocks": [na, r, nb]})
 
 
 def run_family_sequential(k_max, rng=None):

@@ -235,6 +235,20 @@ def test_height_non_integer_csv_cell_exit_code(capsys, tmp_path):
     assert "CSV" in _one_line_error(capsys, "height", str(path))
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_height_cell_beyond_float_range_exit_code(capsys, tmp_path, suffix):
+    big = "1" + "0" * 399
+    row = "%s,-1\n0,1\n" if suffix == ".csv" else "[[%s, -1], [0, 1]]"
+    path = tmp_path / f"m{suffix}"
+    path.write_text(row % big)
+    assert "range" in _one_line_error(capsys, "height", str(path))
+    path.write_text(row % ("1" + "0" * 4999))  # past Python's 4300-digit limit for str -> int
+    _one_line_error(capsys, "height", str(path))
+    path.write_text(row % big[:25])  # 25 digits: beyond int64, within float64
+    code, out, _ = run(capsys, "height", str(path))
+    assert code == 0 and json.loads(out)["height"] == 1e24
+
+
 @pytest.mark.parametrize("text", ["[[ [1] ]]", "[[null]]", "[[1, 2], [3]]", "[1, 2]",
                                   '[["x"]]'],
                          ids=["short_pair", "null", "ragged", "not_rows", "string"])

@@ -5,8 +5,8 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import ContractError
 
-from helpers import (composite_coeffs, mono_add, mono_mul, rand_lagrange, rand_mat, rand_mono,
-                     shift_left_coeffs, shift_right_coeffs)
+from helpers import (composite_coeffs, composition_reference, mono_add, mono_mul, rand_lagrange,
+                     rand_mat, rand_mono, shift_left_coeffs, shift_right_coeffs)
 
 
 def scalar_poly(*coeffs):
@@ -380,6 +380,54 @@ def test_nonmonic_inputs_accepted_by_all_composers():
     assert mp.verify_triple(mp.product(ta, tb, "F1"), pab, n_points=6, rng=2).passed
     ph = mp.MatPoly.monomial_poly(composite_coeffs(a.data, d0, b.data, c0))
     assert mp.verify_triple(mp.composite(ta, tb, d0, c0), ph, n_points=6, rng=3).passed
+
+
+# --- in-place assembly --------------------------------------------------------
+
+_RULES = {
+    "shift_left": lambda ta, tb, d0, c0: mp.scalar_shift_left(ta, d0, c0),
+    "shift_right": lambda ta, tb, d0, c0: mp.scalar_shift_right(ta, d0, c0),
+    "F1": lambda ta, tb, d0, c0: mp.product(ta, tb, "F1"),
+    "F2": lambda ta, tb, d0, c0: mp.product(ta, tb, "F2"),
+    "composite": mp.composite,
+}
+
+
+@pytest.mark.parametrize("rule", list(_RULES))
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("data", ["real", "integer", "complex", "mixed"])
+def test_assembly_matches_the_np_block_reference(rule, r, data):
+    # "mixed": a real first factor, a complex second one, integer d0 and a
+    # complex c0; the factors differ in size so that no block is square by luck
+    rng = np.random.default_rng(r)
+
+    def draw(shape, kind):
+        if kind == "integer":
+            return rng.integers(-3, 4, shape)
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+    kinds = {"mixed": ("real", "complex", "integer", "complex")}.get(data, (data,) * 4)
+    ta = mp.frobenius_triple(mp.MatPoly.monomial_poly(draw((3, r, r), kinds[0])))
+    tb = mp.frobenius_triple(mp.MatPoly.monomial_poly(draw((2, r, r), kinds[1])))
+    d0, c0 = draw((r, r), kinds[2]), draw((r, r), kinds[3])
+    t = _RULES[rule](ta, tb, d0, c0)
+    *want, meta = composition_reference(rule, ta, tb, d0, c0)
+    for name, got, ref in zip("XDAY", (t.X, t.pencil.D, t.pencil.A, t.Y), want):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+        assert got.tobytes() == ref.tobytes(), name
+    assert t.pencil.block_meta == meta
+
+
+def test_family_pencils_match_the_np_block_reference():
+    from matpencil import experiments
+    triples = experiments.family_triple(6)
+    for k, (t, prev) in enumerate(zip(triples[1:], triples), start=1):
+        *want, meta = composition_reference("composite", prev, prev, np.eye(4),
+                                            fixtures.family_constant(k))
+        for got, ref in zip((t.X, t.pencil.D, t.pencil.A, t.Y), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert t.pencil.block_meta == meta
 
 
 # --- dtype rule --------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +47,10 @@ def _load_json(path: str) -> dict:
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}") from None
     except ValueError:  # an integer past Python's digit limit for str -> int
         raise StructuralError(f"{path}: a number lies beyond float64's range") from None
+
+
+# an integer of 310 or more significant digits, at least 1e309 > float64's maximum
+_BEYOND_FLOAT64 = re.compile(r"\s*[+-]?0*[1-9]\d{309,}\s*")
 
 
 def _outdir(args) -> Path:
@@ -208,11 +213,12 @@ def cmd_verify(args) -> int:
 def cmd_height(args) -> int:
     path = Path(args.matrix)
     if path.suffix == ".csv":
-        text = _read_text(path)
+        rows = [line.split(",") for line in _read_text(path).splitlines() if line.strip()]
         try:
-            mat = np.array([[int(v) for v in line.split(",")]
-                            for line in text.split() if line])
-        except ValueError:
+            mat = np.array([[int(v) for v in row] for row in rows])
+        except ValueError:  # also an integer past Python's digit limit for str -> int
+            if any(_BEYOND_FLOAT64.fullmatch(v) for row in rows for v in row):
+                raise StructuralError(f"{path}: a number lies beyond float64's range") from None
             raise StructuralError(f"{path}: CSV cells must be integers in rows of one length")
     else:
         mat = jsonio.matrix_from_json(_load_json(args.matrix))

@@ -8,8 +8,11 @@ and carries X, Y realizing its inverse as a resolvent.
 
 One dtype rule (`matpoly._common`) covers every output: X, Y, D and A are float64
 when all inputs are real or integer, and complex128 once any input is complex.
-Outputs are assembled in place: each matrix is allocated once, as zeros in that
-dtype, and its nonzero blocks are written into it by slice (`_assemble`).
+The constructors assemble their outputs through `_assemble`: each matrix is
+allocated once, as zeros in that dtype, and its nonzero blocks, with their
+final signs and scalings, are written into it by slice; no negation or
+scaling of a whole matrix follows.  `add_lower_degree` alone keeps its
+input's layout: it corrects a copy of A.
 """
 
 from __future__ import annotations
@@ -172,62 +175,51 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     if s < 1:
         raise ContractError("grade must be at least 1")
     (coeffs,) = _common(p.data)
-    dt = coeffs.dtype
-    n = s * r
-    A = np.zeros((n, n), dtype=dt)
-    for i in range(1, s):
-        A[i * r:(i + 1) * r, (i - 1) * r:i * r] = np.eye(r)
-    for i in range(s):
-        A[i * r:(i + 1) * r, (s - 1) * r:] = -coeffs[i]
-    D = np.eye(n, dtype=dt)
-    D[(s - 1) * r:, (s - 1) * r:] = coeffs[s]
-    X = np.zeros((r, n), dtype=dt)
-    X[:, (s - 1) * r:] = np.eye(r)
-    Y = np.zeros((n, r), dtype=dt)
-    Y[:r, :] = np.eye(r)
-    return StandardTriple(X, Pencil(D, A, {"blocks": [r] * s}), Y, grade=s)
+    sizes, dt, eye = [r] * s, coeffs.dtype, np.eye(r)
+    blocks = {(i, i - 1): eye for i in range(1, s)}
+    blocks.update({(i, s - 1): block for i, block in enumerate(-coeffs[:s])})
+    A = _assemble(sizes, sizes, dt, blocks)
+    D = _blockdiag(np.eye((s - 1) * r, dtype=dt), coeffs[s])
+    X = _assemble([r], sizes, dt, {(0, s - 1): eye})
+    Y = _assemble(sizes, [r], dt, {(0, 0): eye})
+    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=s)
 
 
 def lagrange_triple(p: MatPoly) -> StandardTriple:
-    """Barycentric Lagrange triple: node blocks on the diagonal, samples in the
-    last block column, weights in the last block row.
+    """Barycentric Lagrange triple over m = grade + 1 nodes, m + 1 blocks.
 
-    The pencil is (D, A) = (-A1, -A0) so that zD - A = A0 - z*A1 and the
-    determinant equals det a(z) directly.
+    D = blockdiag(I, ..., I, 0); A has tau_k I on the diagonal, the negated
+    samples -a_k in the last block column and the weights beta_k I in the last
+    block row, so det(zD - A) = w(z)^r det(sum_k beta_k a_k / (z - tau_k)) =
+    det a(z) directly.
     """
     if p.basis.kind != LAGRANGE:
         raise ContractError("lagrange triple needs a lagrange-basis polynomial")
     data, nodes, weights = _common(p.data, p.basis.nodes, p.basis.weights)
-    dt = data.dtype
     if nodes.size < 2:
         raise ContractError("need at least two nodes")
-    r = p.dim
-    m = nodes.size  # = grade + 1
-    n = (m + 1) * r
-    A0 = np.zeros((n, n), dtype=dt)
-    for k in range(m):
-        A0[k * r:(k + 1) * r, k * r:(k + 1) * r] = -nodes[k] * np.eye(r)
-        A0[k * r:(k + 1) * r, m * r:] = data[k]
-        A0[m * r:, k * r:(k + 1) * r] = -weights[k] * np.eye(r)
-    A1 = np.zeros((n, n), dtype=dt)
-    A1[: m * r, : m * r] = -np.eye(m * r)
-    X = np.zeros((r, n), dtype=dt)
-    X[:, m * r:] = np.eye(r)
-    Y = np.zeros((n, r), dtype=dt)
-    for k in range(m):
-        Y[k * r:(k + 1) * r, :] = np.eye(r)
-    return StandardTriple(X, Pencil(-A1, -A0, {"blocks": [r] * (m + 1)}), Y, grade=p.grade)
+    r, m, dt = p.dim, nodes.size, data.dtype
+    sizes, eye = [r] * (m + 1), np.eye(r)
+    taus, betas = nodes[:, None, None] * eye, weights[:, None, None] * eye
+    blocks = {(k, k): taus[k] for k in range(m)}
+    blocks.update({(k, m): block for k, block in enumerate(-data)})
+    blocks.update({(m, k): betas[k] for k in range(m)})
+    A = _assemble(sizes, sizes, dt, blocks)
+    D = _blockdiag(np.eye(m * r, dtype=dt), np.zeros((r, r), dt))
+    X = _assemble([r], sizes, dt, {(0, m): eye})
+    Y = _assemble(sizes, [r], dt, {(k, 0): eye for k in range(m)})
+    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=p.grade)
 
 
 def chebyshev_triple(p: MatPoly) -> StandardTriple:
     """Colleague triple for a Chebyshev-basis polynomial of grade n >= 1.
 
-    Superdiagonal halves carry the three-term recurrence; the leading
-    coefficient enters through the last diagonal block of D and a correction
-    in the next-to-last entry of the coefficient column.  Block rows 3..n of
-    the textbook layout are doubled so the pencil determinant equals det b(z)
-    exactly (the plain layout is off by 2^((2-n)r)); Y lives in the first
-    block, so the resolvent is unchanged by that row scaling.
+    Off-diagonal blocks carry the three-term recurrence, -b_i fills the last
+    block column, and the leading coefficient enters through D's last block,
+    2 b_n, and a correction b_n in the next-to-last block of that column.
+    Block rows 2.. (from 0) are written doubled, so the pencil determinant
+    equals det b(z) exactly (the plain layout is off by 2^((2-n)r)); Y lives
+    in the first block, so the resolvent is unchanged by that row scaling.
     """
     if p.basis.kind != CHEBYSHEV:
         raise ContractError("colleague triple needs chebyshev coefficients")
@@ -235,30 +227,20 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     if n < 1:
         raise ContractError("grade must be at least 1")
     (b,) = _common(p.data)
-    dt = b.dtype
-    if n == 1:
-        return StandardTriple(np.eye(r, dtype=dt),
-                              Pencil(b[1].copy(), -b[0], {"blocks": [r]}),
-                              np.eye(r, dtype=dt), grade=1)
-    N = n * r
-    B0 = np.zeros((N, N), dtype=dt)
-    B1 = np.eye(N, dtype=dt)
-    B1[(n - 1) * r:, (n - 1) * r:] = 2.0 * b[n]
-    half = 0.5 * np.eye(r)
-    for i in range(n - 1):  # superdiagonal, skipping the slot the last column owns
-        if i != n - 2:
-            B0[i * r:(i + 1) * r, (i + 1) * r:(i + 2) * r] = half
-    B0[r:2 * r, :r] = np.eye(r)
-    for i in range(2, n):
-        B0[i * r:(i + 1) * r, (i - 1) * r:i * r] = half
-    for i in range(n):
-        B0[i * r:(i + 1) * r, (n - 1) * r:] += -b[i]
-    B0[(n - 2) * r:(n - 1) * r, (n - 1) * r:] += b[n]
-    if n >= 3:
-        B0[2 * r:, :] *= 2.0
-        B1[2 * r:, :] *= 2.0
-    X = np.zeros((r, N), dtype=dt)
-    X[:, (n - 1) * r:] = np.eye(r)
-    Y = np.zeros((N, r), dtype=dt)
-    Y[:r, :] = np.eye(r)
-    return StandardTriple(X, Pencil(B1, B0, {"blocks": [r] * n}), Y, grade=n)
+    sizes, dt, eye = [r] * n, b.dtype, np.eye(r, dtype=b.dtype)
+    X = _assemble([r], sizes, dt, {(0, n - 1): eye})
+    Y = _assemble(sizes, [r], dt, {(0, 0): eye})
+    if n == 1:  # b(z) = b_0 + b_1 z is its own pencil
+        D, A = _blockdiag(b[1]), _blockdiag(-b[0])
+        return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=1)
+
+    def row(i, block):  # block rows 2.. are written doubled
+        return 2.0 * block if i >= 2 else block
+
+    blocks = {(i, i + 1): row(i, 0.5 * eye) for i in range(n - 2)}
+    blocks.update({(i, i - 1): eye for i in range(1, n)})
+    blocks.update({(i, n - 1): row(i, -b[i]) for i in range(n)})
+    blocks[n - 2, n - 1] = row(n - 2, b[n] - b[n - 2])
+    A = _assemble(sizes, sizes, dt, blocks)
+    D = _blockdiag(*(row(i, eye) for i in range(n - 1)), row(n - 1, 2.0 * b[n]))
+    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=n)

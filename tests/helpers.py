@@ -9,15 +9,17 @@ import matpencil as mp
 from matpencil import experiments, fixtures
 from matpencil._compose import composite_coeffs, mono_mul
 from matpencil._exact import pencil_dets
-from matpencil.errors import VerificationError
-from matpencil.matpoly import HeightReport, _common, _interp_roots_of_unity
+from matpencil.errors import ContractError, VerificationError
+from matpencil.matpoly import (CHEBYSHEV, LAGRANGE, MONOMIAL, HeightReport, MatPoly,
+                               _common, _interp_roots_of_unity)
+from matpencil.pencil import Pencil, StandardTriple
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "composite_coeffs", "mono_add", "mono_mul", "shift_left_coeffs",
            "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
            "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
            "rational_pencil", "matrix_det", "height_report_reference", "run_family_sequential",
-           "shift_invert_reference", "composition_reference"]
+           "shift_invert_reference", "composition_reference", "elementary_reference"]
 
 
 def mono_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,6 +227,120 @@ def composition_reference(rule, ta, tb=None, d0=None, c0=None):
     ])
     return (np.hstack([np.zeros((r, na + r)), Xb]), block_diag(Da, d0, Db), H,
             np.vstack([Ya, np.zeros((r + nb, r))]), {"blocks": [na, r, nb]})
+
+
+def elementary_reference(p):
+    """The second companion, barycentric Lagrange or Chebyshev colleague triple
+    of p, from the builders as `constructions` wrote them with slice loops, a
+    final negation (Lagrange) and a row doubling (Chebyshev) before it
+    assembled them from their block tables (test oracle)."""
+    return {MONOMIAL: _frobenius_reference, LAGRANGE: _lagrange_reference,
+            CHEBYSHEV: _chebyshev_reference}[p.basis.kind](p)
+
+
+def _frobenius_reference(p: MatPoly) -> StandardTriple:
+    """Second companion triple of a monomial polynomial (grade >= 1).
+
+    Coefficient blocks sit in the last block column, identities on the block
+    subdiagonal; D = blockdiag(I, ..., I, alpha_s).  Any leading coefficient,
+    singular included, gives X (zD - A)^-1 Y = a^-1(z).
+    """
+    if p.basis.kind != MONOMIAL:
+        raise ContractError("second companion form needs monomial coefficients")
+    s, r = p.grade, p.dim
+    if s < 1:
+        raise ContractError("grade must be at least 1")
+    (coeffs,) = _common(p.data)
+    dt = coeffs.dtype
+    n = s * r
+    A = np.zeros((n, n), dtype=dt)
+    for i in range(1, s):
+        A[i * r:(i + 1) * r, (i - 1) * r:i * r] = np.eye(r)
+    for i in range(s):
+        A[i * r:(i + 1) * r, (s - 1) * r:] = -coeffs[i]
+    D = np.eye(n, dtype=dt)
+    D[(s - 1) * r:, (s - 1) * r:] = coeffs[s]
+    X = np.zeros((r, n), dtype=dt)
+    X[:, (s - 1) * r:] = np.eye(r)
+    Y = np.zeros((n, r), dtype=dt)
+    Y[:r, :] = np.eye(r)
+    return StandardTriple(X, Pencil(D, A, {"blocks": [r] * s}), Y, grade=s)
+
+
+def _lagrange_reference(p: MatPoly) -> StandardTriple:
+    """Barycentric Lagrange triple: node blocks on the diagonal, samples in the
+    last block column, weights in the last block row.
+
+    The pencil is (D, A) = (-A1, -A0) so that zD - A = A0 - z*A1 and the
+    determinant equals det a(z) directly.
+    """
+    if p.basis.kind != LAGRANGE:
+        raise ContractError("lagrange triple needs a lagrange-basis polynomial")
+    data, nodes, weights = _common(p.data, p.basis.nodes, p.basis.weights)
+    dt = data.dtype
+    if nodes.size < 2:
+        raise ContractError("need at least two nodes")
+    r = p.dim
+    m = nodes.size  # = grade + 1
+    n = (m + 1) * r
+    A0 = np.zeros((n, n), dtype=dt)
+    for k in range(m):
+        A0[k * r:(k + 1) * r, k * r:(k + 1) * r] = -nodes[k] * np.eye(r)
+        A0[k * r:(k + 1) * r, m * r:] = data[k]
+        A0[m * r:, k * r:(k + 1) * r] = -weights[k] * np.eye(r)
+    A1 = np.zeros((n, n), dtype=dt)
+    A1[: m * r, : m * r] = -np.eye(m * r)
+    X = np.zeros((r, n), dtype=dt)
+    X[:, m * r:] = np.eye(r)
+    Y = np.zeros((n, r), dtype=dt)
+    for k in range(m):
+        Y[k * r:(k + 1) * r, :] = np.eye(r)
+    return StandardTriple(X, Pencil(-A1, -A0, {"blocks": [r] * (m + 1)}), Y, grade=p.grade)
+
+
+def _chebyshev_reference(p: MatPoly) -> StandardTriple:
+    """Colleague triple for a Chebyshev-basis polynomial of grade n >= 1.
+
+    Superdiagonal halves carry the three-term recurrence; the leading
+    coefficient enters through the last diagonal block of D and a correction
+    in the next-to-last entry of the coefficient column.  Block rows 3..n of
+    the textbook layout are doubled so the pencil determinant equals det b(z)
+    exactly (the plain layout is off by 2^((2-n)r)); Y lives in the first
+    block, so the resolvent is unchanged by that row scaling.
+    """
+    if p.basis.kind != CHEBYSHEV:
+        raise ContractError("colleague triple needs chebyshev coefficients")
+    n, r = p.grade, p.dim
+    if n < 1:
+        raise ContractError("grade must be at least 1")
+    (b,) = _common(p.data)
+    dt = b.dtype
+    if n == 1:
+        return StandardTriple(np.eye(r, dtype=dt),
+                              Pencil(b[1].copy(), -b[0], {"blocks": [r]}),
+                              np.eye(r, dtype=dt), grade=1)
+    N = n * r
+    B0 = np.zeros((N, N), dtype=dt)
+    B1 = np.eye(N, dtype=dt)
+    B1[(n - 1) * r:, (n - 1) * r:] = 2.0 * b[n]
+    half = 0.5 * np.eye(r)
+    for i in range(n - 1):  # superdiagonal, skipping the slot the last column owns
+        if i != n - 2:
+            B0[i * r:(i + 1) * r, (i + 1) * r:(i + 2) * r] = half
+    B0[r:2 * r, :r] = np.eye(r)
+    for i in range(2, n):
+        B0[i * r:(i + 1) * r, (i - 1) * r:i * r] = half
+    for i in range(n):
+        B0[i * r:(i + 1) * r, (n - 1) * r:] += -b[i]
+    B0[(n - 2) * r:(n - 1) * r, (n - 1) * r:] += b[n]
+    if n >= 3:
+        B0[2 * r:, :] *= 2.0
+        B1[2 * r:, :] *= 2.0
+    X = np.zeros((r, N), dtype=dt)
+    X[:, (n - 1) * r:] = np.eye(r)
+    Y = np.zeros((N, r), dtype=dt)
+    Y[:r, :] = np.eye(r)
+    return StandardTriple(X, Pencil(B1, B0, {"blocks": [r] * n}), Y, grade=n)
 
 
 def run_family_sequential(k_max, rng=None):

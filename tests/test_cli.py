@@ -235,15 +235,32 @@ def test_height_non_integer_csv_cell_exit_code(capsys, tmp_path):
     assert "CSV" in _one_line_error(capsys, "height", str(path))
 
 
+@pytest.mark.parametrize("text", ["1, 2\n3, 4\n", "1,2\r\n3,4\r\n", "\n1,2\n\n 3 ,4 \n\n"],
+                         ids=["space_after_comma", "crlf", "blank_lines"])
+def test_height_csv_rows_split_on_line_breaks(capsys, tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    code, out, _ = run(capsys, "height", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["height"], rep["t_metric"]) == (4.0, 0.25)
+
+
+def test_height_space_separated_csv_cells_exit_code(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1 2\n3 4\n")  # "1 2" is one cell, and not an integer
+    assert "CSV" in _one_line_error(capsys, "height", str(path))
+
+
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 def test_height_cell_beyond_float_range_exit_code(capsys, tmp_path, suffix):
     big = "1" + "0" * 399
     row = "%s,-1\n0,1\n" if suffix == ".csv" else "[[%s, -1], [0, 1]]"
     path = tmp_path / f"m{suffix}"
     path.write_text(row % big)
-    assert "range" in _one_line_error(capsys, "height", str(path))
+    assert "float64's range" in _one_line_error(capsys, "height", str(path))
     path.write_text(row % ("1" + "0" * 4999))  # past Python's 4300-digit limit for str -> int
-    _one_line_error(capsys, "height", str(path))
+    assert "float64's range" in _one_line_error(capsys, "height", str(path))
     path.write_text(row % big[:25])  # 25 digits: beyond int64, within float64
     code, out, _ = run(capsys, "height", str(path))
     assert code == 0 and json.loads(out)["height"] == 1e24
@@ -415,4 +432,20 @@ def test_quintic_artifacts_byte_identical_across_same_seed_runs(capsys, tmp_path
         assert code == 0
         outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
     assert len(outs[0]) == 6
+    assert outs[0] == outs[1]
+
+
+def test_mixed_subcommand_end_to_end(capsys, tmp_path):
+    outs = []
+    for name in ("one", "two"):
+        d = tmp_path / name
+        code, out, _ = run(capsys, "--seed", "5", "--emit", "csv", "--emit", "json",
+                           "--emit", "svg", "--out", str(d), "mixed")
+        assert code == 0
+        assert "mixed-basis pencil: dim 27, blocks [15, 3, 9]" in out
+        assert "finite 21, infinite 6" in out
+        error = float(out.split("max forward error vs oracle roots: ")[1].split()[0])
+        assert error <= 1e-10
+        outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+    assert sorted(outs[0]) == ["mixed.csv", "mixed.json", "mixed.svg"]
     assert outs[0] == outs[1]

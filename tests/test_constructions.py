@@ -5,8 +5,9 @@ import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import ContractError
 
-from helpers import (composite_coeffs, composition_reference, mono_add, mono_mul, rand_lagrange,
-                     rand_mat, rand_mono, shift_left_coeffs, shift_right_coeffs)
+from helpers import (composite_coeffs, composition_reference, elementary_reference, mono_add,
+                     mono_mul, rand_lagrange, rand_mat, rand_mono, shift_left_coeffs,
+                     shift_right_coeffs)
 
 
 def scalar_poly(*coeffs):
@@ -428,6 +429,53 @@ def test_family_pencils_match_the_np_block_reference():
         for got, ref in zip((t.X, t.pencil.D, t.pencil.A, t.Y), want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert t.pencil.block_meta == meta
+
+
+
+def _elementary_poly(kind, r, grade, data, rng):
+    """A random grade-`grade` r x r polynomial in `kind`'s basis, its data
+    integer, float64 with zero entries, complex or float32."""
+    def draw(shape):
+        if data == "integer":
+            return rng.integers(-3, 4, shape)
+        x = rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+        if data == "complex":
+            x = x + 1j * rng.standard_normal(shape)
+        return x.astype(np.float32) if data == "float32" else x
+
+    coeffs = draw((grade + 1, r, r))
+    if kind == "monomial":
+        return mp.MatPoly.monomial_poly(coeffs)
+    if kind == "chebyshev":
+        return mp.MatPoly.chebyshev_poly(coeffs)
+    nodes = np.arange(grade + 1) if data == "integer" else np.arange(grade + 1) + draw(grade + 1)
+    weights = np.array([1.0 / np.prod(t - np.delete(nodes, k)) for k, t in enumerate(nodes)])
+    if data == "float32":
+        nodes, weights = nodes.astype(np.float32), weights.astype(np.float32)
+    return mp.MatPoly.lagrange_poly(nodes, weights, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "lagrange", "chebyshev"])
+@pytest.mark.parametrize("data", ["integer", "float64", "complex", "float32"])
+def test_elementary_triples_match_the_slice_loop_reference(kind, data):
+    # Frobenius byte for byte; Lagrange and Chebyshev once + 0.0 folds -0.0
+    # into +0.0, since the reference negates and rescales its zeros
+    build = {"monomial": mp.frobenius_triple, "lagrange": mp.lagrange_triple,
+             "chebyshev": mp.chebyshev_triple}[kind]
+    rng = np.random.default_rng(20)
+    for r in (1, 2, 3):
+        for grade in range(1, 6):
+            p = _elementary_poly(kind, r, grade, data, rng)
+            t, ref = build(p), elementary_reference(p)
+            assert t.grade == ref.grade == grade
+            assert t.pencil.block_meta == ref.pencil.block_meta
+            for got, want in zip((t.X, t.pencil.D, t.pencil.A, t.Y),
+                                 (ref.X, ref.pencil.D, ref.pencil.A, ref.Y)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                if kind == "monomial":
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 # --- dtype rule --------------------------------------------------------------

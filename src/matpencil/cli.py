@@ -322,6 +322,9 @@ def main(argv=None) -> int:
     except (ContractError, StructuralError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # deep JSON nesting, or a deep expression's evaluation
+        print("error: the input is nested too deeply", file=sys.stderr)
+        return 1
     except (SpectrumError, DegenerateInputError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,8 +104,11 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
 def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
     """Triple for a(z) + c(z), deg c < deg a, by correcting A in place.
 
-    G = A - sum_k A^k Y c_k X keeps the pencil size and the X, Y and D of the
-    input.
+    G = A - sum_k u_k c_k X keeps the pencil size and the X, Y and D of the
+    input.  The chain u_0 = Y, u_{k+1} = A w_k, with D w_k = u_k and
+    X w_k = 0, gives X (zD - A)^-1 u_k = z^k a^-1(z), so the resolvent of the
+    result is (a + c)^-1 (Sherman-Morrison-Woodbury).  On a companion chain
+    w_k = u_k, and u_k = A^k Y.  ContractError when some w_k does not exist.
     """
     if c.basis.kind != MONOMIAL:
         raise ContractError("the added polynomial must be in the monomial basis")
@@ -119,14 +122,34 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
         raise ContractError(f"deg c = {c.grade} must be below deg a = {ta.grade}")
     X, D, A, Y, cs = _common(*_matrices(ta), c.data)
     G = A.copy()
-    power = Y  # A^k Y, starting at k = 0
+    u, err = Y, np.linalg.norm(Y)  # err: the scale of u's rounding error
     for k in range(c.grade + 1):
         if np.any(cs[k] != 0):
-            G -= power @ cs[k] @ X
+            G -= u @ cs[k] @ X
         if k < c.grade:
-            power = A @ power
+            w = _chain_step(D, X, u, err)
+            u, err = A @ w, np.linalg.norm(A) * np.linalg.norm(w)
     return StandardTriple(X.copy(), Pencil(D.copy(), G, ta.pencil.block_meta),
                           Y.copy(), grade=ta.grade)
+
+
+#: relative residual of [D; X] w = [u; 0] above which w counts as not existing
+CHAIN_TOL = 1e-12
+
+
+def _chain_step(D, X, u, err: float) -> np.ndarray:
+    """w with D w = u and X w = 0: u itself where that holds exactly (a
+    companion chain), else the least-squares solution of the stacked system,
+    whose residual must lie within CHAIN_TOL of the scale of its terms and of
+    u's own rounding error `err`."""
+    if np.array_equal(D @ u, u) and not np.any(X @ u):
+        return u
+    M = np.vstack([D, X])
+    rhs = np.vstack([u, np.zeros((X.shape[0], u.shape[1]), u.dtype)])
+    w = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    if np.linalg.norm(M @ w - rhs) > CHAIN_TOL * (np.linalg.norm(M) * np.linalg.norm(w) + err):
+        raise ContractError("cannot add: D w = u, X w = 0 has no solution along the chain")
+    return w
 
 
 def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:

@@ -1,11 +1,13 @@
 """Generalized eigenvalues of a pencil via shift-and-invert, plus residuals
 and eigenvalue/reference matching.
 
-The reduction forms W = (sigma*D - A)^-1 D at a well-conditioned random shift
-sigma and reads generalized eigenvalues off the standard spectrum of W by
-z = sigma - 1/mu; mu near zero marks an infinite eigenvalue.  A pencil with
-D exactly the identity is already a standard eigenproblem and is solved as one,
-in A's own dtype, with no shift.
+The reduction forms W = (sigma*D - A)^-1 D at a well-conditioned random real
+shift sigma and reads generalized eigenvalues off the standard spectrum of W by
+z = sigma - 1/mu; mu near zero marks an infinite eigenvalue.  A real shift
+keeps W in the pencil's own dtype (`matpoly._common`): a real pencil is
+factored and solved in real arithmetic, and its finite eigenvalues come in
+exact conjugate pairs.  A pencil with D exactly the identity is already a
+standard eigenproblem and is solved as one, in A's own dtype, with no shift.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
 
     When D is exactly the identity, the eigenvalues are those of A: no shift
     is drawn from rng, none is infinite, and shift_used is 0.  Otherwise the
-    default reduction draws SHIFT_CANDIDATES random shifts on |z| = 2 at once,
-    takes the first with the least 1-norm condition number (SpectrumError if
-    that exceeds COND_CAP), forms W = (sigma D - A)^-1 D, and maps W's
-    spectrum back by z = sigma - 1/mu.  INF_TOL is relative to
-    the max row sum of W.  backend="qz" instead calls the LAPACK QZ solver on
-    (A, D) directly, classifying |beta| below INF_TOL * |(alpha, beta)| as
-    infinite.
-    Both backends keep a real pencil real.  An object pencil, or one with a
-    NaN or infinite entry, raises StructuralError.
+    default reduction draws SHIFT_CANDIDATES random real shifts in [-2, 2]
+    at once (2 cos(2 pi t), t uniform), takes the first with the least
+    1-norm condition number (SpectrumError if that exceeds COND_CAP), forms
+    W = (sigma D - A)^-1 D in the pencil's dtype, and maps W's spectrum back
+    by z = sigma - 1/mu.  INF_TOL is relative to the max row sum of W.
+    backend="qz" instead calls the LAPACK QZ solver on (A, D) directly,
+    classifying |beta| below INF_TOL * |(alpha, beta)| as infinite.
+    Both backends keep a real pencil real; the finite eigenvalues are
+    returned as complex128 and shift_used as a complex.  An object pencil,
+    or one with a NaN or infinite entry, raises StructuralError.
     """
     _check_numeric(p.D, p.A)
     if not (np.isfinite(p.D).all() and np.isfinite(p.A).all()):
@@ -69,7 +72,7 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
         return EigenReport(finite, 0, None, 0j, backend=BACKEND_STANDARD)
     rng = np.random.default_rng(rng)
     D, A = p.D, p.A
-    sigmas = 2.0 * np.exp(2j * np.pi * rng.random(SHIFT_CANDIDATES))
+    sigmas = 2.0 * np.cos(2 * np.pi * rng.random(SHIFT_CANDIDATES))
     # one candidate at a time, so one N x N inverse is held at once
     conds = [pivot_condition(s * D - A) for s in sigmas]
     best = int(np.argmin(conds))
@@ -78,12 +81,12 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
                             "the pencil looks singular")
     sigma = sigmas[best]
     w = np.linalg.solve(sigma * D - A, D)
-    mu = np.linalg.eigvals(w)
+    mu = np.linalg.eigvals(w).astype(complex, copy=False)
     scale = float(np.abs(w).sum(axis=1).max())
     cutoff = INF_TOL * max(scale, 1e-300)
     infinite = np.abs(mu) < cutoff
     finite = sigma - 1.0 / mu[~infinite]
-    return EigenReport(finite, int(infinite.sum()), None, sigma)
+    return EigenReport(finite, int(infinite.sum()), None, complex(sigma))
 
 
 def _is_identity(mat: np.ndarray) -> bool:

@@ -1,7 +1,9 @@
 """JSON encoding of the package's value types and the composition-expression
 format the CLI builds pencils from.
 
-Complex numbers are [re, im] pairs; matrices are row-major (a list of rows).
+A real number is a plain JSON number, a complex one an [re, im] pair, and
+a matrix a list of rows.  Arrays are read and written in `matpoly._common`'s
+dtype, float64 unless a cell is a pair, so files round-trip their dtype.
 """
 
 from __future__ import annotations
@@ -13,24 +15,19 @@ import numpy as np
 from . import constructions
 from .eigensolve import EigenReport
 from .errors import StructuralError
-from .matpoly import CallablePoly, BasisSpec, MatPoly, eval_at
+from .matpoly import CallablePoly, BasisSpec, MatPoly, _common, eval_at
 from .pencil import Pencil, StandardTriple
-
-
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 _REAL = (int, float)
 
 
-def complex_from_json(v) -> complex:
-    """A number or an [re, im] pair; anything else, or an integer beyond
-    float64's range, is malformed input."""
+def number_from_json(v) -> float | complex:
+    """A number as a float, or an [re, im] pair as a complex; anything else,
+    or an integer beyond float64's range, is malformed input."""
     try:
         if isinstance(v, _REAL):
-            return complex(v)
+            return float(v)
         if isinstance(v, list) and len(v) == 2:
             re, im = v
             if isinstance(re, _REAL) and isinstance(im, _REAL):
@@ -40,8 +37,10 @@ def complex_from_json(v) -> complex:
     raise StructuralError(f"expected a number or an [re, im] pair, got {v!r:.80}")
 
 
-def matrix_to_json(mat) -> list:
-    return [[complex_to_json(x) for x in row] for row in np.asarray(mat, dtype=complex)]
+def matrix_to_json(arr) -> list:
+    """A numeric array as nested lists, a complex entry as an [re, im] pair."""
+    (arr,) = _common(arr)
+    return (np.stack([arr.real, arr.imag], -1) if np.iscomplexobj(arr) else arr).tolist()
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -57,23 +56,23 @@ def matrix_from_json(rows) -> np.ndarray:
         raise StructuralError(f"expected a matrix as a list of rows, got {rows!r:.80}")
     if len({len(row) for row in rows}) > 1:
         raise StructuralError("matrix rows differ in length")
-    return _finite(np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex))
+    return _finite(np.array([[number_from_json(x) for x in row] for row in rows]))
 
 
 def vector_from_json(vals) -> np.ndarray:
     if not isinstance(vals, list):
         raise StructuralError(f"expected a list of numbers, got {vals!r:.80}")
-    return _finite(np.array([complex_from_json(x) for x in vals], dtype=complex))
+    return _finite(np.array([number_from_json(x) for x in vals]))
 
 
 def matpoly_to_json(p: MatPoly) -> dict:
     if p.basis.kind == "lagrange":
-        basis = {"lagrange": {"nodes": [complex_to_json(z) for z in p.basis.nodes],
-                              "weights": [complex_to_json(z) for z in p.basis.weights]}}
+        basis = {"lagrange": {"nodes": matrix_to_json(p.basis.nodes),
+                              "weights": matrix_to_json(p.basis.weights)}}
     else:
         basis = p.basis.kind
     return {"basis": basis, "dim": p.dim, "grade": p.grade,
-            "data": [matrix_to_json(m) for m in p.data]}
+            "data": matrix_to_json(p.data)}
 
 
 def _field(obj, key: str):
@@ -149,10 +148,10 @@ def triple_from_json(obj: dict) -> StandardTriple:
 
 def eigenreport_to_json(rep: EigenReport) -> dict:
     return {
-        "finite": [complex_to_json(z) for z in rep.finite],
+        "finite": matrix_to_json(rep.finite),
         "infinite_count": rep.infinite_count,
         "residuals": [] if rep.residuals is None else [float(x) for x in rep.residuals],
-        "shift": complex_to_json(rep.shift_used),
+        "shift": matrix_to_json(rep.shift_used),
         "backend": rep.backend,
     }
 

@@ -68,13 +68,12 @@ class BasisSpec:
 
 
 def barycentric_weights(nodes) -> np.ndarray:
-    """Weights beta_k = 1 / prod_{j != k} (tau_k - tau_j) for given nodes."""
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    n = nodes.size
-    w = np.ones(n, dtype=complex)
-    for k in range(n):
-        diff = nodes[k] - np.delete(nodes, k)
-        w[k] = 1.0 / np.prod(diff)
+    """Weights beta_k = 1 / prod_{j != k} (tau_k - tau_j) for given nodes, in
+    their `_common` dtype: real nodes give float64 weights."""
+    nodes = _common(nodes)[0].ravel()
+    w = np.empty_like(nodes)
+    for k in range(nodes.size):
+        w[k] = 1.0 / np.prod(nodes[k] - np.delete(nodes, k))
     return w
 
 

@@ -15,13 +15,15 @@ import numpy as np
 from ._exact import forward_interp, pencil_dets
 from .errors import ContractError, VerificationError
 from .matpoly import _interp_roots_of_unity, eval_at
-from .pencil import Pencil, _check_numeric, _check_sampling, _is_exact, _rel_det_dev
+from .pencil import (Pencil, _check_numeric, _check_sampling, _is_exact, _rel_det_dev,
+                     _slice_len)
 
 
 def interp_charpoly(p: Pencil):
     """Coefficients (low-to-high) of det(zD - A), degree <= N.
 
-    Float path: N+1 roots of unity and an inverse DFT.  Integer and object
+    Float path: N+1 roots of unity, whose determinants are taken in slices
+    of `pencil._slice_len` points, and an inverse DFT.  Integer and object
     (e.g. Fraction) pencils take the exact path: `pencil_dets` at the points
     0..N, then `forward_interp`.  An integer-dtype pencil gets Python int
     coefficients (VerificationError unless integers), an object one Fractions.
@@ -34,7 +36,9 @@ def interp_charpoly(p: Pencil):
         if any(isinstance(c, Fraction) for c in coeffs):
             raise VerificationError("interpolation of integer data produced a non-integer")
         return coeffs
-    return _interp_roots_of_unity(lambda pts: np.linalg.det(p.at(pts)), n)
+    step = _slice_len(n)
+    return _interp_roots_of_unity(lambda pts: np.concatenate(
+        [np.linalg.det(p.at(pts[lo:lo + step])) for lo in range(0, n + 1, step)]), n)
 
 
 @dataclass
@@ -51,7 +55,8 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
     """Compare det(zD - A) against det(q(z)) at enough points to certify identity.
 
     Defaults to max(N, r*grade) + 1 fixed points on |z| = 2 (two polynomials of
-    degree <= max(N, r*grade) agreeing there agree everywhere).  Deviations are
+    degree <= max(N, r*grade) agreeing there agree everywhere), generated and
+    checked in slices of `pencil._slice_len` points.  Deviations are
     normalized by max(1, |det q|).  ContractError for n_points < 1 or a tol
     that is not finite and positive, StructuralError for an object pencil.
     """
@@ -59,9 +64,13 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
     if n_points is None:
         n_points = max(p.N, q.dim * q.grade) + 1
     _check_sampling(n_points, tol)
-    pts = 2.0 * np.exp(2j * np.pi * (np.arange(n_points) + 0.28571) / n_points)
-    dev = _rel_det_dev(np.linalg.slogdet(p.at(pts)), np.linalg.slogdet(eval_at(q, pts)))
-    worst = float(np.max(dev, initial=0.0))
+    step, devs = _slice_len(max(p.N, q.dim)), []
+    for lo in range(0, n_points, step):
+        k = np.arange(lo, min(lo + step, n_points))
+        pts = 2.0 * np.exp(2j * np.pi * (k + 0.28571) / n_points)
+        dev = _rel_det_dev(np.linalg.slogdet(p.at(pts)), np.linalg.slogdet(eval_at(q, pts)))
+        devs.append(np.max(dev))
+    worst = float(np.max(devs))
     return DetEquality(worst <= tol, worst, n_points)
 
 

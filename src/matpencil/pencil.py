@@ -17,6 +17,16 @@ from .matpoly import _common, eval_at
 #: 1-norm condition number above which zD - A counts as numerically singular
 COND_CAP = 1e12
 
+#: bytes one stack of matrices evaluated at sample points may take; the
+#: verifiers take their points in slices that keep each stack below it
+STACK_BYTES = 1 << 25
+
+
+def _slice_len(size: int) -> int:
+    """Points per slice: as many as keep a stack of size x size complex128
+    matrices within STACK_BYTES, and at least one."""
+    return max(1, STACK_BYTES // (16 * size * size))
+
 
 @dataclass(eq=False)
 class Pencil:
@@ -202,8 +212,9 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     Points are drawn uniformly on |z| = 2 and rejected while the shifted
     pencil's 1-norm condition number exceeds 1/tol, so the resolvent stays
     computable; DegenerateInputError after 100 * n_points draws.  Draws come
-    in chunks no larger than the number of points still missing, so the
-    accepted points and the rng state are those of drawing one at a time.
+    in chunks no larger than the number of points still missing or than one
+    slice (`_slice_len`), so the accepted points and the rng state are those
+    of drawing one at a time; the checks then run slice by slice.
     Deviations are relative; the determinant one is normalized by
     max(1, |det a|) so huge determinants do not drown the comparison.  The
     resolvent is compared at the points where a(z) is also well-conditioned.
@@ -218,10 +229,11 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     _check_sampling(n_points, tol)
     rng = np.random.default_rng(rng)
     cond_cap = 1.0 / tol
+    step = _slice_len(max(t.N, p.dim))
     points = np.empty(0, dtype=complex)
     attempts = 0
     while points.size < n_points:
-        k = min(n_points - points.size, 100 * n_points - attempts)
+        k = min(n_points - points.size, 100 * n_points - attempts, step)
         if k <= 0:
             raise DegenerateInputError(
                 f"could not find {n_points} admissible sample points in {attempts} draws"
@@ -230,18 +242,20 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
         attempts += k
         points = np.concatenate([points, z[pivot_condition(t.pencil.at(z)) <= cond_cap]])
 
-    m = t.pencil.at(points)
-    az = eval_at(p, points)
-    det_dev = float(np.max(_rel_det_dev(np.linalg.slogdet(m), np.linalg.slogdet(az)),
-                           initial=0.0))
-    res_dev = None
-    cond, inv = _cond_and_inverse(az)
-    good = cond <= cond_cap
-    if np.any(good):
-        inv = np.linalg.inv(az[good]) if inv is None else inv[good]
-        err = _resolvent(t, m[good]) - inv
-        res_dev = float(np.max(np.linalg.norm(err, axis=(-2, -1))
-                               / np.linalg.norm(inv, axis=(-2, -1))))
+    det_devs, res_devs = [], []
+    for lo in range(0, n_points, step):
+        m = t.pencil.at(points[lo:lo + step])
+        az = eval_at(p, points[lo:lo + step])
+        det_devs.append(np.max(_rel_det_dev(np.linalg.slogdet(m), np.linalg.slogdet(az))))
+        cond, inv = _cond_and_inverse(az)
+        good = cond <= cond_cap
+        if np.any(good):
+            inv = np.linalg.inv(az[good]) if inv is None else inv[good]
+            err = _resolvent(t, m[good]) - inv
+            res_devs.append(np.max(np.linalg.norm(err, axis=(-2, -1))
+                                   / np.linalg.norm(inv, axis=(-2, -1))))
+    det_dev = float(np.max(det_devs))
+    res_dev = float(np.max(res_devs)) if res_devs else None
 
     passed = det_dev <= tol and res_dev is not None and res_dev <= tol
     return VerifyReport(det_dev, res_dev, tol, points.tolist(), passed)

@@ -377,13 +377,15 @@ def match_roots_reference(eigs, refs):
 def shift_invert_reference(p, rng):
     """`generalized_eigen`'s shift-invert path as it was when it drew one
     scalar shift at a time and kept the first draw of least κ₁ among its
-    first five (reference; it raises where that loop went on drawing).
-    Returns the finite eigenvalues, the infinite count and the shift."""
+    first five (reference; it raises where that loop went on drawing).  The
+    shifts are real, 2 cos(2 pi t), so a real pencil is solved in real
+    arithmetic.  Returns the finite eigenvalues, the infinite count and the
+    shift."""
     from matpencil.eigensolve import COND_CAP, INF_TOL
     from matpencil.errors import SpectrumError
     best = None
     for _ in range(5):
-        sigma = 2.0 * np.exp(2j * np.pi * rng.random())
+        sigma = 2.0 * np.cos(2 * np.pi * rng.random())
         cond = mp.pivot_condition(sigma * p.D - p.A)
         if best is None or cond < best[1]:
             best = (sigma, cond)
@@ -391,7 +393,7 @@ def shift_invert_reference(p, rng):
         raise SpectrumError("no admissible shift in the first five draws")
     sigma = best[0]
     w = np.linalg.solve(sigma * p.D - p.A, p.D)
-    mu = np.linalg.eigvals(w)
+    mu = np.linalg.eigvals(w).astype(complex)
     cutoff = INF_TOL * max(float(np.abs(w).sum(axis=1).max()), 1e-300)
     infinite = np.abs(mu) < cutoff
     return sigma - 1.0 / mu[~infinite], int(infinite.sum()), sigma

@@ -307,6 +307,30 @@ def test_eig_non_finite_entry_exit_code(capsys, tmp_path, argv, texts, value):
     assert "non-finite" in _one_line_error(capsys, *argv)
 
 
+def _add_chain(depth: int) -> dict:
+    """`depth` nested add nodes over the companion of z^2 + 2."""
+    node = {"frobenius": {"basis": "monomial", "dim": 1, "grade": 2,
+                          "data": [[[2]], [[0]], [[1]]]}}
+    for _ in range(depth):
+        node = {"op": "add", "a": node,
+                "c": {"basis": "monomial", "dim": 1, "grade": 0, "data": [[[1]]]}}
+    return node
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["eig"], "[" * 100000 + "]" * 100000),
+    (["verify", "--expr"], json.dumps(_add_chain(400))),
+], ids=["json", "expression"])
+def test_deep_nesting_exit_code(capsys, tmp_path, argv, text):
+    # json.loads, or the nested evaluation of a deep expression, runs past
+    # Python's recursion limit: one line and exit 1, no traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert _one_line_error(capsys, *argv, str(path)) == "error: the input is nested too deeply\n"
+    if argv[0] == "verify":  # the same file builds: only its evaluation is too deep
+        assert run(capsys, "build", str(path))[0] == 0
+
+
 def test_eig_reads_poly_before_it_solves(capsys, tmp_path, monkeypatch):
     from matpencil import cli
     solves = []
@@ -449,3 +473,48 @@ def test_mixed_subcommand_end_to_end(capsys, tmp_path):
         outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
     assert sorted(outs[0]) == ["mixed.csv", "mixed.json", "mixed.svg"]
     assert outs[0] == outs[1]
+
+
+def _real_lagrange_files(tmp_path):
+    """A real Lagrange pencil (D singular) written as plain numbers and as
+    [re, im] pairs, and its polynomial."""
+    nodes = np.cos(np.pi * (np.arange(4) + 0.5) / 4)
+    p = mp.MatPoly.lagrange_poly(nodes, mp.barycentric_weights(nodes),
+                                 np.random.default_rng(8).standard_normal((4, 2, 2)))
+    pencil = mp.lagrange_triple(p).pencil
+    paths = {name: tmp_path / f"{name}.json" for name in ("real", "complex", "poly")}
+    paths["real"].write_text(json.dumps(jsonio.pencil_to_json(pencil)))
+    paths["complex"].write_text(json.dumps(jsonio.pencil_to_json(
+        mp.Pencil(pencil.D.astype(complex), pencil.A.astype(complex)))))
+    paths["poly"].write_text(json.dumps(jsonio.matpoly_to_json(p)))
+    return paths
+
+
+def test_eig_on_a_real_pencil_file_matches_the_complex_one(capsys, tmp_path):
+    paths = _real_lagrange_files(tmp_path)
+    assert isinstance(json.loads(paths["real"].read_text())["A"][0][0], float)
+    reports = {}
+    for kind in ("real", "complex"):
+        code, out, _ = run(capsys, "--seed", "3", "eig", str(paths[kind]),
+                           "--poly", str(paths["poly"]))
+        assert code == 0
+        reports[kind] = json.loads(out)
+        assert max(reports[kind]["residuals"]) < 1e-10
+    real, cplx = (np.array([complex(*z) for z in reports[k]["finite"]]) for k in reports)
+    assert reports["real"]["infinite_count"] == reports["complex"]["infinite_count"] == 4
+    assert real.size == cplx.size == 6
+    assert mp.match_roots(real, cplx).max_error < 1e-10
+    key = lambda z: (z.real, z.imag)  # noqa: E731
+    assert sorted(real.tolist(), key=key) == sorted(real.conj().tolist(), key=key)
+    assert reports["real"]["shift"][1] == 0.0
+
+
+def test_eig_artifacts_byte_identical_across_same_seed_runs(capsys, tmp_path):
+    paths = _real_lagrange_files(tmp_path)
+    for run_dir in ("a", "b"):
+        code, _, _ = run(capsys, "--seed", "4", "--emit", "csv", "--emit", "svg", "--emit",
+                         "json", "--out", str(tmp_path / run_dir), "eig", str(paths["real"]),
+                         "--poly", str(paths["poly"]))
+        assert code == 0
+    for name in ("eig.csv", "eig.svg", "eig.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -6,6 +6,9 @@ to det p(z) exactly at N + 1 integer points (two polynomials of degree <= N
 that agree there are equal), and the triple's resolvent is checked by
 verify_triple at its default tolerance.  Hypothesis runs derandomized and
 without an example database, so the suite stays deterministic.
+
+The addition rule is also run over the output of every rule and of every
+elementary triple, built from composition expressions, on fixed seeds.
 """
 
 import numpy as np
@@ -13,8 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import matpencil as mp
+from matpencil import jsonio
 
-from helpers import composite_coeffs, mono_add, mono_mul, shift_left_coeffs, shift_right_coeffs
+from helpers import (composite_coeffs, mono_add, mono_mul, rand_chebyshev, rand_lagrange,
+                     rand_mat, rand_mono, shift_left_coeffs, shift_right_coeffs)
 
 
 def _ints(n, r):
@@ -88,3 +93,54 @@ def test_composition_rule_on_integer_inputs(rule, inst):
     assert got == want
 
     assert mp.verify_triple(t, mp.MatPoly.monomial_poly(coeffs), rng=0).passed
+
+
+def _expression(kind: str, rng, r: int) -> dict:
+    """A composition-expression node of the given kind over random complex
+    data (real data for "lagrange_real")."""
+    def leaf(s):
+        return {"frobenius": jsonio.matpoly_to_json(rand_mono(rng, r, s))}
+
+    def mat():
+        return jsonio.matrix_to_json(rand_mat(rng, r))
+
+    if kind.startswith("chebyshev"):
+        return {"chebyshev": jsonio.matpoly_to_json(rand_chebyshev(rng, r, int(kind[-1])))}
+    if kind == "lagrange":
+        return {"lagrange": jsonio.matpoly_to_json(rand_lagrange(rng, r, 2))}
+    if kind == "lagrange_real":
+        nodes = np.cos(np.pi * (np.arange(4) + 0.5) / 4)
+        p = mp.MatPoly.lagrange_poly(nodes, mp.barycentric_weights(nodes),
+                                     rng.standard_normal((4, r, r)))
+        return {"lagrange": jsonio.matpoly_to_json(p)}
+    if kind in ("shift_left", "shift_right"):
+        return {"op": kind, "a": leaf(2), "d0": mat(), "c0": mat()}
+    if kind.startswith("product"):
+        return {"op": "product", "a": leaf(2), "b": leaf(1), "variant": kind[-2:]}
+    if kind == "composite":
+        return {"op": "composite", "a": leaf(1), "b": _expression("chebyshev2", rng, r),
+                "d0": mat(), "c0": mat()}
+    if kind == "add":
+        return {"op": "add", "a": _expression("composite", rng, r),
+                "c": jsonio.matpoly_to_json(rand_mono(rng, r, 2))}
+    return leaf(3)  # frobenius
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "chebyshev4", "chebyshev5", "lagrange",
+                                  "lagrange_real", "shift_left", "shift_right", "product_F1",
+                                  "product_F2", "composite", "add"])
+@pytest.mark.parametrize("seed", range(3))
+def test_add_over_every_rule_output(kind, seed):
+    # a(z) + c(z) for every deg c < deg a, through the expression builder; the
+    # rule must carry Y's chain through D wherever D is not the identity on it
+    rng = np.random.default_rng([seed, len(kind)])
+    r = 2
+    node = _expression(kind, rng, r)
+    grade = jsonio.build_expression(node)[1].grade
+    for deg_c in range(grade):
+        c = jsonio.matpoly_to_json(rand_mono(rng, r, deg_c))
+        t, poly = jsonio.build_expression({"op": "add", "a": node, "c": c})
+        det = mp.det_equality(t.pencil, poly)
+        assert det.ok, (deg_c, det.max_deviation)
+        rep = mp.verify_triple(t, poly, rng=seed)
+        assert rep.passed, (deg_c, str(rep))

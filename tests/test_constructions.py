@@ -141,6 +141,17 @@ def test_add_rejects_equal_degree():
         mp.add_lower_degree(t, scalar_poly(0, 1))
 
 
+def test_add_rejects_a_chain_that_d_and_x_cannot_carry():
+    # a grade-2 companion that claims grade 5: past k = 0 there is no w_k with
+    # D w_k = u_k and X w_k = 0 (D's last block is the random leading coefficient)
+    rng = np.random.default_rng(52)
+    t = mp.frobenius_triple(rand_mono(rng, 2, 2))
+    t = mp.StandardTriple(t.X, t.pencil, t.Y, grade=5)
+    assert mp.add_lower_degree(t, rand_mono(rng, 2, 1)).N == t.N
+    with pytest.raises(ContractError, match="chain"):
+        mp.add_lower_degree(t, rand_mono(rng, 2, 2))
+
+
 # --- composite ----------------------------------------------------------------
 
 def test_composite_reproduces_mandelbrot_levels():
@@ -449,7 +460,7 @@ def _elementary_poly(kind, r, grade, data, rng):
     if kind == "chebyshev":
         return mp.MatPoly.chebyshev_poly(coeffs)
     nodes = np.arange(grade + 1) if data == "integer" else np.arange(grade + 1) + draw(grade + 1)
-    weights = np.array([1.0 / np.prod(t - np.delete(nodes, k)) for k, t in enumerate(nodes)])
+    weights = mp.barycentric_weights(nodes)
     if data == "float32":
         nodes, weights = nodes.astype(np.float32), weights.astype(np.float32)
     return mp.MatPoly.lagrange_poly(nodes, weights, coeffs)

@@ -315,3 +315,27 @@ def test_residuals_match_per_point_loop():
 def test_generalized_eigen_rejects_object_pencil(backend):
     with pytest.raises(StructuralError, match="numeric"):
         mp.generalized_eigen(rational_pencil(), rng=0, backend=backend)
+
+
+def test_real_pencil_is_solved_in_real_arithmetic(monkeypatch):
+    # a real pencil with D != I: real shifts, a float64 solve and eigvals, an
+    # exactly conjugate-closed finite set, and complex128 results
+    seen = []
+    for name in ("solve", "eigvals"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, _name=name: seen.append((_name, a[0].dtype))
+                            or _fn(*a))
+    gen = np.random.default_rng(45)
+    for i in range(40):
+        n = 2 + i % 15
+        D, A = gen.standard_normal((n, n)), gen.standard_normal((n, n))
+        if i % 3 == 0:
+            D[:, gen.integers(n)] = 0
+        seen.clear()
+        rep = mp.generalized_eigen(mp.Pencil(D, A), rng=i)
+        assert seen == [("solve", np.float64), ("eigvals", np.float64)]
+        assert rep.finite.dtype == np.complex128 and type(rep.shift_used) is complex
+        assert rep.shift_used.imag == 0 and abs(rep.shift_used) <= 2
+        key = lambda z: (z.real, z.imag)  # noqa: E731
+        assert sorted(rep.finite.tolist(), key=key) == sorted(rep.finite.conj().tolist(), key=key)

@@ -138,7 +138,7 @@ def test_expression_mixed_basis_leaves():
 def test_malformed_number_is_structural_error(value):
     from matpencil.errors import StructuralError
     with pytest.raises(StructuralError):
-        jsonio.complex_from_json(value)
+        jsonio.number_from_json(value)
     with pytest.raises(StructuralError):
         jsonio.matrix_from_json([[value]])
     with pytest.raises(StructuralError):
@@ -177,3 +177,42 @@ def test_expression_poly_evaluates_a_stack_of_points(op):
     tol = 64 * np.finfo(float).eps * np.abs(want).max()
     np.testing.assert_allclose(got, want, rtol=0, atol=tol)
     np.testing.assert_array_equal(mp.eval_at(poly, z[0]), mp.eval_at(poly, complex(z[0])))
+
+
+@pytest.mark.parametrize("rows, dtype", [
+    ([[1, 2.5], [-3, 0]], np.float64),
+    ([[[1, 0], [2.5, 0]], [[-3, 0], [0, 1]]], np.complex128),
+    ([[1, [0, 1]], [2.5, -3]], np.complex128),
+], ids=["plain", "pairs", "mixed"])
+def test_json_round_trip_keeps_the_dtype(rows, dtype):
+    # plain numbers read as float64 and are written back as plain numbers; a
+    # pair anywhere makes the matrix complex128, written back as pairs
+    mat = jsonio.matrix_from_json(rows)
+    assert mat.dtype == dtype
+    text = json.dumps(jsonio.matrix_to_json(mat))
+    back = jsonio.matrix_from_json(json.loads(text))
+    assert back.dtype == dtype
+    np.testing.assert_array_equal(back, mat)
+    cells = [x for row in json.loads(text) for x in row]
+    if dtype == np.float64:
+        assert all(isinstance(x, float) for x in cells)
+    else:
+        assert all(isinstance(x, list) and len(x) == 2 for x in cells)
+
+
+def test_real_polynomial_and_triple_files_round_trip_as_float64():
+    p = fixtures.mixed_lagrange_poly()  # real nodes, weights and samples
+    obj = json.loads(json.dumps(jsonio.matpoly_to_json(p)))
+    assert isinstance(obj["basis"]["lagrange"]["nodes"][0], float)
+    back = jsonio.matpoly_from_json(obj)
+    for got, want in ((back.data, p.data), (back.basis.nodes, p.basis.nodes),
+                      (back.basis.weights, p.basis.weights)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+    t = mp.lagrange_triple(back)
+    assert t.pencil.A.dtype == np.float64
+    t2 = jsonio.triple_from_json(json.loads(json.dumps(jsonio.triple_to_json(t))))
+    for got, want in ((t2.X, t.X), (t2.pencil.D, t.pencil.D), (t2.pencil.A, t.pencil.A),
+                      (t2.Y, t.Y)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)

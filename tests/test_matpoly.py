@@ -41,6 +41,18 @@ def test_barycentric_eval_between_nodes_interpolates():
         assert p.eval(z)[0, 0] == pytest.approx(2 * z + 1, rel=1e-14)
 
 
+def test_barycentric_weights_follow_the_nodes_dtype():
+    # the `_common` rule: real nodes give float64 weights, equal to the
+    # weights of the same nodes cast to complex
+    nodes = fixtures.MIXED_NODES
+    real = mp.barycentric_weights(nodes)
+    assert real.dtype == np.float64
+    cplx = mp.barycentric_weights(np.asarray(nodes, dtype=complex))
+    assert cplx.dtype == np.complex128
+    assert np.array_equal(cplx, real)
+    assert mp.barycentric_weights([0, 1, 3]).dtype == np.float64
+
+
 def test_partial_fraction_identity_for_weights():
     rng = np.random.default_rng(11)
     nodes = fixtures.MIXED_NODES
@@ -260,7 +272,7 @@ def test_eval_at_array_equals_stacked_scalar_calls(kind, r, s):
         p = rand_lagrange(rng, r, s)
     else:  # real nodes, weights and samples
         nodes = np.linspace(-1.0, 1.0, s + 1) if s else np.array([0.25])
-        p = mp.MatPoly.lagrange_poly(nodes, mp.barycentric_weights(nodes).real,
+        p = mp.MatPoly.lagrange_poly(nodes, mp.barycentric_weights(nodes),
                                      rng.standard_normal((s + 1, r, r)))
     nodes = p.basis.nodes if p.basis.kind == "lagrange" else np.array([0.3, 0.7])
     z = _points_with_node(rng, nodes)

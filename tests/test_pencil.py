@@ -352,3 +352,52 @@ def test_verify_triple_rejects_object_pencil():
     p = mp.MatPoly.monomial_poly(np.stack([np.eye(2), np.eye(2)]))
     with pytest.raises(StructuralError, match="numeric"):
         mp.verify_triple(t, p, rng=0)
+
+
+def _traced(fn):
+    """(fn(), tracemalloc peak in bytes)."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verifiers_take_their_points_in_slices_within_the_stack_budget(monkeypatch):
+    # a budget of four 60 x 60 matrices: the same verdicts and deviations as
+    # one stack of all 61 points, at a fraction of the peak memory
+    from matpencil import pencil
+    from helpers import rand_mono
+    a = rand_mono(np.random.default_rng(3), 4, 15)
+    t = mp.frobenius_triple(a)
+    calls = {"det_equality": lambda: mp.det_equality(t.pencil, a),
+             "verify_triple": lambda: mp.verify_triple(t, a, rng=5),
+             "interp_charpoly": lambda: mp.interp_charpoly(t.pencil)}
+    assert pencil._slice_len(t.N) > t.N + 1  # one slice at the default budget
+    whole = {name: _traced(fn) for name, fn in calls.items()}
+    monkeypatch.setattr(pencil, "STACK_BYTES", 4 * 16 * t.N ** 2)
+    assert pencil._slice_len(t.N) == 4
+    for name, fn in calls.items():
+        (want, full), (got, sliced) = whole[name], _traced(fn)
+        if name == "interp_charpoly":
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want
+        assert sliced < full / 4 and sliced < 6 * pencil.STACK_BYTES, name
+    assert mp.verify_triple(t, a, rng=5).passed
+
+
+def test_verify_triple_draws_in_slices_as_one_at_a_time(monkeypatch):
+    # draws capped at one point per slice leave the points and the rng state
+    # of the uncapped draw
+    from matpencil import pencil
+    from helpers import rand_mono
+    a = rand_mono(np.random.default_rng(4), 2, 3)
+    t = mp.frobenius_triple(a)
+    rng = np.random.default_rng(6)
+    want = mp.verify_triple(t, a, rng=rng)
+    monkeypatch.setattr(pencil, "STACK_BYTES", 1)
+    rng_sliced = np.random.default_rng(6)
+    assert mp.verify_triple(t, a, rng=rng_sliced) == want
+    assert rng_sliced.bit_generator.state == rng.bit_generator.state

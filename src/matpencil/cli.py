@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_text(path) -> str:
-    """The file's text; a missing or unreadable file is malformed input."""
+@contextmanager
+def _file_errors(path):
+    """An OSError on `path` (missing, unreadable, unwritable, a file where a
+    directory is wanted) is malformed input: StructuralError."""
     try:
-        return Path(path).read_text()
+        yield
     except OSError as exc:
         raise StructuralError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_text(path) -> str:
+    with _file_errors(path):
+        return Path(path).read_text()
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _file_errors(path):
+        path.write_text(text)
 
 
 def _load_json(path: str) -> dict:
@@ -55,7 +68,8 @@ _BEYOND_FLOAT64 = re.compile(r"\s*[+-]?0*[1-9]\d{309,}\s*")
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _file_errors(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -111,12 +125,12 @@ def _emit(args, stem: str, report, **fields):
         return
     out = _outdir(args)
     if "csv" in args.emit:
-        (out / f"{stem}.csv").write_text(eigen_csv(report))
+        _write_text(out / f"{stem}.csv", eigen_csv(report))
     if "svg" in args.emit:
-        (out / f"{stem}.svg").write_text(eigen_svg(report))
+        _write_text(out / f"{stem}.svg", eigen_svg(report))
     if "json" in args.emit:
-        (out / f"{stem}.json").write_text(
-            jsonio.dumps({**jsonio.eigenreport_to_json(report), **fields}))
+        _write_text(out / f"{stem}.json",
+                    jsonio.dumps({**jsonio.eigenreport_to_json(report), **fields}))
 
 
 def cmd_mandelbrot(args) -> int:
@@ -141,7 +155,7 @@ def cmd_mandelbrot(args) -> int:
         out = _outdir(args)
         for name, mat in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
             _write_csv(out / name, mat)
-        (out / f"m{args.n}_report.json").write_text(jsonio.dumps({
+        _write_text(out / f"m{args.n}_report.json", jsonio.dumps({
             "n": rep.n, "dim": dim, "corner_value": rep.corner_value,
             "zero_block_ok": rep.zero_block_ok, "height1": rep.height1,
             "charpoly_identity": bool(ok),
@@ -158,7 +172,7 @@ def _write_csv(path: Path, mat: mandelbrot.NonzeroMatrix) -> None:
     rows, cols = np.divmod(mat.keys, ncols)
     bounds = np.searchsorted(rows, np.arange(nrows + 1)).tolist()
     cols, vals = cols.tolist(), mat.values.tolist()
-    with open(path, "w") as f:
+    with _file_errors(path), open(path, "w") as f:
         for i in range(nrows):
             parts, at = [], 0
             for k in range(bounds[i], bounds[i + 1]):
@@ -173,7 +187,7 @@ def cmd_build(args) -> int:
     triple, _ = jsonio.build_expression(expr)
     payload = jsonio.dumps(jsonio.triple_to_json(triple))
     if args.out:
-        (_outdir(args) / "triple.json").write_text(payload)
+        _write_text(_outdir(args) / "triple.json", payload)
     else:
         print(payload, end="")
     return 0

@@ -8,11 +8,12 @@ and carries X, Y realizing its inverse as a resolvent.
 
 One dtype rule (`matpoly._common`) covers every output: X, Y, D and A are float64
 when all inputs are real or integer, and complex128 once any input is complex.
-The constructors assemble their outputs through `_assemble`: each matrix is
-allocated once, as zeros in that dtype, and its nonzero blocks, with their
-final signs and scalings, are written into it by slice; no negation or
-scaling of a whole matrix follows.  `add_lower_degree` alone keeps its
-input's layout: it corrects a copy of A.
+Each constructor states its block table once, in one call to `_triple`: the
+blocks of A, the diagonal blocks of D, and the blocks of X's one block row and
+Y's one block column.  `_triple` allocates each matrix once, as zeros in that
+dtype, and writes the blocks, with their final signs and scalings, into it by
+slice (`_assemble`); no negation or scaling of a whole matrix follows.
+`add_lower_degree` alone keeps its input's layout: it corrects a copy of A.
 """
 
 from __future__ import annotations
@@ -40,19 +41,35 @@ def _matrices(t: StandardTriple) -> tuple:
     return t.X, t.pencil.D, t.pencil.A, t.Y
 
 
+def _grade(extra: int, *parts: StandardTriple) -> int | None:
+    """The parts' grades summed, plus `extra`; None when any part's is unknown."""
+    grades = [t.grade for t in parts]
+    return None if None in grades else sum(grades) + extra
+
+
+def _triple(sizes: list[int], a_blocks: dict, d_blocks: list, x_blocks: dict,
+            y_blocks: dict, grade: int | None) -> StandardTriple:
+    """The triple whose pencil has block sizes `sizes`: A has the blocks
+    a_blocks[i, j], D = blockdiag(d_blocks), and X (one block row) and Y (one
+    block column) have the blocks x_blocks[j] and y_blocks[i].  All four are
+    assembled in the one dtype of their blocks."""
+    blocks = [*a_blocks.values(), *d_blocks, *x_blocks.values(), *y_blocks.values()]
+    dt = np.result_type(*{b.dtype for b in blocks})
+    r = next(iter(x_blocks.values())).shape[0]
+    A = _assemble(sizes, sizes, dt, a_blocks)
+    D = _assemble(sizes, sizes, dt, {(i, i): b for i, b in enumerate(d_blocks)})
+    X = _assemble([r], sizes, dt, {(0, j): b for j, b in x_blocks.items()})
+    Y = _assemble(sizes, [r], dt, {(i, 0): b for i, b in y_blocks.items()})
+    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=grade)
+
+
 def scalar_shift_left(ta: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for e1(z) = z * d0 * a(z) + c0."""
     r, n = ta.r, ta.N
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
-    sizes, dt = [r, n], A.dtype
-    E1 = _assemble(sizes, sizes, dt, {(0, 1): c0 @ Xa, (1, 0): -Ya, (1, 1): A})
-    D1 = _blockdiag(d0, Da)
-    X = _assemble([r], sizes, dt, {(0, 1): -Xa})
-    Y = _assemble(sizes, [r], dt, {(0, 0): np.eye(r)})
-    meta = {"blocks": sizes}
-    grade = None if ta.grade is None else ta.grade + 1
-    return StandardTriple(X, Pencil(D1, E1, meta), Y, grade=grade)
+    return _triple([r, n], {(0, 1): c0 @ Xa, (1, 0): -Ya, (1, 1): A}, [d0, Da],
+                   {1: -Xa}, {0: np.eye(r)}, _grade(1, ta))
 
 
 def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
@@ -60,14 +77,8 @@ def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
     r, n = ta.r, ta.N
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
-    sizes, dt = [n, r], A.dtype
-    E2 = _assemble(sizes, sizes, dt, {(0, 0): A, (0, 1): Ya @ c0, (1, 0): -Xa})
-    D2 = _blockdiag(Da, d0)
-    X = _assemble([r], sizes, dt, {(0, 1): np.eye(r)})
-    Y = _assemble(sizes, [r], dt, {(0, 0): -Ya})
-    meta = {"blocks": sizes}
-    grade = None if ta.grade is None else ta.grade + 1
-    return StandardTriple(X, Pencil(D2, E2, meta), Y, grade=grade)
+    return _triple([n, r], {(0, 0): A, (0, 1): Ya @ c0, (1, 0): -Xa}, [Da, d0],
+                   {1: np.eye(r)}, {0: -Ya}, _grade(1, ta))
 
 
 def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> StandardTriple:
@@ -79,26 +90,15 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
     """
     if ta.r != tb.r:
         raise StructuralError("factors must share the polynomial dimension r")
-    na, nb, r = ta.N, tb.N, ta.r
     Xa, Da, A, Ya, Xb, Db, B, Yb = _common(*_matrices(ta), *_matrices(tb))
-    couple, dt = Yb @ Xa, A.dtype
+    couple, grade = Yb @ Xa, _grade(0, ta, tb)
     if variant == "F1":
-        sizes = [na, nb]
-        F = _assemble(sizes, sizes, dt, {(0, 0): A, (1, 0): couple, (1, 1): B})
-        D = _blockdiag(Da, Db)
-        X = _assemble([r], sizes, dt, {(0, 1): Xb})
-        Y = _assemble(sizes, [r], dt, {(0, 0): Ya})
-    elif variant == "F2":
-        sizes = [nb, na]
-        F = _assemble(sizes, sizes, dt, {(0, 0): B, (0, 1): couple, (1, 1): A})
-        D = _blockdiag(Db, Da)
-        X = _assemble([r], sizes, dt, {(0, 0): Xb})
-        Y = _assemble(sizes, [r], dt, {(1, 0): Ya})
-    else:
-        raise ContractError(f"variant must be 'F1' or 'F2', got {variant!r}")
-    meta = {"blocks": sizes}
-    grade = None if None in (ta.grade, tb.grade) else ta.grade + tb.grade
-    return StandardTriple(X, Pencil(D, F, meta), Y, grade=grade)
+        return _triple([ta.N, tb.N], {(0, 0): A, (1, 0): couple, (1, 1): B}, [Da, Db],
+                       {1: Xb}, {0: Ya}, grade)
+    if variant == "F2":
+        return _triple([tb.N, ta.N], {(0, 0): B, (0, 1): couple, (1, 1): A}, [Db, Da],
+                       {0: Xb}, {1: Ya}, grade)
+    raise ContractError(f"variant must be 'F1' or 'F2', got {variant!r}")
 
 
 def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
@@ -156,17 +156,12 @@ def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
     """Triple for h(z) = z * a(z) * d0 * b(z) + c0, the glued three-block pencil."""
     if ta.r != tb.r:
         raise StructuralError("components must share the polynomial dimension r")
-    r, na, nb = ta.r, ta.N, tb.N
+    r = ta.r
     Xa, Da, A, Ya, Xb, Db, B, Yb, d0, c0 = _common(
         *_matrices(ta), *_matrices(tb), _square(d0, r, "d0"), _square(c0, r, "c0"))
-    sizes, dt = [na, r, nb], A.dtype
-    H = _assemble(sizes, sizes, dt, {(0, 0): A, (0, 2): -Ya @ c0 @ Xb, (1, 0): -Xa,
-                                     (2, 1): -Yb, (2, 2): B})
-    D = _blockdiag(Da, d0, Db)
-    X = _assemble([r], sizes, dt, {(0, 2): Xb})
-    Y = _assemble(sizes, [r], dt, {(0, 0): Ya})
-    grade = None if None in (ta.grade, tb.grade) else ta.grade + tb.grade + 1
-    return StandardTriple(X, Pencil(D, H, {"blocks": sizes}), Y, grade=grade)
+    return _triple([ta.N, r, tb.N], {(0, 0): A, (0, 2): -Ya @ c0 @ Xb, (1, 0): -Xa,
+                                     (2, 1): -Yb, (2, 2): B},
+                   [Da, d0, Db], {2: Xb}, {0: Ya}, _grade(1, ta, tb))
 
 
 def _assemble(rows: list[int], cols: list[int], dtype, blocks: dict) -> np.ndarray:
@@ -177,12 +172,6 @@ def _assemble(rows: list[int], cols: list[int], dtype, blocks: dict) -> np.ndarr
     for (i, j), block in blocks.items():
         out[r_at[i]:r_at[i + 1], c_at[j]:c_at[j + 1]] = block
     return out
-
-
-def _blockdiag(*mats) -> np.ndarray:
-    """blockdiag(mats), the matrices given in one dtype."""
-    sizes = [m.shape[0] for m in mats]
-    return _assemble(sizes, sizes, mats[0].dtype, {(i, i): m for i, m in enumerate(mats)})
 
 
 def frobenius_triple(p: MatPoly) -> StandardTriple:
@@ -198,14 +187,10 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     if s < 1:
         raise ContractError("grade must be at least 1")
     (coeffs,) = _common(p.data)
-    sizes, dt, eye = [r] * s, coeffs.dtype, np.eye(r)
+    eye = np.eye(r, dtype=coeffs.dtype)
     blocks = {(i, i - 1): eye for i in range(1, s)}
     blocks.update({(i, s - 1): block for i, block in enumerate(-coeffs[:s])})
-    A = _assemble(sizes, sizes, dt, blocks)
-    D = _blockdiag(np.eye((s - 1) * r, dtype=dt), coeffs[s])
-    X = _assemble([r], sizes, dt, {(0, s - 1): eye})
-    Y = _assemble(sizes, [r], dt, {(0, 0): eye})
-    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=s)
+    return _triple([r] * s, blocks, [eye] * (s - 1) + [coeffs[s]], {s - 1: eye}, {0: eye}, s)
 
 
 def lagrange_triple(p: MatPoly) -> StandardTriple:
@@ -221,17 +206,13 @@ def lagrange_triple(p: MatPoly) -> StandardTriple:
     data, nodes, weights = _common(p.data, p.basis.nodes, p.basis.weights)
     if nodes.size < 2:
         raise ContractError("need at least two nodes")
-    r, m, dt = p.dim, nodes.size, data.dtype
-    sizes, eye = [r] * (m + 1), np.eye(r)
+    r, m, eye = p.dim, nodes.size, np.eye(p.dim, dtype=data.dtype)
     taus, betas = nodes[:, None, None] * eye, weights[:, None, None] * eye
     blocks = {(k, k): taus[k] for k in range(m)}
     blocks.update({(k, m): block for k, block in enumerate(-data)})
     blocks.update({(m, k): betas[k] for k in range(m)})
-    A = _assemble(sizes, sizes, dt, blocks)
-    D = _blockdiag(np.eye(m * r, dtype=dt), np.zeros((r, r), dt))
-    X = _assemble([r], sizes, dt, {(0, m): eye})
-    Y = _assemble(sizes, [r], dt, {(k, 0): eye for k in range(m)})
-    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=p.grade)
+    return _triple([r] * (m + 1), blocks, [eye] * m + [0 * eye], {m: eye},
+                   dict.fromkeys(range(m), eye), p.grade)
 
 
 def chebyshev_triple(p: MatPoly) -> StandardTriple:
@@ -250,12 +231,9 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     if n < 1:
         raise ContractError("grade must be at least 1")
     (b,) = _common(p.data)
-    sizes, dt, eye = [r] * n, b.dtype, np.eye(r, dtype=b.dtype)
-    X = _assemble([r], sizes, dt, {(0, n - 1): eye})
-    Y = _assemble(sizes, [r], dt, {(0, 0): eye})
+    sizes, eye = [r] * n, np.eye(r, dtype=b.dtype)
     if n == 1:  # b(z) = b_0 + b_1 z is its own pencil
-        D, A = _blockdiag(b[1]), _blockdiag(-b[0])
-        return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=1)
+        return _triple(sizes, {(0, 0): -b[0]}, [b[1]], {0: eye}, {0: eye}, 1)
 
     def row(i, block):  # block rows 2.. are written doubled
         return 2.0 * block if i >= 2 else block
@@ -264,6 +242,5 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     blocks.update({(i, i - 1): eye for i in range(1, n)})
     blocks.update({(i, n - 1): row(i, -b[i]) for i in range(n)})
     blocks[n - 2, n - 1] = row(n - 2, b[n] - b[n - 2])
-    A = _assemble(sizes, sizes, dt, blocks)
-    D = _blockdiag(*(row(i, eye) for i in range(n - 1)), row(n - 1, 2.0 * b[n]))
-    return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=n)
+    d_blocks = [row(i, eye) for i in range(n - 1)] + [row(n - 1, 2.0 * b[n])]
+    return _triple(sizes, blocks, d_blocks, {n - 1: eye}, {0: eye}, n)

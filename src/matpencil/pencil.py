@@ -17,15 +17,17 @@ from .matpoly import _common, eval_at
 #: 1-norm condition number above which zD - A counts as numerically singular
 COND_CAP = 1e12
 
-#: bytes one stack of matrices evaluated at sample points may take; the
-#: verifiers take their points in slices that keep each stack below it
+#: bytes one slice of sample points may take; the verifiers take their
+#: points in slices that keep each one's arrays below it
 STACK_BYTES = 1 << 25
 
 
 def _slice_len(size: int) -> int:
-    """Points per slice: as many as keep a stack of size x size complex128
-    matrices within STACK_BYTES, and at least one."""
-    return max(1, STACK_BYTES // (16 * size * size))
+    """Points per slice: as many as keep within STACK_BYTES a stack of
+    size x size complex128 matrices, one temporary of the same size, and 256
+    bytes per point for the side arrays (the points, their indices,
+    determinants and deviations), and at least one."""
+    return max(1, STACK_BYTES // (32 * size * size + 256))
 
 
 @dataclass(eq=False)

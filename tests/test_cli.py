@@ -379,6 +379,23 @@ def test_missing_input_file_exit_code(capsys, tmp_path, argv):
     assert "No such file" in _one_line_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv, strerror", [
+    (["--out", "{file}", "mandelbrot", "3"], "File exists"),
+    (["--out", "{file}/sub", "build", "{expr}"], "Not a directory"),
+    (["--emit", "json", "--out", "{file}", "eig", "{pencil}"], "File exists"),
+], ids=["mandelbrot_out_is_a_file", "build_out_below_a_file", "eig_emit_out_is_a_file"])
+def test_out_that_cannot_be_a_directory_exit_code(capsys, tmp_path, argv, strerror):
+    paths = {"file": tmp_path / "file.txt", "expr": tmp_path / "expr.json",
+             "pencil": tmp_path / "pencil.json"}
+    paths["file"].write_text("not a directory\n")
+    a = rand_mono(np.random.default_rng(1), 1, 1)
+    paths["expr"].write_text(json.dumps({"frobenius": jsonio.matpoly_to_json(a)}))
+    paths["pencil"].write_text(json.dumps(jsonio.pencil_to_json(mp.frobenius_triple(a).pencil)))
+    err = _one_line_error(capsys, *(arg.format(**paths) for arg in argv))
+    assert strerror in err and "file.txt" in err
+    assert paths["file"].read_text() == "not a directory\n"
+
+
 def test_mandelbrot_level12_end_to_end(capsys):
     code, out, _ = run(capsys, "mandelbrot", "12")
     assert code == 0

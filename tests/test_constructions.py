@@ -442,6 +442,36 @@ def test_family_pencils_match_the_np_block_reference():
         assert t.pencil.block_meta == meta
 
 
+# --- grade bookkeeping --------------------------------------------------------
+
+#: the grade each rule returns for deg a = 3 and deg b = 2: deg a + 1 for a
+#: shift, deg a + deg b for a product, deg a + deg b + 1 for the composite
+_RULE_GRADES = {"shift_left": 4, "shift_right": 4, "F1": 5, "F2": 5, "composite": 6}
+
+
+@pytest.mark.parametrize("rule", list(_RULES))
+def test_rules_add_up_the_grades_and_propagate_an_unknown_one(rule):
+    rng = np.random.default_rng(131)
+    ta = mp.frobenius_triple(rand_mono(rng, 2, 3))
+    tb = mp.frobenius_triple(rand_mono(rng, 2, 2))
+    ua, ub = (mp.StandardTriple(t.X, t.pencil, t.Y, grade=None) for t in (ta, tb))
+    d0, c0 = rand_mat(rng, 2), rand_mat(rng, 2)
+    build = _RULES[rule]
+    assert build(ta, tb, d0, c0).grade == _RULE_GRADES[rule]
+    assert build(ua, tb, d0, c0).grade is None
+    assert build(ua, ub, d0, c0).grade is None
+    if rule in ("F1", "F2", "composite"):  # the rules that read b
+        assert build(ta, ub, d0, c0).grade is None
+
+
+def test_add_lower_degree_keeps_the_grade_and_needs_it_known():
+    rng = np.random.default_rng(141)
+    ta = mp.frobenius_triple(rand_mono(rng, 2, 3))
+    c = rand_mono(rng, 2, 1)
+    assert mp.add_lower_degree(ta, c).grade == 3
+    with pytest.raises(ContractError, match="does not know its grade"):
+        mp.add_lower_degree(mp.StandardTriple(ta.X, ta.pencil, ta.Y, grade=None), c)
+
 
 def _elementary_poly(kind, r, grade, data, rng):
     """A random grade-`grade` r x r polynomial in `kind`'s basis, its data

@@ -365,8 +365,8 @@ def _traced(fn):
 
 
 def test_verifiers_take_their_points_in_slices_within_the_stack_budget(monkeypatch):
-    # a budget of four 60 x 60 matrices: the same verdicts and deviations as
-    # one stack of all 61 points, at a fraction of the peak memory
+    # a budget of four points of 60 x 60 matrices: the same verdicts and
+    # deviations as one stack of all 61 points, at a fraction of the peak memory
     from matpencil import pencil
     from helpers import rand_mono
     a = rand_mono(np.random.default_rng(3), 4, 15)
@@ -376,7 +376,7 @@ def test_verifiers_take_their_points_in_slices_within_the_stack_budget(monkeypat
              "interp_charpoly": lambda: mp.interp_charpoly(t.pencil)}
     assert pencil._slice_len(t.N) > t.N + 1  # one slice at the default budget
     whole = {name: _traced(fn) for name, fn in calls.items()}
-    monkeypatch.setattr(pencil, "STACK_BYTES", 4 * 16 * t.N ** 2)
+    monkeypatch.setattr(pencil, "STACK_BYTES", 4 * (32 * t.N ** 2 + 256))
     assert pencil._slice_len(t.N) == 4
     for name, fn in calls.items():
         (want, full), (got, sliced) = whole[name], _traced(fn)
@@ -384,8 +384,22 @@ def test_verifiers_take_their_points_in_slices_within_the_stack_budget(monkeypat
             np.testing.assert_array_equal(got, want)
         else:
             assert got == want
-        assert sliced < full / 4 and sliced < 6 * pencil.STACK_BYTES, name
+        assert sliced < full / 4 and sliced < 3 * pencil.STACK_BYTES, name
     assert mp.verify_triple(t, a, rng=5).passed
+
+
+def test_verifiers_keep_a_tiny_pencil_within_the_stack_budget(monkeypatch):
+    # on a 1 x 1 pencil the per-point side arrays, not the matrices, fill a
+    # slice; the slices count them, so the peak stays near the budget
+    from matpencil import pencil
+    a = mp.MatPoly.monomial_poly(np.array([[[0.5]], [[1.0]]]))
+    t = mp.frobenius_triple(a)
+    monkeypatch.setattr(pencil, "STACK_BYTES", 1 << 18)
+    det, det_peak = _traced(lambda: mp.det_equality(t.pencil, a, n_points=200_000))
+    assert det.ok and det_peak < 2 * pencil.STACK_BYTES
+    coeffs, charpoly_peak = _traced(lambda: mp.interp_charpoly(t.pencil))
+    np.testing.assert_allclose(coeffs, [0.5, 1.0], atol=1e-15)
+    assert charpoly_peak < 2 * pencil.STACK_BYTES
 
 
 def test_verify_triple_draws_in_slices_as_one_at_a_time(monkeypatch):

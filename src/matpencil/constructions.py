@@ -18,6 +18,7 @@ slice (`_assemble`); no negation or scaling of a whole matrix follows.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -69,7 +70,7 @@ def scalar_shift_left(ta: StandardTriple, d0, c0) -> StandardTriple:
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
     return _triple([r, n], {(0, 1): c0 @ Xa, (1, 0): -Ya, (1, 1): A}, [d0, Da],
-                   {1: -Xa}, {0: np.eye(r)}, _grade(1, ta))
+                   {1: -Xa}, {0: np.eye(r, dtype=A.dtype)}, _grade(1, ta))
 
 
 def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
@@ -78,7 +79,7 @@ def scalar_shift_right(ta: StandardTriple, d0, c0) -> StandardTriple:
     Xa, Da, A, Ya, d0, c0 = _common(*_matrices(ta), _square(d0, r, "d0"),
                                     _square(c0, r, "c0"))
     return _triple([n, r], {(0, 0): A, (0, 1): Ya @ c0, (1, 0): -Xa}, [Da, d0],
-                   {1: np.eye(r)}, {0: -Ya}, _grade(1, ta))
+                   {1: np.eye(r, dtype=A.dtype)}, {0: -Ya}, _grade(1, ta))
 
 
 def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> StandardTriple:
@@ -236,11 +237,12 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
         return _triple(sizes, {(0, 0): -b[0]}, [b[1]], {0: eye}, {0: eye}, 1)
 
     def row(i, block):  # block rows 2.. are written doubled
-        return 2.0 * block if i >= 2 else block
+        return 2 * block if i >= 2 else block
 
-    blocks = {(i, i + 1): row(i, 0.5 * eye) for i in range(n - 2)}
+    half = (Fraction(1, 2) if b.dtype == object else 0.5) * eye  # exact on object data
+    blocks = {(i, i + 1): row(i, half) for i in range(n - 2)}
     blocks.update({(i, i - 1): eye for i in range(1, n)})
     blocks.update({(i, n - 1): row(i, -b[i]) for i in range(n)})
     blocks[n - 2, n - 1] = row(n - 2, b[n] - b[n - 2])
-    d_blocks = [row(i, eye) for i in range(n - 1)] + [row(n - 1, 2.0 * b[n])]
+    d_blocks = [row(i, eye) for i in range(n - 1)] + [row(n - 1, 2 * b[n])]
     return _triple(sizes, blocks, d_blocks, {n - 1: eye}, {0: eye}, n)

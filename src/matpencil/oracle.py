@@ -15,8 +15,7 @@ import numpy as np
 from ._exact import forward_interp, pencil_dets
 from .errors import ContractError, VerificationError
 from .matpoly import _interp_roots_of_unity, eval_at
-from .pencil import (Pencil, _check_numeric, _check_sampling, _is_exact, _rel_det_dev,
-                     _slice_len)
+from .pencil import Pencil, _check_numeric, _check_sampling, _det_deviation, _is_exact, _slice_len
 
 
 def interp_charpoly(p: Pencil):
@@ -64,13 +63,12 @@ def det_equality(p: Pencil, q, n_points: int | None = None, tol: float = 1e-8) -
     if n_points is None:
         n_points = max(p.N, q.dim * q.grade) + 1
     _check_sampling(n_points, tol)
-    step, devs = _slice_len(max(p.N, q.dim)), []
+    step, worst = _slice_len(max(p.N, q.dim)), 0.0
     for lo in range(0, n_points, step):
         k = np.arange(lo, min(lo + step, n_points))
         pts = 2.0 * np.exp(2j * np.pi * (k + 0.28571) / n_points)
-        dev = _rel_det_dev(np.linalg.slogdet(p.at(pts)), np.linalg.slogdet(eval_at(q, pts)))
-        devs.append(np.max(dev))
-    worst = float(np.max(devs))
+        worst = np.maximum(worst, _det_deviation(p.at(pts), eval_at(q, pts)))
+    worst = float(worst)
     return DetEquality(worst <= tol, worst, n_points)
 
 

@@ -125,31 +125,26 @@ def _check_numeric(*arrays) -> None:
 def pivot_condition(mat: np.ndarray):
     """1-norm condition number ||M||_1 ||M^-1||_1 of one matrix (a float) or of
     every matrix in a stack (an array); a singular matrix reads inf."""
-    mat = np.asarray(mat)
-    if mat.shape[-1] == 0:
-        return np.ones(mat.shape[:-2])[()]
-    cond = np.linalg.cond(mat, 1)
-    # cond reads NaN for a matrix with NaN entries; inf keeps it above every cap
-    return np.where(np.isnan(cond), np.inf, cond)[()]
+    return _cond_and_inverse(np.asarray(mat))[0][()]
 
 
 def _cond_and_inverse(mats: np.ndarray):
     """`pivot_condition` of a stack of matrices and their inverses, from one
-    inversion: the same kernel and norms as `np.linalg.cond(mats, 1)`, so the
-    numbers are the same.  When a matrix of the stack is singular the
-    inversion raises, and the condition numbers come from `pivot_condition`
-    with no inverses (None)."""
-    if mats.shape[-1]:
-        try:
-            inv = np.linalg.inv(mats)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            with np.errstate(all="ignore"):
-                cond = (np.linalg.norm(mats, 1, axis=(-2, -1))
-                        * np.linalg.norm(inv, 1, axis=(-2, -1)))
-            return np.where(np.isnan(cond), np.inf, cond), inv
-    return pivot_condition(mats), None
+    inversion with the kernel and norms of `np.linalg.cond(mats, 1)`.  When a
+    matrix of the stack is singular the inversion raises, and the condition
+    numbers come from `np.linalg.cond` with no inverses (None)."""
+    if not mats.shape[-1]:
+        return np.ones(mats.shape[:-2]), None
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        cond, inv = np.linalg.cond(mats, 1), None
+    else:
+        with np.errstate(all="ignore"):
+            cond = (np.linalg.norm(mats, 1, axis=(-2, -1))
+                    * np.linalg.norm(inv, 1, axis=(-2, -1)))
+    # NaN for a matrix with NaN entries; inf keeps it above every cap
+    return np.where(np.isnan(cond), np.inf, cond), inv
 
 
 def _resolvent(t: StandardTriple, m: np.ndarray) -> np.ndarray:
@@ -166,17 +161,18 @@ def resolvent_eval(t: StandardTriple, z) -> np.ndarray:
     return _resolvent(t, m)
 
 
-def _rel_det_dev(det_pencil: tuple, det_poly: tuple) -> np.ndarray:
-    """|dp - dq| / max(1, |dq|) from the (sign, log|.|) pairs slogdet returns,
-    one deviation per point; overflow-safe."""
-    sp, lp = det_pencil
-    sq, lq = det_poly
+def _det_deviation(pencil_mats: np.ndarray, poly_mats: np.ndarray):
+    """The worst |det P - det Q| / max(1, |det Q|) over two equal stacks of
+    matrices, compared from their slogdet (sign, log|det|) pairs so that huge
+    determinants do not overflow; NaN when any point's deviation is NaN."""
+    sp, lp = np.linalg.slogdet(pencil_mats)
+    sq, lq = np.linalg.slogdet(poly_mats)
     both_zero = (sp == 0) & (sq == 0)
     top = np.where(both_zero, 0.0, np.maximum(lp, lq))
     num = np.abs(sp * np.exp(lp - top) - sq * np.exp(lq - top))
     log_scale = top - np.maximum(0.0, lq)
     dev = np.where(log_scale > 700.0, np.inf, num * np.exp(np.minimum(log_scale, 700.0)))
-    return np.where(both_zero, 0.0, dev)
+    return np.max(np.where(both_zero, 0.0, dev))
 
 
 def _check_sampling(n_points: int, tol: float) -> None:
@@ -216,8 +212,9 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     computable; DegenerateInputError after 100 * n_points draws.  Draws come
     in chunks no larger than the number of points still missing or than one
     slice (`_slice_len`), so the accepted points and the rng state are those
-    of drawing one at a time; the checks then run slice by slice.
-    Deviations are relative; the determinant one is normalized by
+    of drawing one at a time.  Each chunk's zD - A is formed and conditioned
+    once, and its admissible points go with their matrices straight into the
+    checks.  Deviations are relative; the determinant one is normalized by
     max(1, |det a|) so huge determinants do not drown the comparison.  The
     resolvent is compared at the points where a(z) is also well-conditioned.
     ContractError for n_points < 1 or a tol that is not finite and positive,
@@ -232,35 +229,36 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     rng = np.random.default_rng(rng)
     cond_cap = 1.0 / tol
     step = _slice_len(max(t.N, p.dim))
-    points = np.empty(0, dtype=complex)
-    attempts = 0
-    while points.size < n_points:
-        k = min(n_points - points.size, 100 * n_points - attempts, step)
+    points, attempts, det_dev, res_dev = [], 0, 0.0, None
+    while len(points) < n_points:
+        k = min(n_points - len(points), 100 * n_points - attempts, step)
         if k <= 0:
             raise DegenerateInputError(
                 f"could not find {n_points} admissible sample points in {attempts} draws"
             )
         z = 2.0 * np.exp(2j * np.pi * rng.random(k))
         attempts += k
-        points = np.concatenate([points, z[pivot_condition(t.pencil.at(z)) <= cond_cap]])
-
-    det_devs, res_devs = [], []
-    for lo in range(0, n_points, step):
-        m = t.pencil.at(points[lo:lo + step])
-        az = eval_at(p, points[lo:lo + step])
-        det_devs.append(np.max(_rel_det_dev(np.linalg.slogdet(m), np.linalg.slogdet(az))))
+        m = t.pencil.at(z)
+        admissible = pivot_condition(m) <= cond_cap
+        if not np.any(admissible):
+            continue
+        z, m = z[admissible], m[admissible]
+        points += z.tolist()
+        az = eval_at(p, z)
+        # np.maximum, not max: a NaN deviation must carry through to the verdict
+        det_dev = np.maximum(det_dev, _det_deviation(m, az))
         cond, inv = _cond_and_inverse(az)
         good = cond <= cond_cap
         if np.any(good):
             inv = np.linalg.inv(az[good]) if inv is None else inv[good]
             err = _resolvent(t, m[good]) - inv
-            res_devs.append(np.max(np.linalg.norm(err, axis=(-2, -1))
-                                   / np.linalg.norm(inv, axis=(-2, -1))))
-    det_dev = float(np.max(det_devs))
-    res_dev = float(np.max(res_devs)) if res_devs else None
+            dev = np.max(np.linalg.norm(err, axis=(-2, -1)) / np.linalg.norm(inv, axis=(-2, -1)))
+            res_dev = dev if res_dev is None else np.maximum(res_dev, dev)
+    det_dev = float(det_dev)
+    res_dev = None if res_dev is None else float(res_dev)
 
     passed = det_dev <= tol and res_dev is not None and res_dev <= tol
-    return VerifyReport(det_dev, res_dev, tol, points.tolist(), passed)
+    return VerifyReport(det_dev, res_dev, tol, points, passed)
 
 
 def is_block_upper_hessenberg(mat: np.ndarray, r: int) -> bool:

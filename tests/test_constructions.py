@@ -1,3 +1,5 @@
+from fractions import Fraction as Fr
+
 import numpy as np
 import pytest
 
@@ -583,6 +585,29 @@ def test_mixed_real_complex_composite_is_complex():
               mp.product(cplx, real), mp.scalar_shift_left(real, eye, rand_mat(rng, 2))):
         assert all(arr.dtype == np.complex128 for arr in _parts(t).values())
 
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_constructors_keep_fraction_data_exact(monkeypatch, kind):
+    # _build on _DTYPE_COEFFS / 3 as Fractions: no block may turn into a float
+    thirds = np.array([[[Fr(int(v), 3) for v in row] for row in m] for m in _DTYPE_COEFFS])
+    monkeypatch.setitem(globals(), "_DTYPE_COEFFS", thirds)
+    for name, arr in _parts(_build(kind, object)).items():
+        assert arr.dtype == object
+        kinds = {type(v) for v in arr.ravel()}
+        assert kinds <= {int, Fr}, f"{kind}: {name} holds {kinds}"
+
+
+@pytest.mark.parametrize("b, want", [
+    ((Fr(1, 2), Fr(1, 3), 1), [Fr(-1, 2), Fr(1, 3), 2]),
+    # T_3 = 4z^3 - 3z, T_4 = 8z^4 - 8z^2 + 1
+    ((Fr(1, 2), Fr(1, 3), 1, Fr(2, 7), Fr(3, 5)),
+     [Fr(1, 10), Fr(-11, 21), Fr(-14, 5), Fr(8, 7), Fr(24, 5)]),
+], ids=["grade_2", "grade_4"])
+def test_chebyshev_charpoly_is_exact_on_fractions(b, want):
+    coeffs = np.array([[[Fr(c)]] for c in b], dtype=object)
+    t = mp.chebyshev_triple(mp.MatPoly.chebyshev_poly(coeffs))
+    assert mp.interp_charpoly(t.pencil) == want
 
 # The coefficient-level helpers follow the same rule, with each argument of
 # _DTYPE_COEFFS-derived data; the last argument alone is made complex below.

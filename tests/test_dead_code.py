@@ -3,6 +3,7 @@ private function or class that nothing in the package refers to.  Built on
 `ast` alone; a cleanup that leaves such a name behind fails here."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import matpencil as mp
@@ -50,3 +51,38 @@ def test_every_private_module_level_def_in_src_is_used():
                 if everywhere.count(node.name) == own:
                     dead.append(f"{module}: {node.name}")
     assert dead == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _mentions(tree) -> list[str]:
+    """`_names`, plus every string constant: monkeypatch and the tracer's
+    patch table name an attribute by a string."""
+    return _names(tree) + [node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def _public_defs(tree):
+    """(name, node) of each public module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def test_every_public_module_level_name_in_src_is_used():
+    # a name only __init__.py re-exports has no user; src/, tests/ and bench/ are searched
+    reexports = ROOT / "src" / "matpencil" / "__init__.py"
+    everywhere = Counter(name for top in ("src", "tests", "bench")
+                         for path in (ROOT / top).rglob("*.py") if path != reexports
+                         for name in _mentions(ast.parse(path.read_text())))
+    unused = [f"{module}: {name}" for module, tree in MODULES.items() if module != "__init__"
+              for name, node in _public_defs(tree)
+              if everywhere[name] == _mentions(node).count(name)]
+    assert unused == []

@@ -227,11 +227,13 @@ def test_cond_and_inverse_equal_pivot_condition_and_inv_bitwise():
                      [[1e300, 1e300], [1e-300, 1.0]]])
     for stack in (real, real + 1j * rng.standard_normal((6, 3, 3)), edge):
         cond, inv = _cond_and_inverse(stack)
-        assert cond.dtype == np.float64 and cond.tobytes() == mp.pivot_condition(stack).tobytes()
         with np.errstate(all="ignore"):
+            want = np.linalg.cond(stack, 1)
             assert inv.tobytes() == np.linalg.inv(stack).tobytes()
+        want[np.isnan(want)] = np.inf  # NaN entries read as inf, above every cap
+        assert cond.dtype == np.float64 and cond.tobytes() == want.tobytes()
     # a singular matrix makes the inversion raise: the condition numbers come
-    # from pivot_condition, and there is no inverse to reuse
+    # from np.linalg.cond, and there is no inverse to reuse
     singular = np.stack([np.eye(2), np.ones((2, 2))])
     cond, inv = _cond_and_inverse(singular)
     assert inv is None and cond.tolist() == [1.0, np.inf]
@@ -252,7 +254,8 @@ def test_verify_triple_inverts_each_a_of_z_once(monkeypatch):
                         lambda m: conditioned.append(m.shape) or real_cond(m))
     got = mp.verify_triple(t, p, n_points=5, rng=0)
     assert got == want and got.passed
-    assert inverted == [(5, 2, 2)]  # one stacked inversion of a(z), r = 2
+    # one stacked inversion of a(z), r = 2; the (5, 4, 4) ones condition the draws
+    assert [shape for shape in inverted if shape[-2:] == (2, 2)] == [(5, 2, 2)]
     assert conditioned and all(shape[-2:] == (4, 4) for shape in conditioned)  # draws only
 
 
@@ -415,3 +418,53 @@ def test_verify_triple_draws_in_slices_as_one_at_a_time(monkeypatch):
     rng_sliced = np.random.default_rng(6)
     assert mp.verify_triple(t, a, rng=rng_sliced) == want
     assert rng_sliced.bit_generator.state == rng.bit_generator.state
+
+
+def _rejecting_case():
+    # a(z) = z^2 + 1e-3 z - 4 at tol 0.1: about a third of the draws are rejected
+    p = mp.MatPoly.monomial_poly([-4.0, 1e-3, 1.0])
+    return mp.frobenius_triple(p), p
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1], ids=["one_slice", "one_point_slices"])
+def test_verify_triple_forms_each_drawn_points_pencil_once(monkeypatch, stack_bytes):
+    from matpencil import pencil
+    if stack_bytes is not None:
+        monkeypatch.setattr(pencil, "STACK_BYTES", stack_bytes)
+    t, p = _rejecting_case()
+    points, draws, _, _ = _sequential_verify(t, p, 10, 0.1, np.random.default_rng(0))
+    assert draws > len(points)
+    formed, real_at = [], mp.Pencil.at
+    monkeypatch.setattr(mp.Pencil, "at", lambda self, z: formed.append(np.size(z)) or real_at(self, z))
+    rep = mp.verify_triple(t, p, n_points=10, tol=0.1, rng=0)
+    assert rep.points == points and sum(formed) == draws
+
+
+def _nan_where(upper_only: bool):
+    """z^2 + 1e-3 z - 4, NaN at every point or only where Im z > 0."""
+    _, p = _rejecting_case()
+
+    def fn(z):
+        nan = np.imag(z) > 0 if upper_only else np.ones(np.shape(z), bool)
+        return np.where(nan[..., None, None], np.nan, mp.eval_at(p, z))
+    return mp.CallablePoly(1, 2, fn)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # slogdet of NaN
+@pytest.mark.parametrize("stack_bytes", [None, 1], ids=["one_slice", "one_point_slices"])
+@pytest.mark.parametrize("upper_only", [False, True], ids=["nan_everywhere", "nan_upper_half"])
+def test_a_nan_deviation_fails(monkeypatch, stack_bytes, upper_only):
+    # with one point per slice a NaN slice comes before a finite one, which a
+    # fold by Python's max (max(0.0, nan) is 0.0) would let pass
+    from matpencil import pencil
+    if stack_bytes is not None:
+        monkeypatch.setattr(pencil, "STACK_BYTES", stack_bytes)
+    t, _ = _rejecting_case()
+    q = _nan_where(upper_only)
+    det = mp.det_equality(t.pencil, q, n_points=9)
+    assert not det.ok and np.isnan(det.max_deviation)
+    rep = mp.verify_triple(t, q, n_points=9, rng=1)
+    assert not rep.passed and np.isnan(rep.det_deviation)
+    if upper_only:  # NaN and finite points both, in that order somewhere
+        imag = np.imag(rep.points)
+        assert np.any(imag[:-1] > 0) and imag[-1] <= 0

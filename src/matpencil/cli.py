@@ -330,6 +330,8 @@ def main(argv=None) -> int:
         parser.error("verify needs --expr or both --triple and --poly")
     if args.emit and not args.out:
         parser.error("--emit needs --out")
+    if args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, not {args.seed}")
     try:
         _check_sampling(1 if args.points is None else args.points, args.tol)
         return args.fn(args)

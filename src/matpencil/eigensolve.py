@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, SpectrumError, StructuralError
 from .matpoly import _common, eval_at
-from .pencil import COND_CAP, Pencil, _check_numeric, pivot_condition
+from .pencil import COND_CAP, Pencil, _check_numeric, _slice_len, pivot_condition
 
 BACKEND = "shift-invert + numpy eigvals"
 BACKEND_STANDARD = "numpy eigvals (D = I)"
@@ -115,8 +115,12 @@ def sigma_ratio(mat: np.ndarray):
 
 
 def residuals(p, eigs) -> np.ndarray:
-    """sigma_min / sigma_max of p evaluated at each candidate eigenvalue."""
-    return sigma_ratio(eval_at(p, np.asarray(eigs)))
+    """sigma_min / sigma_max of p evaluated at each candidate eigenvalue, in
+    slices of `pencil._slice_len` points."""
+    eigs, step = np.asarray(eigs), _slice_len(p.dim)
+    flat = eigs.ravel()
+    return np.concatenate([sigma_ratio(eval_at(p, flat[lo:lo + step]))
+                           for lo in range(0, max(flat.size, 1), step)]).reshape(eigs.shape)[()]
 
 
 @dataclass(eq=False)

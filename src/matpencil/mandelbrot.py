@@ -230,7 +230,7 @@ def _inverse_nonzeros(n: int):
     """M_n^-1 as its nonzeros: sorted keys row * dim + column (dim of M_n) and
     values, and its first column C as (rows, values) and last row R as
     (columns, values).  C and R have level - 1 nonzeros each, so C R has at
-    most (n - 2)^2, and inv + C R merges those into inv.
+    most (n - 2)^2, which `_next_level` adds to inv.
 
     Each level is checked on the way: the stored values of inv (C and R among
     them) must lie in [-1, 1] before its int8 arithmetic, and the next level's
@@ -259,42 +259,21 @@ def _next_level(keys, vals, c_rows, c_vals, r_cols, r_vals, d: int, dim: int):
     inv (dim d) and of its first column C and last row R, all keyed with the
     stride dim, by the block formula of `inverse_structure`.
 
-    The two copies of inv + C R are offset copies of one sorted list, and
-    they hold all but a few entries: C on column d, the middle row
-    [-R, -1, R] and -C [R, 1] at the lower left.  Those few are merged in
-    (`_add_sorted`): no sort.
+    The pieces of the formula are summed by key in one `_sum_by_key` call,
+    taken in block-row order: inv and C R, C on column d, the middle row
+    [-R, -1, R], -C [R, 1] at the lower left, and the offset copies of inv
+    and C R.  Only inv and C R share keys, and each piece is a sorted run.
     """
-    bk, bv = _add_sorted(keys, vals, *_outer(c_rows, c_vals, r_cols, r_vals, dim))  # inv + C R
+    cr_keys, cr_vals = _outer(c_rows, c_vals, r_cols, r_vals, dim)  # C R
     lo = (d + 1) * dim  # offset of the lower block row
     left_keys, left_vals = _outer(c_rows, -c_vals, np.append(r_cols, d),
                                   np.append(r_vals, _INT(1)), dim)  # -C [R, 1]
-    return _add_sorted(
-        np.concatenate([bk, lo + d + 1 + bk]), np.concatenate([bv, bv]),
-        np.concatenate([c_rows * dim + d, d * dim + r_cols, [d * dim + d],
-                        d * dim + d + 1 + r_cols, lo + left_keys]),
-        np.concatenate([c_vals, -r_vals, [-1], r_vals, left_vals]).astype(_INT))
-
-
-def _add_sorted(keys, vals, add_keys, add_vals):
-    """The sum of two nonzero lists, each with sorted unique keys, as one such
-    list: the values on a shared key are added in their own dtype and dropped
-    if they cancel, and every other entry of the second (short) list is
-    placed among those of the first."""
-    at = np.searchsorted(keys, add_keys)
-    hit = at < len(keys)
-    hit[hit] = keys[at[hit]] == add_keys[hit]
-    miss = ~hit
-    # the place of each added entry in the result: past the entries of the
-    # first list below it and the added entries before it that are not hits
-    place = at + np.cumsum(miss) - miss
-    first = np.ones(len(keys) + np.count_nonzero(miss), dtype=bool)
-    first[place[miss]] = False
-    out_keys, out_vals = np.empty(len(first), keys.dtype), np.empty(len(first), vals.dtype)
-    out_keys[first], out_vals[first] = keys, vals
-    out_keys[place[miss]], out_vals[place[miss]] = add_keys[miss], add_vals[miss]
-    out_vals[place[hit]] += add_vals[hit]
-    keep = out_vals != 0
-    return out_keys[keep], out_vals[keep]
+    return _sum_by_key(
+        np.concatenate([keys, cr_keys, c_rows * dim + d, d * dim + r_cols, [d * dim + d],
+                        d * dim + d + 1 + r_cols, lo + left_keys, lo + d + 1 + keys,
+                        lo + d + 1 + cr_keys]),
+        np.concatenate([vals, cr_vals, c_vals, -r_vals, [_INT(-1)], r_vals, left_vals, vals,
+                        cr_vals]))
 
 
 def _height1(vals: np.ndarray) -> bool:

@@ -371,6 +371,25 @@ def test_verify_bad_sampling_option_exit_code(capsys, tmp_path, option):
         _one_line_error(capsys, *option, *argv)
 
 
+@pytest.mark.parametrize("argv", [["verify", "--expr", "expr.json"], ["eig", "pencil.json"],
+                                  ["family"], ["quintic"], ["mixed"]],
+                         ids=["verify", "eig", "family", "quintic", "mixed"])
+def test_negative_seed_exit_code(capsys, tmp_path, argv):
+    # each of these seeds np.random.default_rng, which rejects a negative seed;
+    # the parser rejects it first, with one error line and exit 1
+    a = rand_mono(np.random.default_rng(0), 2, 2)
+    (tmp_path / "expr.json").write_text(json.dumps({"frobenius": jsonio.matpoly_to_json(a)}))
+    (tmp_path / "pencil.json").write_text(
+        json.dumps(jsonio.pencil_to_json(mp.frobenius_triple(a).pencil)))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "-1", *argv])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: --seed must be a non-negative integer, not -1"]
+
+
 @pytest.mark.parametrize("argv", [["height", "missing.csv"], ["height", "missing.json"],
                                   ["eig", "missing.json"], ["verify", "--expr", "missing.json"]],
                          ids=["height_csv", "height_json", "eig", "verify_expr"])

@@ -311,6 +311,26 @@ def test_residuals_match_per_point_loop():
     assert eigensolve.sigma_ratio(np.zeros((2, 2))) == 0.0
 
 
+def test_residuals_take_their_points_in_slices_within_the_stack_budget(monkeypatch):
+    # a budget of four points of 20 x 20 matrices: the same residuals, bit for
+    # bit, as one stack of all 60 points, at a fraction of the peak memory
+    import tracemalloc
+    from matpencil import pencil
+    rng = np.random.default_rng(9)
+    p = mp.MatPoly.monomial_poly(np.stack([rand_mat(rng, 20) for _ in range(4)]))
+    eigs = rng.uniform(-2, 2, 60) + 1j * rng.uniform(-2, 2, 60)
+    want = mp.residuals(p, eigs)
+    monkeypatch.setattr(pencil, "STACK_BYTES", 4 * (32 * 20 ** 2 + 256))
+    assert pencil._slice_len(20) == 4
+    tracemalloc.start()
+    try:
+        got, peak = mp.residuals(p, eigs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 3 * pencil.STACK_BYTES
+
+
 @pytest.mark.parametrize("backend", ["shift-invert", "qz"])
 def test_generalized_eigen_rejects_object_pencil(backend):
     with pytest.raises(StructuralError, match="numeric"):

@@ -718,21 +718,36 @@ def test_outputs_at_the_top_levels_keep_their_digests(n):
     assert rep.corner_value == -1 and rep.zero_block_ok and rep.height1
 
 
-def test_add_sorted_equals_a_dictionary_sum():
+def test_sum_by_key_equals_a_dictionary_sum():
+    # a sorted list followed by a short sorted list, with shared keys,
+    # cancellations and empty sides: the shape of each level's pieces
     from matpencil import mandelbrot
     rng = np.random.default_rng(3)
     for size, extra in [(0, 0), (0, 4), (5, 0), (1, 1), (40, 12), (200, 30)]:
         for _ in range(20):
-            keys = np.sort(rng.choice(300, size, replace=False)).astype(np.int64)
-            add_keys = np.sort(rng.choice(300, extra, replace=False)).astype(np.int64)
-            vals = rng.choice(np.array([-1, 1], np.int8), size)
-            add_vals = rng.choice(np.array([-1, 1], np.int8), extra)
-            want = dict(zip(keys.tolist(), vals.tolist()))
-            for k, v in zip(add_keys.tolist(), add_vals.tolist()):
+            keys = np.concatenate([np.sort(rng.choice(300, size, replace=False)),
+                                   np.sort(rng.choice(300, extra, replace=False))]).astype(np.int64)
+            vals = rng.choice(np.array([-1, 1], np.int8), size + extra)
+            want = {}
+            for k, v in zip(keys.tolist(), vals.tolist()):
                 want[k] = want.get(k, 0) + v
             want = sorted((k, v) for k, v in want.items() if v)
-            before = vals.copy()
-            got_keys, got_vals = mandelbrot._add_sorted(keys, vals, add_keys, add_vals)
+            before = keys.copy(), vals.copy()
+            got_keys, got_vals = mandelbrot._sum_by_key(keys, vals)
             assert got_vals.dtype == np.int8
             assert list(zip(got_keys.tolist(), got_vals.tolist())) == want
-            assert np.array_equal(vals, before)  # the inputs are left as they were
+            assert all(map(np.array_equal, (keys, vals), before))  # the inputs are unchanged
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_inverse_structure_sums_once_per_level_and_once_for_the_product(monkeypatch, n):
+    from matpencil import mandelbrot
+    real, calls = mandelbrot._sum_by_key, []
+
+    def counted(keys, vals):
+        calls.append(len(keys))
+        return real(keys, vals)
+
+    monkeypatch.setattr(mandelbrot, "_sum_by_key", counted)
+    assert mandelbrot.inverse_structure(n).height1
+    assert len(calls) == n - 1  # n - 2 levels, then the check of M_n @ inverse

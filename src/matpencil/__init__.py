@@ -9,8 +9,8 @@ oracles, including the exact-integer Mandelbrot matrix family.
 
 from .errors import (ContractError, DegenerateInputError, ResourceLimitError,
                      SpectrumError, StructuralError, VerificationError)
-from .matpoly import (BasisSpec, CallablePoly, HeightReport, MatPoly,
-                      barycentric_weights, eval_at, height_report)
+from .matpoly import (CallablePoly, HeightReport, MatPoly, barycentric_weights, eval_at,
+                      height_report)
 from .pencil import (Pencil, StandardTriple, VerifyReport, is_block_upper_hessenberg,
                      pencil_det_at, pivot_condition, resolvent_eval, verify_triple)
 from .constructions import (add_lower_degree, chebyshev_triple, composite,

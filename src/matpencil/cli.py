@@ -257,8 +257,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_quintic(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    rep = experiments.run_random_quintic(rng=rng)
+    rep = experiments.run_random_quintic()
     print(f"glued linearization max residual:    {rep.algebraic_max_residual:.3e} "
           f"(finite {rep.algebraic_counts[0]}, infinite {rep.algebraic_counts[1]})")
     print(f"expanded companion max residual:     {rep.frobenius_max_residual:.3e} "

@@ -111,7 +111,7 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
     result is (a + c)^-1 (Sherman-Morrison-Woodbury).  On a companion chain
     w_k = u_k, and u_k = A^k Y.  ContractError when some w_k does not exist.
     """
-    if c.basis.kind != MONOMIAL:
+    if c.kind != MONOMIAL:
         raise ContractError("the added polynomial must be in the monomial basis")
     if ta.grade is None:
         raise ContractError("input triple does not know its grade")
@@ -182,7 +182,7 @@ def frobenius_triple(p: MatPoly) -> StandardTriple:
     subdiagonal; D = blockdiag(I, ..., I, alpha_s).  Any leading coefficient,
     singular included, gives X (zD - A)^-1 Y = a^-1(z).
     """
-    if p.basis.kind != MONOMIAL:
+    if p.kind != MONOMIAL:
         raise ContractError("second companion form needs monomial coefficients")
     s, r = p.grade, p.dim
     if s < 1:
@@ -202,9 +202,9 @@ def lagrange_triple(p: MatPoly) -> StandardTriple:
     block row, so det(zD - A) = w(z)^r det(sum_k beta_k a_k / (z - tau_k)) =
     det a(z) directly.
     """
-    if p.basis.kind != LAGRANGE:
+    if p.kind != LAGRANGE:
         raise ContractError("lagrange triple needs a lagrange-basis polynomial")
-    data, nodes, weights = _common(p.data, p.basis.nodes, p.basis.weights)
+    data, nodes, weights = _common(p.data, p.nodes, p.weights)
     if nodes.size < 2:
         raise ContractError("need at least two nodes")
     r, m, eye = p.dim, nodes.size, np.eye(p.dim, dtype=data.dtype)
@@ -226,7 +226,7 @@ def chebyshev_triple(p: MatPoly) -> StandardTriple:
     equals det b(z) exactly (the plain layout is off by 2^((2-n)r)); Y lives
     in the first block, so the resolvent is unchanged by that row scaling.
     """
-    if p.basis.kind != CHEBYSHEV:
+    if p.kind != CHEBYSHEV:
         raise ContractError("colleague triple needs chebyshev coefficients")
     n, r = p.grade, p.dim
     if n < 1:

@@ -15,7 +15,7 @@ import numpy as np
 from . import constructions
 from .eigensolve import EigenReport
 from .errors import StructuralError
-from .matpoly import CallablePoly, BasisSpec, MatPoly, _common, eval_at
+from .matpoly import LAGRANGE, CallablePoly, MatPoly, _common, eval_at
 from .pencil import Pencil, StandardTriple
 
 
@@ -66,11 +66,10 @@ def vector_from_json(vals) -> np.ndarray:
 
 
 def matpoly_to_json(p: MatPoly) -> dict:
-    if p.basis.kind == "lagrange":
-        basis = {"lagrange": {"nodes": matrix_to_json(p.basis.nodes),
-                              "weights": matrix_to_json(p.basis.weights)}}
+    if p.kind == LAGRANGE:
+        basis = {LAGRANGE: {"nodes": matrix_to_json(p.nodes), "weights": matrix_to_json(p.weights)}}
     else:
-        basis = p.basis.kind
+        basis = p.kind
     return {"basis": basis, "dim": p.dim, "grade": p.grade,
             "data": matrix_to_json(p.data)}
 
@@ -91,6 +90,8 @@ def _int_field(obj, key: str) -> int:
 
 
 def matpoly_from_json(obj: dict) -> MatPoly:
+    """A polynomial; its "dim" and "grade" must be JSON integers that agree
+    with the shape of its "data"."""
     basis = _field(obj, "basis")
     mats = _field(obj, "data")
     if not isinstance(mats, list) or not mats:
@@ -100,14 +101,18 @@ def matpoly_from_json(obj: dict) -> MatPoly:
         raise StructuralError("data matrices differ in shape")
     data = np.stack(mats)
     if isinstance(basis, str):
-        spec = BasisSpec(basis)
-    elif isinstance(basis, dict) and "lagrange" in basis:
-        lag = basis["lagrange"]
-        spec = BasisSpec.lagrange(vector_from_json(_field(lag, "nodes")),
-                                  vector_from_json(_field(lag, "weights")))
+        kind, nodes, weights = basis, None, None
+    elif isinstance(basis, dict) and LAGRANGE in basis:
+        kind, lag = LAGRANGE, basis[LAGRANGE]
+        nodes, weights = (vector_from_json(_field(lag, key)) for key in ("nodes", "weights"))
     else:
         raise StructuralError(f"unknown basis {basis!r}")
-    return MatPoly(spec, _int_field(obj, "dim"), _int_field(obj, "grade"), data)
+    dim, grade = _int_field(obj, "dim"), _int_field(obj, "grade")
+    if data.shape[1:] != (dim, dim):
+        raise StructuralError(f"data must be a stack of {dim}x{dim} matrices, got {data.shape}")
+    if len(data) != grade + 1:
+        raise StructuralError(f"grade {grade} needs {grade + 1} matrices, got {len(data)}")
+    return MatPoly(kind, data, nodes, weights)
 
 
 def pencil_to_json(p: Pencil) -> dict:

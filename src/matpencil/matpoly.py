@@ -27,46 +27,6 @@ def _common(*arrays) -> list[np.ndarray]:
     return [a.astype(dtype, copy=False) for a in arrays]
 
 
-@dataclass(eq=False)
-class BasisSpec:
-    """Which basis a MatPoly's data lives in.
-
-    For the Lagrange kind, `nodes` are the distinct interpolation nodes tau_k
-    and `weights` the barycentric weights beta_k of the partial fraction
-    1/w(z) = sum beta_k / (z - tau_k), w(z) = prod (z - tau_k).
-    """
-
-    kind: str
-    nodes: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in (MONOMIAL, LAGRANGE, CHEBYSHEV):
-            raise StructuralError(f"unknown basis kind {self.kind!r}")
-        if self.kind == LAGRANGE:
-            if self.nodes is None or self.weights is None:
-                raise StructuralError("lagrange basis needs nodes and weights")
-            self.nodes, self.weights = (a.ravel() for a in _common(self.nodes, self.weights))
-            if self.nodes.size != self.weights.size:
-                raise StructuralError("node/weight count mismatch")
-            if len(set(self.nodes.tolist())) != self.nodes.size:
-                raise StructuralError("lagrange nodes must be pairwise distinct")
-        elif self.nodes is not None or self.weights is not None:
-            raise StructuralError(f"{self.kind} basis takes no nodes/weights")
-
-    @classmethod
-    def monomial(cls) -> "BasisSpec":
-        return cls(MONOMIAL)
-
-    @classmethod
-    def chebyshev(cls) -> "BasisSpec":
-        return cls(CHEBYSHEV)
-
-    @classmethod
-    def lagrange(cls, nodes, weights) -> "BasisSpec":
-        return cls(LAGRANGE, nodes=nodes, weights=weights)
-
-
 def barycentric_weights(nodes) -> np.ndarray:
     """Weights beta_k = 1 / prod_{j != k} (tau_k - tau_j) for given nodes, in
     their `_common` dtype: real nodes give float64 weights."""
@@ -79,48 +39,60 @@ def barycentric_weights(nodes) -> np.ndarray:
 
 @dataclass(eq=False)
 class MatPoly:
-    """An r x r matrix polynomial of grade s.
+    """An r x r matrix polynomial of grade s in the basis `kind`.
 
     data holds s+1 matrices: coefficients (monomial alpha_k / Chebyshev b_k,
-    k = 0..s) or node samples a(tau_k) in the Lagrange case.
+    k = 0..s) or node samples a(tau_k) in the Lagrange case, where `nodes`
+    are the distinct interpolation nodes tau_k and `weights` the barycentric
+    weights beta_k of the partial fraction 1/w(z) = sum beta_k / (z - tau_k),
+    w(z) = prod (z - tau_k).  dim and grade are read off data's shape.
     """
 
-    basis: BasisSpec
-    dim: int
-    grade: int
+    kind: str
     data: np.ndarray
+    nodes: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3 or self.data.shape[1:] != (self.dim, self.dim):
-            raise StructuralError(
-                f"data must be a stack of {self.dim}x{self.dim} matrices, got {self.data.shape}"
-            )
-        if self.data.shape[0] != self.grade + 1:
-            raise StructuralError(
-                f"grade {self.grade} needs {self.grade + 1} matrices, got {self.data.shape[0]}"
-            )
-        if self.basis.kind == LAGRANGE and self.basis.nodes.size != self.grade + 1:
+        self.data = _as_stack(self.data)
+        if self.kind not in (MONOMIAL, LAGRANGE, CHEBYSHEV):
+            raise StructuralError(f"unknown basis kind {self.kind!r}")
+        if self.kind != LAGRANGE:
+            if self.nodes is not None or self.weights is not None:
+                raise StructuralError(f"{self.kind} basis takes no nodes/weights")
+            return
+        if self.nodes is None or self.weights is None:
+            raise StructuralError("lagrange basis needs nodes and weights")
+        self.nodes, self.weights = (a.ravel() for a in _common(self.nodes, self.weights))
+        if self.nodes.size != self.weights.size:
+            raise StructuralError("node/weight count mismatch")
+        if len(set(self.nodes.tolist())) != self.nodes.size:
+            raise StructuralError("lagrange nodes must be pairwise distinct")
+        if self.nodes.size != len(self.data):
             raise StructuralError("lagrange node count must be grade + 1")
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def grade(self) -> int:
+        return len(self.data) - 1
 
     def eval(self, z) -> np.ndarray:
         return eval_at(self, z)
 
     @classmethod
     def monomial_poly(cls, coeffs) -> "MatPoly":
-        coeffs = _as_stack(coeffs)
-        return cls(BasisSpec.monomial(), coeffs.shape[1], coeffs.shape[0] - 1, coeffs)
+        return cls(MONOMIAL, coeffs)
 
     @classmethod
     def chebyshev_poly(cls, coeffs) -> "MatPoly":
-        coeffs = _as_stack(coeffs)
-        return cls(BasisSpec.chebyshev(), coeffs.shape[1], coeffs.shape[0] - 1, coeffs)
+        return cls(CHEBYSHEV, coeffs)
 
     @classmethod
     def lagrange_poly(cls, nodes, weights, samples) -> "MatPoly":
-        samples = _as_stack(samples)
-        basis = BasisSpec.lagrange(nodes, weights)
-        return cls(basis, samples.shape[1], samples.shape[0] - 1, samples)
+        return cls(LAGRANGE, samples, nodes, weights)
 
 
 @dataclass(eq=False)
@@ -164,14 +136,13 @@ def eval_at(p, z) -> np.ndarray:
         return p.eval(z)
     z = np.asarray(z)
     zz = z[..., None, None]
-    kind = p.basis.kind
-    extra = (p.basis.nodes, p.basis.weights) if kind == LAGRANGE else ()
+    extra = (p.nodes, p.weights) if p.kind == LAGRANGE else ()
     acc = np.zeros(z.shape + (p.dim, p.dim), dtype=np.result_type(float, z, p.data, *extra))
-    if kind == MONOMIAL:
+    if p.kind == MONOMIAL:
         for coeff in p.data[::-1]:
             acc = acc * zz + coeff
         return acc
-    if kind == CHEBYSHEV:
+    if p.kind == CHEBYSHEV:
         # three-term recurrence T_{k+1} = 2 z T_k - T_{k-1}
         acc = acc + p.data[0]
         if p.grade >= 1:
@@ -183,11 +154,11 @@ def eval_at(p, z) -> np.ndarray:
         return acc
     # barycentric Lagrange: a(z) = w(z) * sum beta_k a_k / (z - tau_k), and
     # a(tau_k) is the stored sample a_k
-    diffs = z[..., None] - p.basis.nodes
+    diffs = z[..., None] - p.nodes
     hit = diffs == 0
     w = np.prod(diffs, axis=-1)
     diffs[hit] = 1.0
-    coef = p.basis.weights / diffs
+    coef = p.weights / diffs
     for k, sample in enumerate(p.data):
         acc += coef[..., k, None, None] * sample
     acc *= w[..., None, None]

@@ -184,14 +184,15 @@ def _check_sampling(n_points: int, tol: float) -> None:
         raise ContractError(f"tol must be a finite positive number, got {tol}")
 
 
-@dataclass
+@dataclass(eq=False)
 class VerifyReport:
-    """Outcome of checking a triple against its polynomial."""
+    """Outcome of checking a triple against its polynomial; `points` holds the
+    accepted sample points in the order they were drawn."""
 
     det_deviation: float
     resolvent_deviation: float | None
     tol: float
-    points: list
+    points: np.ndarray
     passed: bool
 
     def __str__(self):
@@ -229,9 +230,9 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
     rng = np.random.default_rng(rng)
     cond_cap = 1.0 / tol
     step = _slice_len(max(t.N, p.dim))
-    points, attempts, det_dev, res_dev = [], 0, 0.0, None
-    while len(points) < n_points:
-        k = min(n_points - len(points), 100 * n_points - attempts, step)
+    points, count, attempts, det_dev, res_dev = np.empty(n_points, complex), 0, 0, 0.0, None
+    while count < n_points:
+        k = min(n_points - count, 100 * n_points - attempts, step)
         if k <= 0:
             raise DegenerateInputError(
                 f"could not find {n_points} admissible sample points in {attempts} draws"
@@ -243,7 +244,8 @@ def verify_triple(t: StandardTriple, p, n_points: int | None = None,
         if not np.any(admissible):
             continue
         z, m = z[admissible], m[admissible]
-        points += z.tolist()
+        points[count:count + z.size] = z
+        count += z.size
         az = eval_at(p, z)
         # np.maximum, not max: a NaN deviation must carry through to the verdict
         det_dev = np.maximum(det_dev, _det_deviation(m, az))

@@ -235,7 +235,7 @@ def elementary_reference(p):
     final negation (Lagrange) and a row doubling (Chebyshev) before it
     assembled them from their block tables (test oracle)."""
     return {MONOMIAL: _frobenius_reference, LAGRANGE: _lagrange_reference,
-            CHEBYSHEV: _chebyshev_reference}[p.basis.kind](p)
+            CHEBYSHEV: _chebyshev_reference}[p.kind](p)
 
 
 def _frobenius_reference(p: MatPoly) -> StandardTriple:
@@ -245,7 +245,7 @@ def _frobenius_reference(p: MatPoly) -> StandardTriple:
     subdiagonal; D = blockdiag(I, ..., I, alpha_s).  Any leading coefficient,
     singular included, gives X (zD - A)^-1 Y = a^-1(z).
     """
-    if p.basis.kind != MONOMIAL:
+    if p.kind != MONOMIAL:
         raise ContractError("second companion form needs monomial coefficients")
     s, r = p.grade, p.dim
     if s < 1:
@@ -274,9 +274,9 @@ def _lagrange_reference(p: MatPoly) -> StandardTriple:
     The pencil is (D, A) = (-A1, -A0) so that zD - A = A0 - z*A1 and the
     determinant equals det a(z) directly.
     """
-    if p.basis.kind != LAGRANGE:
+    if p.kind != LAGRANGE:
         raise ContractError("lagrange triple needs a lagrange-basis polynomial")
-    data, nodes, weights = _common(p.data, p.basis.nodes, p.basis.weights)
+    data, nodes, weights = _common(p.data, p.nodes, p.weights)
     dt = data.dtype
     if nodes.size < 2:
         raise ContractError("need at least two nodes")
@@ -308,7 +308,7 @@ def _chebyshev_reference(p: MatPoly) -> StandardTriple:
     exactly (the plain layout is off by 2^((2-n)r)); Y lives in the first
     block, so the resolvent is unchanged by that row scaling.
     """
-    if p.basis.kind != CHEBYSHEV:
+    if p.kind != CHEBYSHEV:
         raise ContractError("colleague triple needs chebyshev coefficients")
     n, r = p.grade, p.dim
     if n < 1:

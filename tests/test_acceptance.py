@@ -138,7 +138,7 @@ def test_criterion_5_family_experiment():
 
 
 def test_criterion_6_quintic_comparison():
-    rep = experiments.run_random_quintic(rng=np.random.default_rng(0))
+    rep = experiments.run_random_quintic()
     ok = rep.algebraic_max_residual <= 1e-9
     ok &= rep.algebraic_max_residual <= rep.frobenius_max_residual
     report(6, f"glued residual {rep.algebraic_max_residual:.2e} <= 1e-9 and <= "

@@ -350,6 +350,14 @@ def test_readme_cli_examples_parse(monkeypatch):
     lines = [line.split("#")[0].split()[1:] for line in block.splitlines()
              if line.startswith("matpencil ")]
     assert len(lines) == 8
+    # the CLI column of the "Reproducing the paper" table, whose files exist
+    table = readme.split("## Reproducing the paper")[1].split("\n## ")[0]
+    rows = [line.split("`matpencil ")[1].split("`")[0].split() for line in table.splitlines()
+            if "`matpencil " in line]
+    assert len(rows) == 9
+    root = Path(__file__).resolve().parents[1]
+    assert all((root / arg).is_file() for argv in rows for arg in argv if arg.endswith(".json"))
+    lines += rows
     for name in dir(cli):
         if name.startswith("cmd_"):
             monkeypatch.setattr(cli, name, lambda args: 0)

@@ -86,3 +86,26 @@ def test_every_public_module_level_name_in_src_is_used():
               for name, node in _public_defs(tree)
               if everywhere[name] == _mentions(node).count(name)]
     assert unused == []
+
+
+
+def _unread_params(node) -> list[str]:
+    """The parameters of a function or lambda, but self and cls, that its
+    body never reads."""
+    args = node.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+    read = {name.id for stmt in body for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+    return [param.arg for param in params if param is not None
+            and param.arg not in ("self", "cls") and param.arg not in read]
+
+
+def test_every_parameter_in_src_is_read():
+    # a dunder method keeps the signature of the protocol it implements
+    unread = [f"{module}.{getattr(node, 'name', 'lambda')}: {param}"
+              for module, tree in MODULES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Lambda)
+              or isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+              for param in _unread_params(node)]
+    assert unread == []

@@ -64,14 +64,16 @@ _CHECKS = [
     ("poly_coeffs_level", lambda: mp.mandelbrot_poly_coeffs(-1), ContractError, "non-negative"),
     ("scalar_roots_non_finite", lambda: mp.scalar_roots([1.0, np.nan, 1.0]), ContractError,
      "non-finite"),
-    ("basis_kind", lambda: mp.BasisSpec("hermite"), StructuralError, "unknown basis kind"),
-    ("basis_lagrange_data", lambda: mp.BasisSpec("lagrange"), StructuralError,
+    ("basis_kind", lambda: mp.MatPoly("hermite", np.zeros((1, 1, 1))), StructuralError,
+     "unknown basis kind"),
+    ("basis_lagrange_data", lambda: mp.MatPoly("lagrange", np.zeros((1, 1, 1))), StructuralError,
      "nodes and weights"),
-    ("basis_counts", lambda: mp.BasisSpec.lagrange([0, 1], [1]), StructuralError, "count"),
-    ("basis_distinct", lambda: mp.BasisSpec.lagrange([1, 1], [1, 1]), StructuralError,
-     "distinct"),
-    ("basis_no_nodes", lambda: mp.BasisSpec("monomial", nodes=np.zeros(2)), StructuralError,
-     "takes no nodes"),
+    ("basis_counts", lambda: mp.MatPoly.lagrange_poly([0, 1], [1], np.zeros((2, 1, 1))),
+     StructuralError, "count"),
+    ("basis_distinct", lambda: mp.MatPoly.lagrange_poly([1, 1], [1, 1], np.zeros((2, 1, 1))),
+     StructuralError, "distinct"),
+    ("basis_no_nodes", lambda: mp.MatPoly("monomial", np.zeros((1, 1, 1)), nodes=np.zeros(2)),
+     StructuralError, "takes no nodes"),
     ("as_stack", lambda: _as_stack(np.zeros((2, 2, 3))), StructuralError, "square"),
     ("pencil_square", lambda: mp.Pencil(np.zeros((2, 3)), np.zeros((2, 3))), StructuralError,
      "D must be square"),

@@ -132,7 +132,7 @@ def test_stacked_residuals_equal_per_point_loops():
         assert _same_bits(rep.eigen.residuals, want)
         assert rep.max_residual == max(want)
 
-    q = experiments.run_random_quintic(rng=0)
+    q = experiments.run_random_quintic()
     a, b = np.stack(fixtures.QUINTIC_A), np.stack(fixtures.quintic_b_coeffs())
     wide = experiments._WIDE
     for eig, worst in ((q.algebraic_eigen, q.algebraic_max_residual),
@@ -162,7 +162,7 @@ def test_family_triple_cap(k_max):
 
 
 def test_quintic_counts():
-    rep = experiments.run_random_quintic(rng=0)
+    rep = experiments.run_random_quintic()
     assert rep.algebraic_counts == (35, 0)
     assert rep.frobenius_counts == (35, 0)
     assert rep.ratio > 1.0
@@ -179,7 +179,7 @@ def test_quintic_solves_both_pencils_in_real_arithmetic(monkeypatch):
         return solve(p, **kwargs)
 
     monkeypatch.setattr(experiments, "generalized_eigen", spy)
-    experiments.run_random_quintic(rng=0)
+    experiments.run_random_quintic()
     assert seen == [(np.float64, np.float64, "qz")] * 2
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,12 @@ def test_matpoly_roundtrip_all_bases():
     ]
     for p in polys:
         back = jsonio.matpoly_from_json(json.loads(json.dumps(jsonio.matpoly_to_json(p))))
-        assert back.basis.kind == p.basis.kind
+        assert back.kind == p.kind
         assert back.dim == p.dim and back.grade == p.grade
         np.testing.assert_array_equal(back.data, p.data.astype(complex))
-        if p.basis.kind == "lagrange":
-            np.testing.assert_array_equal(back.basis.nodes, p.basis.nodes)
-            np.testing.assert_array_equal(back.basis.weights, p.basis.weights)
+        if p.kind == "lagrange":
+            np.testing.assert_array_equal(back.nodes, p.nodes)
+            np.testing.assert_array_equal(back.weights, p.weights)
 
 
 def test_pencil_and_triple_roundtrip():
@@ -145,17 +146,25 @@ def test_malformed_number_is_structural_error(value):
         jsonio.vector_from_json([value])
 
 
-@pytest.mark.parametrize("patch", [{"dim": "x"}, {"grade": None}, {"data": 5}, {"data": []},
-                                   {"data": [[[1]], [[1, 0], [0, 1]]]},
-                                   {"grade": 2.7, "data": [[[1]], [[1]], [[1]]]},
-                                   {"dim": True}],
-                         ids=["dim", "grade", "data_number", "data_empty", "data_shapes",
-                              "grade_float", "dim_bool"])
-def test_malformed_matpoly_is_structural_error(patch):
+_LAGRANGE_3 = {"lagrange": {"nodes": [0, 1, 2], "weights": [0.5, -1, 0.5]}}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"dim": "x"}, None), ({"grade": None}, None), ({"data": 5}, None), ({"data": []}, None),
+    ({"data": [[[1]], [[1, 0], [0, 1]]]}, None),
+    ({"grade": 2.7, "data": [[[1]], [[1]], [[1]]]}, None), ({"dim": True}, None),
+    # a single fault in dim, grade or the node count, with the reader's message
+    ({"dim": 2}, "data must be a stack of 2x2 matrices, got (2, 1, 1)"),
+    ({"grade": 2}, "grade 2 needs 3 matrices, got 2"),
+    ({"data": [[[1, 0]], [[1, 0]]]}, "data must be a stack of 1x1 matrices, got (2, 1, 2)"),
+    ({"basis": _LAGRANGE_3}, "lagrange node count must be grade + 1"),
+], ids=["dim", "grade", "data_number", "data_empty", "data_shapes", "grade_float", "dim_bool",
+        "dim_disagrees", "grade_disagrees", "cells_not_square", "node_count"])
+def test_malformed_matpoly_is_structural_error(patch, message):
     from matpencil.errors import StructuralError
     obj = {"basis": "monomial", "dim": 1, "grade": 1, "data": [[[1]], [[1]]]}
     assert jsonio.matpoly_from_json(obj).grade == 1
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=message and f"^{re.escape(message)}$"):
         jsonio.matpoly_from_json({**obj, **patch})
 
 
@@ -205,8 +214,8 @@ def test_real_polynomial_and_triple_files_round_trip_as_float64():
     obj = json.loads(json.dumps(jsonio.matpoly_to_json(p)))
     assert isinstance(obj["basis"]["lagrange"]["nodes"][0], float)
     back = jsonio.matpoly_from_json(obj)
-    for got, want in ((back.data, p.data), (back.basis.nodes, p.basis.nodes),
-                      (back.basis.weights, p.basis.weights)):
+    for got, want in ((back.data, p.data), (back.nodes, p.nodes),
+                      (back.weights, p.weights)):
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
     t = mp.lagrange_triple(back)

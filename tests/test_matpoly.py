@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import matpencil as mp
-from matpencil import fixtures
+from matpencil import fixtures, jsonio
 from matpencil.errors import StructuralError
 
 from helpers import (chebyshev_to_monomial, det_poly, height_report_reference, rand_lagrange,
@@ -29,7 +29,7 @@ def test_eval_chebyshev_scalar():
 
 def test_barycentric_eval_matches_samples_at_all_nodes():
     a = fixtures.mixed_lagrange_poly()
-    for node, sample in zip(a.basis.nodes, a.data):
+    for node, sample in zip(a.nodes, a.data):
         assert np.array_equal(a.eval(node), sample.astype(complex))
 
 
@@ -221,11 +221,12 @@ def test_height_report_of_real_floats_holds_masks_only():
 
 def test_structural_errors():
     with pytest.raises(StructuralError):
-        mp.MatPoly(mp.BasisSpec.monomial(), 2, 1, np.zeros((2, 2, 2, 2)))
+        mp.MatPoly("monomial", np.zeros((2, 2, 2, 2)))
+    with pytest.raises(StructuralError):  # missing a coefficient
+        jsonio.matpoly_from_json({"basis": "monomial", "dim": 2, "grade": 2,
+                                  "data": [[[0, 0], [0, 0]]] * 2})
     with pytest.raises(StructuralError):
-        mp.MatPoly(mp.BasisSpec.monomial(), 2, 2, np.zeros((2, 2, 2)))  # missing a coefficient
-    with pytest.raises(StructuralError):
-        mp.BasisSpec.lagrange([0.0, 0.0], [1.0, 1.0])  # duplicate nodes
+        mp.MatPoly.lagrange_poly([0.0, 0.0], [1.0, 1.0], np.zeros((2, 1, 1)))  # duplicate nodes
     with pytest.raises(StructuralError):
         mp.MatPoly.lagrange_poly([0.0, 1.0, 2.0], mp.barycentric_weights([0.0, 1.0, 2.0]),
                                  np.zeros((2, 1, 1)))  # node count vs sample count
@@ -274,7 +275,7 @@ def test_eval_at_array_equals_stacked_scalar_calls(kind, r, s):
         nodes = np.linspace(-1.0, 1.0, s + 1) if s else np.array([0.25])
         p = mp.MatPoly.lagrange_poly(nodes, mp.barycentric_weights(nodes),
                                      rng.standard_normal((s + 1, r, r)))
-    nodes = p.basis.nodes if p.basis.kind == "lagrange" else np.array([0.3, 0.7])
+    nodes = p.nodes if p.kind == "lagrange" else np.array([0.3, 0.7])
     z = _points_with_node(rng, nodes)
     want = np.stack([mp.eval_at(p, complex(x)) for x in z])
     got = mp.eval_at(p, z)
@@ -285,5 +286,5 @@ def test_eval_at_array_equals_stacked_scalar_calls(kind, r, s):
     tol = 16 * (s + 1) * np.finfo(float).eps * np.abs(want).max()
     np.testing.assert_allclose(got, want, rtol=0, atol=tol)
     np.testing.assert_array_equal(mp.eval_at(p, z.reshape(2, -1)), got.reshape(2, -1, r, r))
-    if p.basis.kind == "lagrange":  # a point equal to a node returns that node's sample
+    if p.kind == "lagrange":  # a point equal to a node returns that node's sample
         np.testing.assert_array_equal(got[9], p.data[-1])

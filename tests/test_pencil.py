@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,7 +163,7 @@ def test_verify_triple_matches_sequential_reference(seed, tol):
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     points, attempts, det_dev, res_dev = _sequential_verify(t, p, 10, tol, ref_rng)
     rep = mp.verify_triple(t, p, n_points=10, tol=tol, rng=rng)
-    assert rep.points == points
+    assert np.array_equal(rep.points, points)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if tol > 1e-8:
         assert attempts > len(points)  # some draws were rejected
@@ -179,7 +181,7 @@ def test_verify_triple_stacked_deviations_match_sequential_reference():
         ref_rng, rng_t = np.random.default_rng(r), np.random.default_rng(r)
         points, _, det_dev, res_dev = _sequential_verify(t, p, 7, 1e-8, ref_rng)
         rep = mp.verify_triple(t, p, n_points=7, tol=1e-8, rng=rng_t)
-        assert rep.points == points and rep.passed
+        assert np.array_equal(rep.points, points) and rep.passed
         # both deviations sit at rounding level, where a stack and one point
         # at a time may differ in the last bits
         assert rep.det_deviation == pytest.approx(det_dev, rel=0.5, abs=1e-14)
@@ -241,6 +243,12 @@ def test_cond_and_inverse_equal_pivot_condition_and_inv_bitwise():
     assert inv is None and cond.tolist() == [1.0] * 3
 
 
+def _same_report(got, want) -> bool:
+    """Two reports agree field by field, arrays (the points) entry by entry."""
+    return all(np.array_equal(getattr(got, f.name), getattr(want, f.name))
+               for f in dataclasses.fields(want))
+
+
 def test_verify_triple_inverts_each_a_of_z_once(monkeypatch):
     from matpencil import pencil
     from helpers import rand_mono
@@ -253,7 +261,7 @@ def test_verify_triple_inverts_each_a_of_z_once(monkeypatch):
     monkeypatch.setattr(pencil, "pivot_condition",
                         lambda m: conditioned.append(m.shape) or real_cond(m))
     got = mp.verify_triple(t, p, n_points=5, rng=0)
-    assert got == want and got.passed
+    assert _same_report(got, want) and got.passed
     # one stacked inversion of a(z), r = 2; the (5, 4, 4) ones condition the draws
     assert [shape for shape in inverted if shape[-2:] == (2, 2)] == [(5, 2, 2)]
     assert conditioned and all(shape[-2:] == (4, 4) for shape in conditioned)  # draws only
@@ -386,7 +394,7 @@ def test_verifiers_take_their_points_in_slices_within_the_stack_budget(monkeypat
         if name == "interp_charpoly":
             np.testing.assert_array_equal(got, want)
         else:
-            assert got == want
+            assert _same_report(got, want)
         assert sliced < full / 4 and sliced < 3 * pencil.STACK_BYTES, name
     assert mp.verify_triple(t, a, rng=5).passed
 
@@ -405,6 +413,18 @@ def test_verifiers_keep_a_tiny_pencil_within_the_stack_budget(monkeypatch):
     assert charpoly_peak < 2 * pencil.STACK_BYTES
 
 
+def test_verify_triple_holds_its_points_in_one_array(monkeypatch):
+    # 16 bytes an accepted point (complex128), beyond the slices' own budget:
+    # a list of Python complex numbers would take about 40
+    from matpencil import pencil
+    monkeypatch.setattr(pencil, "STACK_BYTES", 1 << 20)
+    p = mp.MatPoly.monomial_poly([-0.5, 1.0])
+    n = 500_000
+    rep, peak = _traced(lambda: mp.verify_triple(mp.frobenius_triple(p), p, n_points=n, rng=8))
+    assert rep.passed and peak <= 16 * n + 2 * pencil.STACK_BYTES
+    assert rep.points.shape == (n,) and rep.points.dtype == np.complex128
+
+
 def test_verify_triple_draws_in_slices_as_one_at_a_time(monkeypatch):
     # draws capped at one point per slice leave the points and the rng state
     # of the uncapped draw
@@ -416,7 +436,7 @@ def test_verify_triple_draws_in_slices_as_one_at_a_time(monkeypatch):
     want = mp.verify_triple(t, a, rng=rng)
     monkeypatch.setattr(pencil, "STACK_BYTES", 1)
     rng_sliced = np.random.default_rng(6)
-    assert mp.verify_triple(t, a, rng=rng_sliced) == want
+    assert _same_report(mp.verify_triple(t, a, rng=rng_sliced), want)
     assert rng_sliced.bit_generator.state == rng.bit_generator.state
 
 
@@ -437,7 +457,7 @@ def test_verify_triple_forms_each_drawn_points_pencil_once(monkeypatch, stack_by
     formed, real_at = [], mp.Pencil.at
     monkeypatch.setattr(mp.Pencil, "at", lambda self, z: formed.append(np.size(z)) or real_at(self, z))
     rep = mp.verify_triple(t, p, n_points=10, tol=0.1, rng=0)
-    assert rep.points == points and sum(formed) == draws
+    assert np.array_equal(rep.points, points) and sum(formed) == draws
 
 
 def _nan_where(upper_only: bool):

@@ -1,7 +1,8 @@
 """Names that README.md gives in backticks exist in src/matpencil/: each
 private name (`_` then a letter, so the math `||M||_1` is no name) is
 defined there, and each `<module>.<name>` of a matpencil module is bound at
-the top level of that module.  Built on `ast`; a rename or deletion that
+the top level of that module; each test id of the "Reproducing the paper"
+table names a test of its file.  Built on `ast`; a rename or deletion that
 leaves README behind fails here."""
 
 import ast
@@ -44,4 +45,13 @@ def test_every_module_attribute_in_readme_is_bound_in_its_module():
     pairs = {pair for span in SPANS for pair in re.findall(r"(?<!\w)(\w+)\.(?=(\w+))", span)}
     missing = [f"{module}.{name}" for module, name in sorted(pairs)
                if module in MODULES and name not in _bound(MODULES[module].body)]
+    assert missing == []
+
+
+def test_every_test_the_reproduction_table_names_exists():
+    table = (ROOT / "README.md").read_text().split("## Reproducing the paper")[1].split("\n## ")[0]
+    ids = re.findall(r"`(tests/\w+\.py)::(\w+)`", table)
+    assert len(ids) == 9
+    missing = [f"{path}::{name}" for path, name in ids if not (ROOT / path).is_file()
+               or name not in _bound(ast.parse((ROOT / path).read_text()).body)]
     assert missing == []

@@ -121,11 +121,12 @@ _python_ints = np.frompyfunc(lambda v: int(v) if isinstance(v, np.integer) else 
 
 def pencil_dets(D, A, points) -> list:
     """[det(z*D - A) for z in points], exact for integer or object arrays D, A
-    and exact points.  When D is diagonal and -A is upper Hessenberg with a ±1
-    subdiagonal, -A is laid out once and each point only swaps in the
-    diagonal z d_ii - a_ii for Hyman's method; any other pencil takes Bareiss
-    elimination at each point."""
-    d, a = (m.astype(object) if m.dtype != object else _python_ints(m) for m in (D, A))
+    (a `NonzeroMatrix` is read dense) and exact points.  When D is diagonal
+    and -A is upper Hessenberg with a ±1 subdiagonal, -A is laid out once and
+    each point only swaps in the diagonal z d_ii - a_ii for Hyman's method;
+    any other pencil takes Bareiss elimination at each point."""
+    d, a = (m.astype(object) if m.dtype != object else _python_ints(m)
+            for m in map(np.asarray, (D, A)))
     d_diag = np.diag(d)
     if np.count_nonzero(d) == np.count_nonzero(d_diag):
         r, c = np.nonzero(a)

@@ -8,23 +8,33 @@ and carries X, Y realizing its inverse as a resolvent.
 
 One dtype rule (`matpoly._common`) covers every output: X, Y, D and A are float64
 when all inputs are real or integer, and complex128 once any input is complex.
+One form rule goes beside it: when any block of A or D is held as its nonzeros
+(`NonzeroMatrix`), the output's D and A are held as their nonzeros too, and
+dense inputs give dense outputs; X and Y, r x N, are always dense.  Zeros,
+signed ones among them, are not stored.
 Each constructor states its block table once, in one call to `_triple`: the
 blocks of A, the diagonal blocks of D, and the blocks of X's one block row and
-Y's one block column.  `_triple` allocates each matrix once, as zeros in that
-dtype, and writes the blocks, with their final signs and scalings, into it by
-slice (`_assemble`); no negation or scaling of a whole matrix follows.
-`add_lower_degree` alone keeps its input's layout: it corrects a copy of A.
+Y's one block column.  `_triple` allocates each dense matrix once, as zeros in
+that dtype, and writes the blocks, with their final signs and scalings, into
+it by slice (`_assemble`); a held one is its blocks' nonzeros, each shifted to
+its block's offset, in one concatenation (`_assemble_nonzeros`).  No negation
+or scaling of a whole matrix follows.  The coupling blocks Y c X of `product`
+and `composite` are given as their two thin factors (`_Outer`), so a held
+output forms them only over the nonzero rows of Y and columns of X.
+`add_lower_degree` alone keeps its input's layout: it corrects a dense copy
+of A.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, _common
+from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, NonzeroMatrix, _common
 from .pencil import Pencil, StandardTriple
 # unused here; bench/spans.py patches these names
 from .matpoly import eval_at  # noqa: F401
@@ -48,17 +58,31 @@ def _grade(extra: int, *parts: StandardTriple) -> int | None:
     return None if None in grades else sum(grades) + extra
 
 
+class _Outer(NamedTuple):
+    """The block left @ right, given as its thin factors (n x r and r x m)."""
+
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.left, self.right)
+
+
 def _triple(sizes: list[int], a_blocks: dict, d_blocks: list, x_blocks: dict,
             y_blocks: dict, grade: int | None) -> StandardTriple:
     """The triple whose pencil has block sizes `sizes`: A has the blocks
     a_blocks[i, j], D = blockdiag(d_blocks), and X (one block row) and Y (one
     block column) have the blocks x_blocks[j] and y_blocks[i].  All four are
-    assembled in the one dtype of their blocks."""
+    assembled in the one dtype of their blocks; D and A are held as their
+    nonzeros when a block of either is."""
     blocks = [*a_blocks.values(), *d_blocks, *x_blocks.values(), *y_blocks.values()]
     dt = np.result_type(*{b.dtype for b in blocks})
     r = next(iter(x_blocks.values())).shape[0]
-    A = _assemble(sizes, sizes, dt, a_blocks)
-    D = _assemble(sizes, sizes, dt, {(i, i): b for i, b in enumerate(d_blocks)})
+    held = NonzeroMatrix in map(type, (*a_blocks.values(), *d_blocks))
+    square = _assemble_nonzeros if held else _assemble
+    A = square(sizes, sizes, dt, a_blocks)
+    D = square(sizes, sizes, dt, {(i, i): b for i, b in enumerate(d_blocks)})
     X = _assemble([r], sizes, dt, {(0, j): b for j, b in x_blocks.items()})
     Y = _assemble(sizes, [r], dt, {(i, 0): b for i, b in y_blocks.items()})
     return StandardTriple(X, Pencil(D, A, {"blocks": sizes}), Y, grade=grade)
@@ -92,7 +116,7 @@ def product(ta: StandardTriple, tb: StandardTriple, variant: str = "F2") -> Stan
     if ta.r != tb.r:
         raise StructuralError("factors must share the polynomial dimension r")
     Xa, Da, A, Ya, Xb, Db, B, Yb = _common(*_matrices(ta), *_matrices(tb))
-    couple, grade = Yb @ Xa, _grade(0, ta, tb)
+    couple, grade = _Outer(Yb, Xa), _grade(0, ta, tb)
     if variant == "F1":
         return _triple([ta.N, tb.N], {(0, 0): A, (1, 0): couple, (1, 1): B}, [Da, Db],
                        {1: Xb}, {0: Ya}, grade)
@@ -121,7 +145,7 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
         raise StructuralError("dimension mismatch between triple and added polynomial")
     if c.grade >= ta.grade:
         raise ContractError(f"deg c = {c.grade} must be below deg a = {ta.grade}")
-    X, D, A, Y, cs = _common(*_matrices(ta), c.data)
+    X, D, A, Y, cs = _common(*map(np.asarray, _matrices(ta)), c.data)
     G = A.copy()
     u, err = Y, np.linalg.norm(Y)  # err: the scale of u's rounding error
     for k in range(c.grade + 1):
@@ -160,7 +184,7 @@ def composite(ta: StandardTriple, tb: StandardTriple, d0, c0) -> StandardTriple:
     r = ta.r
     Xa, Da, A, Ya, Xb, Db, B, Yb, d0, c0 = _common(
         *_matrices(ta), *_matrices(tb), _square(d0, r, "d0"), _square(c0, r, "c0"))
-    return _triple([ta.N, r, tb.N], {(0, 0): A, (0, 2): -Ya @ c0 @ Xb, (1, 0): -Xa,
+    return _triple([ta.N, r, tb.N], {(0, 0): A, (0, 2): _Outer(-Ya @ c0, Xb), (1, 0): -Xa,
                                      (2, 1): -Yb, (2, 2): B},
                    [Da, d0, Db], {2: Xb}, {0: Ya}, _grade(1, ta, tb))
 
@@ -171,8 +195,42 @@ def _assemble(rows: list[int], cols: list[int], dtype, blocks: dict) -> np.ndarr
     out = np.zeros((sum(rows), sum(cols)), dtype)
     r_at, c_at = list(accumulate(rows, initial=0)), list(accumulate(cols, initial=0))
     for (i, j), block in blocks.items():
+        if isinstance(block, _Outer):
+            block = block.left @ block.right
         out[r_at[i]:r_at[i + 1], c_at[j]:c_at[j + 1]] = block
     return out
+
+
+def _assemble_nonzeros(rows: list[int], cols: list[int], dtype, blocks: dict) -> NonzeroMatrix:
+    """`_assemble`'s matrix held as its nonzeros: each block's nonzeros, at
+    their rows and columns shifted by the block's offset, in one
+    concatenation, sorted by key."""
+    r_at, c_at = list(accumulate(rows, initial=0)), list(accumulate(cols, initial=0))
+    keys, values = [], []
+    for (i, j), block in blocks.items():
+        block_rows, block_cols, block_values = _nonzeros(block)
+        keys.append((r_at[i] + block_rows) * c_at[-1] + c_at[j] + block_cols)
+        values.append(block_values)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    return NonzeroMatrix((r_at[-1], c_at[-1]), keys[order],
+                         np.concatenate(values)[order].astype(dtype, copy=False))
+
+
+def _nonzeros(block) -> tuple:
+    """Rows, columns and values of the nonzeros of one block: the stored
+    entries of a NonzeroMatrix, the nonzero entries of a dense array, and of
+    an `_Outer` those of its product formed over the nonzero rows of left and
+    nonzero columns of right only."""
+    if isinstance(block, NonzeroMatrix):
+        return *np.divmod(block.keys, block.shape[1]), block.values
+    if isinstance(block, _Outer):
+        rows = np.flatnonzero(block.left.any(axis=1))
+        cols = np.flatnonzero(block.right.any(axis=0))
+        sub_rows, sub_cols, values = _nonzeros(block.left[rows] @ block.right[:, cols])
+        return rows[sub_rows], cols[sub_cols], values
+    rows, cols = np.nonzero(block)
+    return rows, cols, block[rows, cols]
 
 
 def frobenius_triple(p: MatPoly) -> StandardTriple:

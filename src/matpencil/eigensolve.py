@@ -8,6 +8,8 @@ keeps W in the pencil's own dtype (`matpoly._common`): a real pencil is
 factored and solved in real arithmetic, and its finite eigenvalues come in
 exact conjugate pairs.  A pencil with D exactly the identity is already a
 standard eigenproblem and is solved as one, in A's own dtype, with no shift.
+A pencil held as its nonzeros (`NonzeroMatrix`) is checked on its stored
+values and made dense only for the LAPACK call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SpectrumError, StructuralError
-from .matpoly import _common, eval_at
+from .matpoly import NonzeroMatrix, _common, eval_at
 from .pencil import COND_CAP, Pencil, _check_numeric, _slice_len, pivot_condition
 
 BACKEND = "shift-invert + numpy eigvals"
@@ -57,21 +59,24 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
     classifying |beta| below INF_TOL * |(alpha, beta)| as infinite.
     Both backends keep a real pencil real; the finite eigenvalues are
     returned as complex128 and shift_used as a complex.  An object pencil,
-    or one with a NaN or infinite entry, raises StructuralError.
+    or one with a NaN or infinite entry, raises StructuralError.  A held D
+    or A is checked on its stored values; A is made dense for the LAPACK
+    call only, and D only for QZ or shift-and-invert, never for D = I.
     """
     _check_numeric(p.D, p.A)
-    if not (np.isfinite(p.D).all() and np.isfinite(p.A).all()):
+    stored = [m.values if isinstance(m, NonzeroMatrix) else m for m in (p.D, p.A)]
+    if not all(np.isfinite(m).all() for m in stored):
         raise StructuralError("the pencil has a non-finite entry")
     if backend == "qz":
         return _qz_eigen(p)
     if backend != "shift-invert":
         raise ContractError(f"unknown backend {backend!r}")
     if _is_identity(p.D):
-        (A,) = _common(p.A)
+        (A,) = _common(np.asarray(p.A))  # a held A is made dense here, for LAPACK only
         finite = np.linalg.eigvals(A).astype(complex, copy=False)
         return EigenReport(finite, 0, None, 0j, backend=BACKEND_STANDARD)
     rng = np.random.default_rng(rng)
-    D, A = p.D, p.A
+    D, A = np.asarray(p.D), np.asarray(p.A)
     sigmas = 2.0 * np.cos(2 * np.pi * rng.random(SHIFT_CANDIDATES))
     # one candidate at a time, so one N x N inverse is held at once
     conds = [pivot_condition(s * D - A) for s in sigmas]
@@ -89,7 +94,13 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
     return EigenReport(finite, int(infinite.sum()), None, complex(sigma))
 
 
-def _is_identity(mat: np.ndarray) -> bool:
+def _is_identity(mat) -> bool:
+    """mat is exactly the identity; a NonzeroMatrix is read from its keys and
+    values, with no dense array."""
+    if isinstance(mat, NonzeroMatrix):
+        n, stored = mat.shape[0], mat.values != 0
+        return (np.array_equal(mat.keys[stored], np.arange(n) * (n + 1))
+                and bool(np.all(mat.values[stored] == 1)))
     return (np.count_nonzero(mat) == mat.shape[0]
             and bool(np.all(np.diagonal(mat) == 1)))
 
@@ -99,7 +110,7 @@ def _qz_eigen(p: Pencil) -> EigenReport:
     # this package, and only the QZ backend needs it.
     import scipy.linalg
 
-    A, D = _common(p.A, p.D)
+    A, D = _common(np.asarray(p.A), np.asarray(p.D))
     alpha, beta = scipy.linalg.eig(A, D, right=False, homogeneous_eigvals=True)
     infinite = np.abs(beta) <= INF_TOL * (np.abs(alpha) + np.abs(beta))
     finite = alpha[~infinite] / beta[~infinite]

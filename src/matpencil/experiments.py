@@ -15,7 +15,7 @@ from ._compose import composite_coeffs
 from .constructions import composite, frobenius_triple, chebyshev_triple, lagrange_triple
 from .eigensolve import EigenReport, generalized_eigen, match_roots, sigma_ratio
 from .errors import ContractError
-from .matpoly import MatPoly, height_report
+from .matpoly import MatPoly, NonzeroMatrix, height_report
 from .oracle import interp_charpoly, scalar_roots
 from .pencil import Pencil, StandardTriple
 
@@ -36,13 +36,18 @@ class FamilyLevelReport:
 
 
 def family_triple(k_max: int) -> list[StandardTriple]:
-    """Triples for h_1 .. h_{k_max}: start from the companion of z I + c_0 and
-    square through the composite rule with d0 = I.  Each level quadruples the
-    pencil's bytes, so k_max is capped at FAMILY_DESK_CAP."""
+    """Triples for h_1 .. h_{k_max}: start from the companion of z I + c_0,
+    its D and A held as their nonzeros, and square through the composite
+    rule with d0 = I, which keeps them so.  Each level doubles the nonzeros,
+    but the dense A its solve makes quadruples, so k_max is capped at
+    FAMILY_DESK_CAP."""
     if not 1 <= k_max <= FAMILY_DESK_CAP:
         raise ContractError(f"k_max must be within 1..{FAMILY_DESK_CAP}")
-    h1 = MatPoly.monomial_poly(np.stack([fixtures.family_constant(0), np.eye(4)]))
-    out = [frobenius_triple(h1)]
+    h1 = frobenius_triple(MatPoly.monomial_poly(np.stack([fixtures.family_constant(0),
+                                                          np.eye(4)])))
+    held = Pencil(*map(NonzeroMatrix.from_dense, (h1.pencil.D, h1.pencil.A)),
+                  h1.pencil.block_meta)
+    out = [StandardTriple(h1.X, held, h1.Y, grade=h1.grade)]
     for k in range(1, k_max):
         t = out[-1]
         out.append(composite(t, t, np.eye(4), fixtures.family_constant(k)))
@@ -64,25 +69,38 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     recurrence (never through expanded coefficients) and take
     sigma_min / sigma_max.
 
-    The levels are independent eigenproblems.  Each is solved and scored on
-    a pool of `_family_workers(k_max)` threads, largest level first, while
-    the calling thread takes the height reports; LAPACK releases the GIL, so
-    the top level overlaps the smaller ones.  Every level is handed rng, as
-    in a sequential loop: family pencils have D = I and draw nothing from
-    it, so the results do not depend on the scheduling.
+    The levels are independent eigenproblems, solved and scored on
+    `_family_workers(k_max)` threads.  On two, the calling thread takes the
+    height reports and then solves the top level, while one pool thread
+    solves the others, largest first; LAPACK releases the GIL, so the top
+    level overlaps the smaller ones.  On one, the pool thread solves every
+    level.  Every level is handed rng, as in a sequential loop: family
+    pencils have D = I and draw nothing from it, so the results do not
+    depend on the scheduling.
+
+    The triples hold D and A as their nonzeros (`family_triple`), and the
+    height reports read those: a dense A exists only inside its own level's
+    solve, and no dense D is made.  The top level's dense A and LAPACK
+    buffers are the largest; made on the calling thread, they reuse the
+    memory that thread's earlier work freed, where on a new pool thread they
+    added to the process's peak (glibc's malloc keeps freed memory in the
+    arena of the thread that freed it).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     triples = family_triple(k_max)
     rng = np.random.default_rng(rng)
-    pool = ThreadPoolExecutor(_family_workers(k_max))
+    top = k_max if _family_workers(k_max) == 2 else None
+    pool = ThreadPoolExecutor(1)
     try:
         solves = {k: pool.submit(_solve_level, k, triples[k - 1].pencil, rng)
-                  for k in range(k_max, 0, -1)}
+                  for k in range(k_max, 0, -1) if k != top}
         heights = [height_report(t.pencil.A) for t in triples]
+        if top is not None:
+            top_solve = _solve_level(top, triples[top - 1].pencil, rng)
         reports = []
         for k, (triple, hr) in enumerate(zip(triples, heights), start=1):
-            eig, elapsed = solves[k].result()
+            eig, elapsed = top_solve if k == top else solves[k].result()
             res = eig.residuals
             reports.append(FamilyLevelReport(
                 k, triple.N, len(eig.finite), eig.infinite_count,
@@ -108,14 +126,15 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _family_workers(k_max: int) -> int:
-    """Threads run_family solves its levels on: two when the usable CPUs
-    hold two BLAS thread counts and there are two levels, else one.
+    """Threads run_family solves its levels on: two (the calling thread and
+    one pool thread) when the usable CPUs hold two BLAS thread counts and
+    there are two levels, else one (the pool thread).
 
     The BLAS thread count is the first positive integer among
     _BLAS_THREAD_VARS.  With none set, BLAS already runs on every core and a
-    second solver thread would only oversubscribe them, so one worker runs.
-    A third worker could not finish sooner: the top level's solve alone
-    takes longer than all the others together.
+    second solver thread would only oversubscribe them, so one thread runs.
+    A third could not finish sooner: the top level's solve alone takes
+    longer than all the others together.
     """
     for var in _BLAS_THREAD_VARS:
         try:

@@ -39,7 +39,7 @@ def number_from_json(v) -> float | complex:
 
 def matrix_to_json(arr) -> list:
     """A numeric array as nested lists, a complex entry as an [re, im] pair."""
-    (arr,) = _common(arr)
+    (arr,) = _common(np.asarray(arr))
     return (np.stack([arr.real, arr.imag], -1) if np.iscomplexobj(arr) else arr).tolist()
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from ._exact import exact_point, hessenberg_det, unit_hessenberg
 from .errors import ContractError, ResourceLimitError, VerificationError
+from .matpoly import NonzeroMatrix
 
 #: highest level built (dim 8191).  The outputs are held as their nonzeros at
 #: any level, but `toarray()` and `matpencil mandelbrot --out` at level 15
@@ -32,58 +33,6 @@ _INT = np.int8
 
 def mandelbrot_dim(n: int) -> int:
     return 2 ** (n - 1) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class NonzeroMatrix:
-    """A read-only integer matrix held as its nonzeros: the sorted flat keys
-    row * ncols + col (int64) and their values.
-
-    `toarray()`, and `np.asarray` through `__array__`, build the dense
-    C-contiguous array; `min()`, `max()` and `m[i, j]` read the nonzeros and
-    count the missing entries as zeros.
-    """
-
-    shape: tuple
-    keys: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.keys.flags.writeable = self.values.flags.writeable = False
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.values.dtype
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.values.nbytes
-
-    def _full(self) -> bool:
-        return len(self.keys) == self.shape[0] * self.shape[1]
-
-    def min(self):
-        return self.values.min() if self._full() else self.values.min(initial=0)
-
-    def max(self):
-        return self.values.max() if self._full() else self.values.max(initial=0)
-
-    def __getitem__(self, index):
-        (i, j), (rows, cols) = index, self.shape
-        key = range(rows)[i] * cols + range(cols)[j]  # IndexError when out of range
-        at = np.searchsorted(self.keys, key)
-        found = at < len(self.keys) and self.keys[at] == key
-        return self.values[at] if found else self.dtype.type(0)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.dtype)
-        out.reshape(-1)[self.keys] = self.values
-        return out
-
-    def __array__(self, dtype=None, copy=None):  # numpy casts to dtype itself
-        if copy is False:
-            raise ValueError("a NonzeroMatrix has no dense array to share; it must be copied")
-        return self.toarray()
 
 
 @dataclass(eq=False)

@@ -18,12 +18,79 @@ LAGRANGE = "lagrange"
 CHEBYSHEV = "chebyshev"
 
 
-def _common(*arrays) -> list[np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class NonzeroMatrix:
+    """A read-only matrix held as its nonzeros: the sorted flat keys
+    row * ncols + col (int64) and their values, of any numeric dtype.
+
+    `toarray()`, and `np.asarray` through `__array__`, build the dense
+    C-contiguous array; `min()`, `max()` and `m[i, j]` read the nonzeros and
+    count the missing entries as zeros.
+    """
+
+    shape: tuple
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.keys.flags.writeable = self.values.flags.writeable = False
+
+    @classmethod
+    def from_dense(cls, arr: np.ndarray) -> NonzeroMatrix:
+        """The nonzeros of a dense 2-d array; its zeros, -0.0 among them, are
+        not stored."""
+        keys = np.flatnonzero(arr)
+        return cls(arr.shape, keys, arr.reshape(-1)[keys])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.values.nbytes
+
+    def astype(self, dtype, copy: bool = True) -> NonzeroMatrix:
+        """The same nonzeros with their values in `dtype`; with copy=False,
+        self when they already are."""
+        values = self.values.astype(dtype, copy=copy)
+        return self if values is self.values else NonzeroMatrix(self.shape, self.keys, values)
+
+    def min(self):
+        return self.values.min() if len(self.keys) == self.size else self.values.min(initial=0)
+
+    def max(self):
+        return self.values.max() if len(self.keys) == self.size else self.values.max(initial=0)
+
+    def __getitem__(self, index):
+        (i, j), (rows, cols) = index, self.shape
+        key = range(rows)[i] * cols + range(cols)[j]  # IndexError when out of range
+        at = np.searchsorted(self.keys, key)
+        found = at < len(self.keys) and self.keys[at] == key
+        return self.values[at] if found else self.dtype.type(0)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out.reshape(-1)[self.keys] = self.values
+        return out
+
+    def __array__(self, dtype=None, copy=None):  # numpy casts to dtype itself
+        if copy is False:
+            raise ValueError("a NonzeroMatrix has no dense array to share; it must be copied")
+        return self.toarray()
+
+
+def _common(*arrays) -> list:
     """The inputs in one dtype, np.result_type(float, *inputs): float64 for
     real or integer data, complex128 once any input is complex.  An input
-    already in that dtype is returned without a copy."""
-    arrays = [np.asarray(a) for a in arrays]
-    dtype = np.result_type(float, *arrays)
+    already in that dtype is returned without a copy.  A `NonzeroMatrix`
+    keeps its form: only its values are cast."""
+    arrays = [a if isinstance(a, NonzeroMatrix) else np.asarray(a) for a in arrays]
+    dtype = np.result_type(float, *arrays)  # reads a NonzeroMatrix's dtype attribute
     return [a.astype(dtype, copy=False) for a in arrays]
 
 
@@ -193,13 +260,17 @@ class HeightReport:
 
 def height_report(mat) -> HeightReport:
     """Height, t_metric and the two height-1 flags of a matrix; an entry
-    beyond float64's range raises ContractError."""
-    arr = np.asarray(mat)
+    beyond float64's range raises ContractError.  A `NonzeroMatrix` is read
+    from its stored values, and its missing entries count as zeros."""
+    held = isinstance(mat, NonzeroMatrix)
+    arr = mat.values if held else np.asarray(mat)
+    size = mat.size if held else arr.size
     height, smallest = _extremes(arr) if arr.size else (0.0, None)
     t_metric = None if smallest is None else smallest / height
-    zero_or_minus_one = int(np.count_nonzero(arr == 0)) + int(np.count_nonzero(arr == -1))
-    return HeightReport(height, t_metric, zero_or_minus_one == arr.size,
-                        zero_or_minus_one + int(np.count_nonzero(arr == 1)) == arr.size)
+    zero_or_minus_one = (size - arr.size + int(np.count_nonzero(arr == 0))
+                         + int(np.count_nonzero(arr == -1)))
+    return HeightReport(height, t_metric, zero_or_minus_one == size,
+                        zero_or_minus_one + int(np.count_nonzero(arr == 1)) == size)
 
 
 def _extremes(arr: np.ndarray) -> tuple[float, float | None]:

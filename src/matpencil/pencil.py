@@ -12,7 +12,7 @@ import numpy as np
 
 from ._exact import exact_point, pencil_dets
 from .errors import ContractError, DegenerateInputError, SpectrumError, StructuralError
-from .matpoly import _common, eval_at
+from .matpoly import NonzeroMatrix, _common, eval_at
 
 #: 1-norm condition number above which zD - A counts as numerically singular
 COND_CAP = 1e12
@@ -34,6 +34,11 @@ def _slice_len(size: int) -> int:
 class Pencil:
     """The matrix pencil z*D - A (two equal-size square matrices).
 
+    D and A are dense arrays or `NonzeroMatrix`es, which are kept as they
+    are.  `eigensolve.generalized_eigen` reads a held one's stored values and
+    makes it dense for its LAPACK call only; the verifiers, `pencil_det_at`
+    and `oracle` read it dense, through `__array__`.
+
     An object (e.g. Fraction) pencil is accepted by `pencil_det_at` (exact
     wherever `exact_point` is) and `oracle.interp_charpoly` (Fraction
     coefficients) only; `resolvent_eval`, `verify_triple`,
@@ -41,14 +46,16 @@ class Pencil:
     and raise StructuralError for one.
     """
 
-    D: np.ndarray
-    A: np.ndarray
+    D: np.ndarray | NonzeroMatrix
+    A: np.ndarray | NonzeroMatrix
     block_meta: dict | None = None
 
     def __post_init__(self):
-        self.D = np.asarray(self.D)
-        self.A = np.asarray(self.A)
-        if self.D.ndim != 2 or self.D.shape[0] != self.D.shape[1]:
+        if not isinstance(self.D, NonzeroMatrix):
+            self.D = np.asarray(self.D)
+        if not isinstance(self.A, NonzeroMatrix):
+            self.A = np.asarray(self.A)
+        if len(self.D.shape) != 2 or self.D.shape[0] != self.D.shape[1]:
             raise StructuralError("D must be square")
         if self.A.shape != self.D.shape:
             raise StructuralError("A and D must have the same square shape")

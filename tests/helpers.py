@@ -11,7 +11,7 @@ from matpencil._compose import composite_coeffs, mono_mul
 from matpencil._exact import pencil_dets
 from matpencil.errors import ContractError, VerificationError
 from matpencil.matpoly import (CHEBYSHEV, LAGRANGE, MONOMIAL, HeightReport, MatPoly,
-                               _common, _interp_roots_of_unity)
+                               NonzeroMatrix, _common, _interp_roots_of_unity)
 from matpencil.pencil import Pencil, StandardTriple
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
@@ -19,7 +19,8 @@ __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
            "shift_right_coeffs", "chebyshev_to_monomial", "det_poly", "ControllabilityReport",
            "controllability_matrix", "fraction_inverse", "inverse_fraction_fallback",
            "rational_pencil", "matrix_det", "height_report_reference", "run_family_sequential",
-           "shift_invert_reference", "composition_reference", "elementary_reference"]
+           "shift_invert_reference", "composition_reference", "elementary_reference",
+           "held", "dense_family_chain"]
 
 
 def mono_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,8 +195,8 @@ def composition_reference(rule, ta, tb=None, d0=None, c0=None):
     or "composite" (ta, tb, d0, c0)."""
     from scipy.linalg import block_diag
 
-    def parts(t):
-        return t.X, t.pencil.D, t.pencil.A, t.Y
+    def parts(t):  # dense, also where the pencil is held as its nonzeros
+        return tuple(map(np.asarray, (t.X, t.pencil.D, t.pencil.A, t.Y)))
 
     r, na = ta.r, ta.N
     if rule in ("shift_left", "shift_right"):
@@ -341,6 +342,24 @@ def _chebyshev_reference(p: MatPoly) -> StandardTriple:
     Y = np.zeros((N, r), dtype=dt)
     Y[:r, :] = np.eye(r)
     return StandardTriple(X, Pencil(B1, B0, {"blocks": [r] * n}), Y, grade=n)
+
+
+def held(t):
+    """Triple t with its pencil's D and A held as their nonzeros."""
+    p = t.pencil
+    return StandardTriple(t.X, Pencil(NonzeroMatrix.from_dense(p.D),
+                                      NonzeroMatrix.from_dense(p.A), p.block_meta),
+                          t.Y, grade=t.grade)
+
+
+def dense_family_chain(k_max):
+    """The family's triples for levels 1..k_max built densely by `composite`
+    from the level-1 companion, signed zeros and all (reference)."""
+    h1 = mp.MatPoly.monomial_poly(np.stack([fixtures.family_constant(0), np.eye(4)]))
+    out = [mp.frobenius_triple(h1)]
+    for k in range(1, k_max):
+        out.append(mp.composite(out[-1], out[-1], np.eye(4), fixtures.family_constant(k)))
+    return out
 
 
 def run_family_sequential(k_max, rng=None):

@@ -6,10 +6,11 @@ import pytest
 import matpencil as mp
 from matpencil import fixtures
 from matpencil.errors import ContractError
+from matpencil.matpoly import NonzeroMatrix
 
-from helpers import (composite_coeffs, composition_reference, elementary_reference, mono_add,
-                     mono_mul, rand_lagrange, rand_mat, rand_mono, shift_left_coeffs,
-                     shift_right_coeffs)
+from helpers import (composite_coeffs, composition_reference, dense_family_chain,
+                     elementary_reference, held, mono_add, mono_mul, rand_lagrange, rand_mat,
+                     rand_mono, shift_left_coeffs, shift_right_coeffs)
 
 
 def scalar_poly(*coeffs):
@@ -440,8 +441,84 @@ def test_family_pencils_match_the_np_block_reference():
         *want, meta = composition_reference("composite", prev, prev, np.eye(4),
                                             fixtures.family_constant(k))
         for got, ref in zip((t.X, t.pencil.D, t.pencil.A, t.Y), want):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            # D and A are held as their nonzeros, which store no signed zeros
+            assert got.dtype == ref.dtype
+            assert np.asarray(got).tobytes() == (ref + 0.0).tobytes()
         assert t.pencil.block_meta == meta
+
+
+def _stored_as_nonzeros(m):
+    """m is a NonzeroMatrix whose keys are sorted, each once, with no zero stored."""
+    return (isinstance(m, NonzeroMatrix) and m.keys.dtype == np.int64
+            and bool(np.all(np.diff(m.keys) > 0)) and bool(np.all(m.values != 0)))
+
+
+def _unsigned_zeros(m):
+    """m with every zero entry, -0.0 and complex ones with a signed part
+    among them, written as +0; the nonzero entries keep all their bits."""
+    return np.where(m == 0, 0, m)
+
+
+def test_family_nonzero_chain_matches_the_dense_chain():
+    from matpencil import experiments
+    for t, ref in zip(experiments.family_triple(6), dense_family_chain(6), strict=True):
+        assert _stored_as_nonzeros(t.pencil.D) and _stored_as_nonzeros(t.pencil.A)
+        assert type(t.X) is type(t.Y) is np.ndarray
+        for got, want in zip((t.X, t.pencil.D, t.pencil.A, t.Y),
+                             (ref.X, ref.pencil.D, ref.pencil.A, ref.Y)):
+            assert type(want) is np.ndarray
+            got = got.toarray() if isinstance(got, NonzeroMatrix) else got
+            # signed zeros are not stored: the reference's -0.0 reads +0.0
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == (want + 0.0).tobytes()
+        assert (t.pencil.block_meta, t.grade) == (ref.pencil.block_meta, ref.grade)
+
+
+@pytest.mark.parametrize("rule", list(_RULES))
+@pytest.mark.parametrize("which", ["a", "b", "both"])
+def test_held_inputs_give_held_d_and_a_that_read_as_the_dense_output(rule, which):
+    rng = np.random.default_rng(151)
+    ta = mp.frobenius_triple(rand_mono(rng, 2, 3))
+    tb = mp.chebyshev_triple(mp.MatPoly.chebyshev_poly(rand_mono(rng, 2, 2).data))
+    d0, c0 = rand_mat(rng, 2), rand_mat(rng, 2)
+    want = _RULES[rule](ta, tb, d0, c0)
+    assert type(want.pencil.D) is type(want.pencil.A) is np.ndarray  # dense in, dense out
+    got = _RULES[rule](held(ta) if which != "b" else ta, held(tb) if which != "a" else tb,
+                       d0, c0)
+    reads_b = rule in ("F1", "F2", "composite")  # the shifts read a alone
+    assert isinstance(got.pencil.A, NonzeroMatrix) == (which != "b" or reads_b)
+    assert type(got.X) is type(got.Y) is np.ndarray
+    for g, w in zip((got.X, got.pencil.D, got.pencil.A, got.Y),
+                    (want.X, want.pencil.D, want.pencil.A, want.Y)):
+        if isinstance(g, NonzeroMatrix):
+            assert _stored_as_nonzeros(g)
+            g, w = g.toarray(), _unsigned_zeros(w)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert (got.pencil.block_meta, got.grade) == (want.pencil.block_meta, want.grade)
+
+
+def test_add_lower_degree_reads_a_held_pencil_dense():
+    rng = np.random.default_rng(152)
+    ta, c = mp.frobenius_triple(rand_mono(rng, 2, 3)), rand_mono(rng, 2, 1)
+    want, got = mp.add_lower_degree(ta, c), mp.add_lower_degree(held(ta), c)
+    for g, w in zip((got.X, got.pencil.D, got.pencil.A, got.Y),
+                    (want.X, want.pencil.D, want.pencil.A, want.Y)):
+        assert type(g) is np.ndarray and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_family_triple_holds_its_nonzeros_only():
+    import tracemalloc
+    from matpencil import experiments
+    tracemalloc.start()
+    try:
+        triples = experiments.family_triple(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # dense, the eight levels' X, D, A and Y take 21.2 MiB
+    assert peak < 2 * 2 ** 20
+    top = triples[-1].pencil
+    assert (top.N, len(top.A.keys), len(top.D.keys)) == (1020, 3008, 1020)
 
 
 # --- grade bookkeeping --------------------------------------------------------

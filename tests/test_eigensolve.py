@@ -8,7 +8,8 @@ import pytest
 import matpencil as mp
 from matpencil.errors import SpectrumError, StructuralError
 
-from helpers import match_roots_reference, rand_mat, rational_pencil, shift_invert_reference
+from helpers import (dense_family_chain, held, match_roots_reference, rand_mat, rational_pencil,
+                     shift_invert_reference)
 
 
 def test_standard_diagonal_pencil():
@@ -256,8 +257,8 @@ def test_identity_d_is_solved_as_standard_eigenproblem():
         assert rng.bit_generator.state == state  # no shift drawn
         assert rep.backend == eigensolve.BACKEND_STANDARD
         assert rep.infinite_count == 0 and rep.shift_used == 0j and rep.total == p.N
-        qz = mp.generalized_eigen(mp.Pencil(p.D.astype(complex), p.A.astype(complex)),
-                                  backend="qz")
+        qz = mp.generalized_eigen(mp.Pencil(p.D.toarray().astype(complex),
+                                            p.A.toarray().astype(complex)), backend="qz")
         assert qz.total == p.N
         assert mp.match_roots(rep.finite, qz.finite).max_error <= 1e-10
 
@@ -359,3 +360,52 @@ def test_real_pencil_is_solved_in_real_arithmetic(monkeypatch):
         assert rep.shift_used.imag == 0 and abs(rep.shift_used) <= 2
         key = lambda z: (z.real, z.imag)  # noqa: E731
         assert sorted(rep.finite.tolist(), key=key) == sorted(rep.finite.conj().tolist(), key=key)
+
+
+def _same_eigen(got, want):
+    assert got.finite.tobytes() == want.finite.tobytes()
+    assert (got.infinite_count, got.shift_used, got.backend) == (
+        want.infinite_count, want.shift_used, want.backend)
+
+
+@pytest.mark.parametrize("backend", ["shift-invert", "qz"])
+def test_held_family_pencils_solve_bit_for_bit_as_dense_ones(backend):
+    from matpencil import experiments
+    from matpencil.matpoly import NonzeroMatrix
+    pencils = [t.pencil for t in experiments.family_triple(6)]
+    for p, dense in zip(pencils, [t.pencil for t in dense_family_chain(6)], strict=True):
+        assert isinstance(p.D, NonzeroMatrix) and isinstance(p.A, NonzeroMatrix)
+        got = mp.generalized_eigen(p, rng=3, backend=backend)
+        _same_eigen(got, mp.generalized_eigen(dense, rng=3, backend=backend))
+        _same_eigen(got, mp.generalized_eigen(mp.Pencil(p.D.toarray(), p.A.toarray()), rng=3,
+                                              backend=backend))
+
+
+def test_held_pencil_with_singular_d_takes_the_same_shift_and_spectrum():
+    a = mp.MatPoly.monomial_poly(np.stack([np.eye(2), rand_mat(np.random.default_rng(5), 2)]))
+    ta = mp.frobenius_triple(a)
+    t = mp.composite(ta, ta, np.zeros((2, 2)), np.eye(2))  # d0 = 0: D is singular
+    for backend in ("shift-invert", "qz"):
+        want = mp.generalized_eigen(t.pencil, rng=9, backend=backend)
+        assert want.infinite_count > 0
+        _same_eigen(mp.generalized_eigen(held(t).pencil, rng=9, backend=backend), want)
+
+
+def test_identity_and_finiteness_are_read_off_the_stored_nonzeros(monkeypatch):
+    from matpencil import eigensolve
+    from matpencil.matpoly import NonzeroMatrix
+    # a held matrix is never made dense to be checked
+    monkeypatch.setattr(NonzeroMatrix, "toarray", lambda self: pytest.fail("made dense"))
+    n, diag = 3, np.array([0, 4, 8])
+    eye = NonzeroMatrix((n, n), diag, np.ones(n))
+    assert eigensolve._is_identity(eye)
+    with_zero = NonzeroMatrix((n, n), np.array([0, 1, 4, 8]), np.array([1.0, 0.0, 1.0, 1.0]))
+    assert eigensolve._is_identity(with_zero)  # an explicitly stored 0 is still a zero
+    for keys, vals in (([0, 4], [1.0, 1.0]), ([0, 4, 8], [1.0, 2.0, 1.0]),
+                       ([0, 2, 4, 8], [1.0, 1.0, 1.0, 1.0]), ([0, 4, 8], [1.0, np.nan, 1.0])):
+        assert not eigensolve._is_identity(NonzeroMatrix((n, n), np.array(keys), np.array(vals)))
+    for bad in (np.nan, np.inf):
+        a = NonzeroMatrix((n, n), np.array([1, 5]), np.array([bad, 1.0]))
+        for backend in ("shift-invert", "qz"):
+            with pytest.raises(StructuralError, match="non-finite"):
+                mp.generalized_eigen(mp.Pencil(eye, a), rng=0, backend=backend)

@@ -116,7 +116,7 @@ def _raised_names(tree):
 # raises that are not input checks: argparse's exit code, and numpy's
 # __array__(copy=False) protocol, which expects a ValueError
 _ALLOWED = {("cli.py", "_Parser.error", "SystemExit"), ("cli.py", "", "SystemExit"),
-            ("mandelbrot.py", "NonzeroMatrix.__array__", "ValueError")}
+            ("matpoly.py", "NonzeroMatrix.__array__", "ValueError")}
 
 
 def test_every_raise_in_the_package_names_a_type_from_errors():

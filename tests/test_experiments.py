@@ -205,10 +205,10 @@ def _report_fields(rep):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_concurrent_family_equals_sequential_reference(monkeypatch, workers):
     solve, caller = experiments.generalized_eigen, threading.current_thread()
-    solved_on = set()
+    solved_on = []  # (thread, N) of each solve
 
     def spy(p, **kwargs):
-        solved_on.add(threading.current_thread())
+        solved_on.append((threading.current_thread(), p.N))
         return solve(p, **kwargs)
 
     monkeypatch.setattr(experiments, "_family_workers", lambda k_max: workers)
@@ -220,7 +220,13 @@ def test_concurrent_family_equals_sequential_reference(monkeypatch, workers):
             m.setattr(experiments, "generalized_eigen", spy)
             got = experiments.run_family(k_max, rng=rng)
         assert [_report_fields(r) for r in got] == want
-        assert caller not in solved_on and 1 <= len(solved_on) <= workers
+        # on two threads the caller solves the top level and one pool thread
+        # every other; on one, the pool thread solves them all
+        assert [n for t, n in solved_on if t is caller] == ([got[-1].dim] if workers == 2
+                                                            else [])
+        pool_threads = {t for t, _ in solved_on if t is not caller}
+        assert len(pool_threads) == (0 if workers == 2 and k_max == 1 else 1)
+        assert len(solved_on) == k_max
         # the levels draw nothing, so the caller's stream is where it was
         assert rng.random() == np.random.default_rng(k_max).random()
 

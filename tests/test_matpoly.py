@@ -4,6 +4,7 @@ import pytest
 import matpencil as mp
 from matpencil import fixtures, jsonio
 from matpencil.errors import StructuralError
+from matpencil.matpoly import NonzeroMatrix
 
 from helpers import (chebyshev_to_monomial, det_poly, height_report_reference, rand_lagrange,
                      rand_mono)
@@ -182,7 +183,8 @@ def test_height_report_matches_the_full_copy_reference():
              rng.standard_normal((4, 4)).astype(np.float32),
              np.array([[-3, 0.25], [0, 1e-30]], dtype=np.float32),
              np.array([[1.0, 0.0], [1e-4000, -2.0]], dtype=np.longdouble)]
-    mats += [t.pencil.A for t in experiments.family_triple(6)]
+    mats += [NonzeroMatrix.from_dense(m) for m in mats]
+    mats += [t.pencil.A for t in experiments.family_triple(6)]  # held as their nonzeros
     for m in mats:
         with np.errstate(invalid="ignore"):  # the reference warns at inf / inf
             want = height_report_reference(m)
@@ -245,14 +247,66 @@ def test_height_flags_match_entrywise_reference():
     mats += [rng.integers(-1, 1, (3, 3)) + 1j * rng.integers(-1, 2, (3, 3)) for _ in range(5)]
     mats += [rng.integers(-1, 2, (4, 4)).astype(complex), np.zeros((0, 0)),
              np.array([[np.nan, 0.0]])]
-    mats += [t.pencil.A for t in experiments.family_triple(6)]
+    mats += [NonzeroMatrix.from_dense(m) for m in mats]
+    mats += [t.pencil.A for t in experiments.family_triple(6)]  # held as their nonzeros
+    mats += [mp.mandelbrot_matrix(n).entries for n in (2, 5)]
+    mats += [mp.inverse_structure(n).inverse for n in (2, 5)]
     seen = set()
     for m in mats:
         rep = mp.height_report(m)
         got = (rep.is_bohemian_01, rep.is_height1_integer)
         assert got == reference(m)
-        seen.add(got)
-    assert seen == {(True, True), (False, True), (False, False)}
+        seen.add((isinstance(m, NonzeroMatrix), *got))
+    assert seen == {(held, *flags) for held in (False, True)
+                    for flags in ((True, True), (False, True), (False, False))}
+
+
+def test_height_report_of_held_nonzeros_equals_that_of_the_dense_array():
+    from matpencil import experiments
+    held = [t.pencil.A for t in experiments.family_triple(6)]
+    held += [mp.mandelbrot_matrix(n).entries for n in range(2, 9)]
+    held += [NonzeroMatrix((2, 3), np.array([0, 4]), np.array([np.nan, -0.5])),
+             NonzeroMatrix((2, 2), np.arange(4), np.array([1.0, -1.0, 0.25, 2.0])),
+             NonzeroMatrix((2, 2), np.array([1, 2]), np.array([0.0, -1.0])),  # a stored 0
+             NonzeroMatrix((2, 2), np.array([1]), np.array([0], np.int8)),  # a stored 0 alone
+             NonzeroMatrix((0, 0), np.zeros(0, np.int64), np.zeros(0))]
+    for m in held:
+        assert isinstance(m, NonzeroMatrix)
+        with np.errstate(invalid="ignore"):
+            want = mp.height_report(m.toarray())
+        assert repr(mp.height_report(m)) == repr(want)
+
+
+def test_common_casts_a_held_matrix_without_making_it_dense(monkeypatch):
+    from matpencil.matpoly import _common
+    monkeypatch.setattr(NonzeroMatrix, "toarray", lambda self: pytest.fail("made dense"))
+    held = NonzeroMatrix((2, 2), np.array([0, 3]), np.array([1, -2], np.int8))
+    for other, want in ((np.eye(2), np.float64), (np.eye(2, dtype=complex), np.complex128),
+                        (np.eye(2, dtype=np.int8), np.float64)):
+        got, dense = _common(held, other)
+        assert isinstance(got, NonzeroMatrix) and got.dtype == dense.dtype == want
+        assert got.keys is held.keys and got.values.tolist() == [1, -2]
+    same = NonzeroMatrix((2, 2), np.array([1]), np.array([0.5]))
+    assert _common(same)[0] is same  # already in the common dtype: no copy
+
+
+def test_nonzero_matrix_holds_float_values():
+    dense = np.array([[0.0, -2.5, 0.0], [-0.0, 0.0, 1e-300], [np.nan, 0.0, 4.0]])
+    m = NonzeroMatrix.from_dense(dense)
+    assert m.keys.tolist() == [1, 5, 6, 8]  # -0.0 is a zero and is not stored
+    assert m.dtype == np.float64 and m.size == 9 and m.shape == (3, 3)
+    assert m.nbytes == 16 * 4
+    assert np.array_equal(m.toarray(), dense + 0.0, equal_nan=True)
+    assert np.asarray(m).tobytes() == (dense + 0.0).tobytes()
+    assert m[0, 1] == -2.5 and m[1, 0] == 0 and type(m[1, 0]) is np.float64
+    c = m.astype(complex)
+    assert c.dtype == np.complex128 and c.keys is m.keys
+    assert np.array_equal(c.toarray(), dense.astype(complex), equal_nan=True)
+    assert m.astype(float, copy=False) is m and m.astype(float) is not m
+    for arr in (c.keys, c.values):
+        assert not arr.flags.writeable
+    finite = NonzeroMatrix.from_dense(np.nan_to_num(dense))
+    assert (finite.min(), finite.max()) == (-2.5, 4.0)
 
 
 def _points_with_node(rng, nodes):

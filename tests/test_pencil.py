@@ -488,3 +488,28 @@ def test_a_nan_deviation_fails(monkeypatch, stack_bytes, upper_only):
     if upper_only:  # NaN and finite points both, in that order somewhere
         imag = np.imag(rep.points)
         assert np.any(imag[:-1] > 0) and imag[-1] <= 0
+
+
+def test_held_pencils_are_kept_and_read_dense_by_every_other_routine():
+    from matpencil import jsonio, oracle
+    from matpencil.matpoly import NonzeroMatrix
+    from helpers import held, rand_mono
+    p = rand_mono(np.random.default_rng(6), 2, 3)
+    t = mp.frobenius_triple(p)
+    ht = held(t)
+    dense, kept = t.pencil, ht.pencil
+    D, A = NonzeroMatrix.from_dense(dense.D), NonzeroMatrix.from_dense(dense.A)
+    assert mp.Pencil(D, A).D is D and mp.Pencil(D, A).A is A and kept.N == dense.N
+    assert _same_report(mp.verify_triple(ht, p, rng=2), mp.verify_triple(t, p, rng=2))
+    assert mp.det_equality(kept, p) == mp.det_equality(dense, p)
+    z = np.array([0.3 + 2j, -1.5])
+    assert kept.at(z).tobytes() == dense.at(z).tobytes()
+    assert mp.resolvent_eval(ht, z).tobytes() == mp.resolvent_eval(t, z).tobytes()
+    assert mp.pencil_det_at(kept, 0.7 - 1j) == mp.pencil_det_at(dense, 0.7 - 1j)
+    assert np.array_equal(oracle.interp_charpoly(kept), oracle.interp_charpoly(dense))
+    assert jsonio.pencil_to_json(kept) == jsonio.pencil_to_json(dense)
+    # an exact integer pencil held as its nonzeros keeps the exact path
+    m = mp.mandelbrot_matrix(5)
+    exact = mp.Pencil(NonzeroMatrix.from_dense(np.eye(m.dim, dtype=np.int8)), m.entries)
+    assert mp.pencil_det_at(exact, 3) == mp.mandelbrot_poly_at(5, 3)
+    assert oracle.interp_charpoly(exact) == mp.mandelbrot_poly_coeffs(5)

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .matpoly import _entries
+
 
 def exact_point(z):
     """z as an exact number: an int or Fraction as is, a numpy integer as a
@@ -115,26 +117,29 @@ def bareiss_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-#: an object array with its numpy integers made Python ints
-_python_ints = np.frompyfunc(lambda v: int(v) if isinstance(v, np.integer) else v, 1, 1)
+def _as_python(arr: np.ndarray) -> np.ndarray:
+    """An integer or object array as an object array of Python numbers."""
+    if arr.dtype != object:
+        return arr.astype(object)
+    return np.frompyfunc(lambda v: int(v) if isinstance(v, np.integer) else v, 1, 1)(arr)
 
 
 def pencil_dets(D, A, points) -> list:
-    """[det(z*D - A) for z in points], exact for integer or object arrays D, A
-    (a `NonzeroMatrix` is read dense) and exact points.  When D is diagonal
-    and -A is upper Hessenberg with a ±1 subdiagonal, -A is laid out once and
-    each point only swaps in the diagonal z d_ii - a_ii for Hyman's method;
-    any other pencil takes Bareiss elimination at each point."""
-    d, a = (m.astype(object) if m.dtype != object else _python_ints(m)
-            for m in map(np.asarray, (D, A)))
-    d_diag = np.diag(d)
-    if np.count_nonzero(d) == np.count_nonzero(d_diag):
-        r, c = np.nonzero(a)
-        layout = unit_hessenberg(len(a), r, c, -a[r, c])
-        if layout is not None:
-            diag, sub, above = layout
-            pairs = list(zip(d_diag.tolist(), diag))
-            return [hessenberg_det([z * e + f for e, f in pairs], sub, above) for z in points]
+    """[det(z*D - A) for z in points], exact for integer or object matrices
+    D, A, dense or held, and exact points.  When D is diagonal and -A upper
+    Hessenberg with a ±1 subdiagonal, -A is laid out once from its nonzeros
+    and each point swaps in the diagonal z d_ii - a_ii for Hyman's method (a
+    dense D's d_ii as stored); any other pencil is made dense for Bareiss."""
+    n = D.shape[0]
+    (d_rows, d_cols, d_vals), (rows, cols, vals) = _entries(D), _entries(A)
+    layout = (d_rows == d_cols).all() and unit_hessenberg(n, rows, cols, -_as_python(vals))
+    if layout:
+        diag, sub, above = layout
+        d_diag = _as_python(np.diagonal(D) if isinstance(D, np.ndarray) else np.zeros(n, D.dtype))
+        d_diag[d_rows] = _as_python(d_vals)
+        pairs = list(zip(d_diag.tolist(), diag))
+        return [hessenberg_det([z * e + f for e, f in pairs], sub, above) for z in points]
+    d, a = (_as_python(np.asarray(m)) for m in (D, A))
     return [bareiss_det((z * d - a).tolist()) for z in points]
 
 

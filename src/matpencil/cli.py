@@ -19,7 +19,7 @@ from . import experiments, jsonio, mandelbrot
 from .eigensolve import generalized_eigen, residuals
 from .errors import (ContractError, DegenerateInputError, ResourceLimitError, SpectrumError,
                      StructuralError, VerificationError)
-from .matpoly import height_report
+from .matpoly import NonzeroMatrix, _entries, height_report
 from .oracle import det_equality
 from .pencil import _check_sampling, verify_triple
 
@@ -163,15 +163,14 @@ def cmd_mandelbrot(args) -> int:
     return 0 if ok and rep.height1 and rep.corner_value == -1 else 2
 
 
-def _write_csv(path: Path, mat: mandelbrot.NonzeroMatrix) -> None:
+def _write_csv(path: Path, mat: NonzeroMatrix) -> None:
     """Write an integer matrix held as its nonzeros as CSV, one row at a time:
     each row is the text of a zero row with the row's nonzeros spliced in, so
     neither a dense array nor the whole text is held in memory."""
-    nrows, ncols = mat.shape
+    (nrows, ncols), (rows, cols, vals) = mat.shape, _entries(mat)
     zeros = "0," * ncols
-    rows, cols = np.divmod(mat.keys, ncols)
     bounds = np.searchsorted(rows, np.arange(nrows + 1)).tolist()
-    cols, vals = cols.tolist(), mat.values.tolist()
+    cols, vals = cols.tolist(), vals.tolist()
     with _file_errors(path), open(path, "w") as f:
         for i in range(nrows):
             parts, at = [], 0

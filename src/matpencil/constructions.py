@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, NonzeroMatrix, _common
+from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, NonzeroMatrix, _common, _entries
 from .pencil import Pencil, StandardTriple
 # unused here; bench/spans.py patches these names
 from .matpoly import eval_at  # noqa: F401
@@ -204,33 +204,25 @@ def _assemble(rows: list[int], cols: list[int], dtype, blocks: dict) -> np.ndarr
 def _assemble_nonzeros(rows: list[int], cols: list[int], dtype, blocks: dict) -> NonzeroMatrix:
     """`_assemble`'s matrix held as its nonzeros: each block's nonzeros, at
     their rows and columns shifted by the block's offset, in one
-    concatenation, sorted by key."""
+    concatenation, sorted by key (`NonzeroMatrix.summed`)."""
     r_at, c_at = list(accumulate(rows, initial=0)), list(accumulate(cols, initial=0))
     keys, values = [], []
     for (i, j), block in blocks.items():
         block_rows, block_cols, block_values = _nonzeros(block)
         keys.append((r_at[i] + block_rows) * c_at[-1] + c_at[j] + block_cols)
         values.append(block_values)
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    return NonzeroMatrix((r_at[-1], c_at[-1]), keys[order],
-                         np.concatenate(values)[order].astype(dtype, copy=False))
+    return NonzeroMatrix.summed((r_at[-1], c_at[-1]), np.concatenate(keys),
+                                np.concatenate(values).astype(dtype, copy=False))
 
 
 def _nonzeros(block) -> tuple:
-    """Rows, columns and values of the nonzeros of one block: the stored
-    entries of a NonzeroMatrix, the nonzero entries of a dense array, and of
-    an `_Outer` those of its product formed over the nonzero rows of left and
-    nonzero columns of right only."""
-    if isinstance(block, NonzeroMatrix):
-        return *np.divmod(block.keys, block.shape[1]), block.values
-    if isinstance(block, _Outer):
-        rows = np.flatnonzero(block.left.any(axis=1))
-        cols = np.flatnonzero(block.right.any(axis=0))
-        sub_rows, sub_cols, values = _nonzeros(block.left[rows] @ block.right[:, cols])
-        return rows[sub_rows], cols[sub_cols], values
-    rows, cols = np.nonzero(block)
-    return rows, cols, block[rows, cols]
+    """Rows, columns and values of the nonzeros of one block (`_entries`); an
+    `_Outer`'s product is formed over left's nonzero rows and right's nonzero columns."""
+    if not isinstance(block, _Outer):
+        return _entries(block)
+    rows, cols = np.flatnonzero(block.left.any(axis=1)), np.flatnonzero(block.right.any(axis=0))
+    sub_rows, sub_cols, values = _entries(block.left[rows] @ block.right[:, cols])
+    return rows[sub_rows], cols[sub_cols], values
 
 
 def frobenius_triple(p: MatPoly) -> StandardTriple:

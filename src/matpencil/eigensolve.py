@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SpectrumError, StructuralError
-from .matpoly import NonzeroMatrix, _common, eval_at
+from .matpoly import NonzeroMatrix, _common, _is_identity, eval_at
 from .pencil import COND_CAP, Pencil, _check_numeric, _slice_len, pivot_condition
 
 BACKEND = "shift-invert + numpy eigvals"
@@ -92,17 +92,6 @@ def generalized_eigen(p: Pencil, rng=None, backend: str = "shift-invert") -> Eig
     infinite = np.abs(mu) < cutoff
     finite = sigma - 1.0 / mu[~infinite]
     return EigenReport(finite, int(infinite.sum()), None, complex(sigma))
-
-
-def _is_identity(mat) -> bool:
-    """mat is exactly the identity; a NonzeroMatrix is read from its keys and
-    values, with no dense array."""
-    if isinstance(mat, NonzeroMatrix):
-        n, stored = mat.shape[0], mat.values != 0
-        return (np.array_equal(mat.keys[stored], np.arange(n) * (n + 1))
-                and bool(np.all(mat.values[stored] == 1)))
-    return (np.count_nonzero(mat) == mat.shape[0]
-            and bool(np.all(np.diagonal(mat) == 1)))
 
 
 def _qz_eigen(p: Pencil) -> EigenReport:

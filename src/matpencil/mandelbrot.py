@@ -14,7 +14,7 @@ import numpy as np
 
 from ._exact import exact_point, hessenberg_det, unit_hessenberg
 from .errors import ContractError, ResourceLimitError, VerificationError
-from .matpoly import NonzeroMatrix
+from .matpoly import NonzeroMatrix, _is_identity
 
 #: highest level built (dim 8191).  The outputs are held as their nonzeros at
 #: any level, but `toarray()` and `matpencil mandelbrot --out` at level 15
@@ -208,21 +208,23 @@ def _next_level(keys, vals, c_rows, c_vals, r_cols, r_vals, d: int, dim: int):
     inv (dim d) and of its first column C and last row R, all keyed with the
     stride dim, by the block formula of `inverse_structure`.
 
-    The pieces of the formula are summed by key in one `_sum_by_key` call,
-    taken in block-row order: inv and C R, C on column d, the middle row
-    [-R, -1, R], -C [R, 1] at the lower left, and the offset copies of inv
-    and C R.  Only inv and C R share keys, and each piece is a sorted run.
+    The pieces of the formula, in block-row order, are summed by key in one
+    dim x dim `NonzeroMatrix.summed` call: inv and C R, C on column d, the
+    middle row [-R, -1, R], -C [R, 1] at the lower left, and the offset
+    copies of inv and C R.  Only inv and C R share keys; each is a sorted run.
     """
     cr_keys, cr_vals = _outer(c_rows, c_vals, r_cols, r_vals, dim)  # C R
     lo = (d + 1) * dim  # offset of the lower block row
     left_keys, left_vals = _outer(c_rows, -c_vals, np.append(r_cols, d),
                                   np.append(r_vals, _INT(1)), dim)  # -C [R, 1]
-    return _sum_by_key(
+    inv = NonzeroMatrix.summed(
+        (dim, dim),
         np.concatenate([keys, cr_keys, c_rows * dim + d, d * dim + r_cols, [d * dim + d],
                         d * dim + d + 1 + r_cols, lo + left_keys, lo + d + 1 + keys,
                         lo + d + 1 + cr_keys]),
         np.concatenate([vals, cr_vals, c_vals, -r_vals, [_INT(-1)], r_vals, left_vals, vals,
                         cr_vals]))
+    return inv.keys, inv.values
 
 
 def _height1(vals: np.ndarray) -> bool:
@@ -235,31 +237,16 @@ def _outer(rows, row_vals, cols, col_vals, stride: int):
     return (rows[:, None] * stride + cols).ravel(), (row_vals[:, None] * col_vals).ravel()
 
 
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
-    """Sort by key, add up the values of equal keys in their own dtype and
-    drop zero sums.  The sort is stable (numpy's timsort for int64), which
-    merges runs that are already sorted in close to linear time."""
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.ones(len(keys), dtype=bool)  # where a run of equal keys starts
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    keys, vals = keys[first], np.add.reduceat(vals, first, dtype=vals.dtype)
-    return keys[vals != 0], vals[vals != 0]
-
-
 def _times_is_identity(m_rows, m_cols, m_vals, keys, vals, dim: int) -> bool:
     """M @ inv == I exactly, from M's nonzeros and inv's sorted keys and values:
     each M[r, c] meets the nonzeros of row c of inv, and the products are
     summed per key in int64, where a sum of dim terms cannot wrap.  Taken in
     M's row-major order, the products come grouped by row, each group a few
-    sorted runs, which the stable sort in `_sum_by_key` merges; any order
-    gives the same answer."""
+    sorted runs, which `NonzeroMatrix.summed` merges; any order gives the same."""
     inv_rows, inv_cols = np.divmod(keys, dim)
     start = np.searchsorted(inv_rows, np.arange(dim + 1))
     count = start[m_cols + 1] - start[m_cols]
     m_at = np.repeat(np.arange(len(m_cols)), count)
     at = np.arange(count.sum()) + np.repeat(start[m_cols] - (np.cumsum(count) - count), count)
-    pk, pv = _sum_by_key(m_rows[m_at] * dim + inv_cols[at],
-                         m_vals[m_at].astype(np.int64) * vals[at])
-    return np.array_equal(pk, np.arange(dim) * (dim + 1)) and bool((pv == 1).all())
+    return _is_identity(NonzeroMatrix.summed((dim, dim), m_rows[m_at] * dim + inv_cols[at],
+                                             m_vals[m_at].astype(np.int64) * vals[at]))

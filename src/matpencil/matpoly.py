@@ -42,6 +42,19 @@ class NonzeroMatrix:
         keys = np.flatnonzero(arr)
         return cls(arr.shape, keys, arr.reshape(-1)[keys])
 
+    @classmethod
+    def summed(cls, shape: tuple, keys: np.ndarray, values: np.ndarray) -> NonzeroMatrix:
+        """The values summed per key in their own dtype, zero sums not stored; the
+        stable sort (timsort for int64) merges already sorted runs in near-linear time."""
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        starts = np.ones(len(keys), dtype=bool)  # where runs of equal keys start
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])  # in place: no temporary mask
+        starts = np.flatnonzero(starts)
+        keys, values = keys[starts], np.add.reduceat(values, starts, dtype=values.dtype)
+        stored = values != 0
+        return cls(shape, keys[stored], values[stored])
+
     @property
     def dtype(self) -> np.dtype:
         return self.values.dtype
@@ -82,6 +95,23 @@ class NonzeroMatrix:
         if copy is False:
             raise ValueError("a NonzeroMatrix has no dense array to share; it must be copied")
         return self.toarray()
+
+
+def _entries(mat) -> tuple:
+    """Rows, columns and values of the nonzeros (a held matrix's stored entries), row-major."""
+    if isinstance(mat, NonzeroMatrix):
+        return *np.divmod(mat.keys, mat.shape[1]), mat.values
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
+def _is_identity(mat) -> bool:
+    """mat is exactly the identity; a NonzeroMatrix is read off its nonzeros."""
+    if isinstance(mat, NonzeroMatrix):
+        n, stored = mat.shape[0], mat.values != 0
+        return (np.array_equal(mat.keys[stored], np.arange(n) * (n + 1))
+                and bool(np.all(mat.values[stored] == 1)))
+    return np.count_nonzero(mat) == mat.shape[0] and bool(np.all(np.diagonal(mat) == 1))
 
 
 def _common(*arrays) -> list:

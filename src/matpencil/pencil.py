@@ -35,9 +35,9 @@ class Pencil:
     """The matrix pencil z*D - A (two equal-size square matrices).
 
     D and A are dense arrays or `NonzeroMatrix`es, which are kept as they
-    are.  `eigensolve.generalized_eigen` reads a held one's stored values and
-    makes it dense for its LAPACK call only; the verifiers, `pencil_det_at`
-    and `oracle` read it dense, through `__array__`.
+    are.  `eigensolve.generalized_eigen` and the exact `pencil_det_at` read a
+    held one's nonzeros and make it dense only for LAPACK or Bareiss
+    elimination; the verifiers and `oracle`'s float path read it dense.
 
     An object (e.g. Fraction) pencil is accepted by `pencil_det_at` (exact
     wherever `exact_point` is) and `oracle.interp_charpoly` (Fraction
@@ -51,10 +51,8 @@ class Pencil:
     block_meta: dict | None = None
 
     def __post_init__(self):
-        if not isinstance(self.D, NonzeroMatrix):
-            self.D = np.asarray(self.D)
-        if not isinstance(self.A, NonzeroMatrix):
-            self.A = np.asarray(self.A)
+        self.D, self.A = (m if isinstance(m, NonzeroMatrix) else np.asarray(m)
+                          for m in (self.D, self.A))
         if len(self.D.shape) != 2 or self.D.shape[0] != self.D.shape[1]:
             raise StructuralError("D must be square")
         if self.A.shape != self.D.shape:

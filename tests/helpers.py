@@ -344,6 +344,15 @@ def _chebyshev_reference(p: MatPoly) -> StandardTriple:
     return StandardTriple(X, Pencil(B1, B0, {"blocks": [r] * n}), Y, grade=n)
 
 
+def in_nonzero_format(m):
+    """m is a NonzeroMatrix with int64 keys, strictly increasing and within
+    [0, rows * cols), and no stored zero."""
+    keys = m.keys
+    return (isinstance(m, NonzeroMatrix) and keys.dtype == np.int64
+            and bool(np.all(np.diff(keys) > 0)) and bool(np.all(m.values != 0))
+            and (keys.size == 0 or 0 <= keys[0] and keys[-1] < m.size))
+
+
 def held(t):
     """Triple t with its pencil's D and A held as their nonzeros."""
     p = t.pencil

@@ -9,8 +9,8 @@ from matpencil.errors import ContractError
 from matpencil.matpoly import NonzeroMatrix
 
 from helpers import (composite_coeffs, composition_reference, dense_family_chain,
-                     elementary_reference, held, mono_add, mono_mul, rand_lagrange, rand_mat,
-                     rand_mono, shift_left_coeffs, shift_right_coeffs)
+                     elementary_reference, held, in_nonzero_format, mono_add, mono_mul,
+                     rand_lagrange, rand_mat, rand_mono, shift_left_coeffs, shift_right_coeffs)
 
 
 def scalar_poly(*coeffs):
@@ -166,6 +166,20 @@ def test_composite_reproduces_mandelbrot_levels():
         assert np.array_equal(t.pencil.D, np.eye(m.dim, dtype=complex))
         assert np.array_equal(t.X, m.triple_X.astype(complex))
         assert np.array_equal(t.Y, m.triple_Y.astype(complex))
+    # the held chain from the companion of z + 1 is M_n bit for bit at every level
+    t = held(mp.frobenius_triple(scalar_poly(1, 1)))
+    for n in range(2, 15):
+        if n > 2:
+            t = mp.composite(t, t, [[1.0]], [[1.0]])
+        m = mp.mandelbrot_matrix(n)
+        A, D = t.pencil.A, t.pencil.D
+        assert isinstance(A, NonzeroMatrix) and isinstance(D, NonzeroMatrix)
+        assert A.shape == D.shape == (m.dim, m.dim)
+        assert np.array_equal(A.keys, m.entries.keys)
+        assert A.values.astype(np.int8).tobytes() == m.entries.values.tobytes()
+        assert np.array_equal(A.values, m.entries.values)  # the cast rounded nothing
+        assert np.array_equal(D.keys, np.arange(m.dim) * (m.dim + 1)) and (D.values == 1).all()
+        assert np.array_equal(t.X, m.triple_X) and np.array_equal(t.Y, m.triple_Y)
 
 
 def test_composite_det_at_zero_is_det_c0():
@@ -447,12 +461,6 @@ def test_family_pencils_match_the_np_block_reference():
         assert t.pencil.block_meta == meta
 
 
-def _stored_as_nonzeros(m):
-    """m is a NonzeroMatrix whose keys are sorted, each once, with no zero stored."""
-    return (isinstance(m, NonzeroMatrix) and m.keys.dtype == np.int64
-            and bool(np.all(np.diff(m.keys) > 0)) and bool(np.all(m.values != 0)))
-
-
 def _unsigned_zeros(m):
     """m with every zero entry, -0.0 and complex ones with a signed part
     among them, written as +0; the nonzero entries keep all their bits."""
@@ -462,7 +470,7 @@ def _unsigned_zeros(m):
 def test_family_nonzero_chain_matches_the_dense_chain():
     from matpencil import experiments
     for t, ref in zip(experiments.family_triple(6), dense_family_chain(6), strict=True):
-        assert _stored_as_nonzeros(t.pencil.D) and _stored_as_nonzeros(t.pencil.A)
+        assert in_nonzero_format(t.pencil.D) and in_nonzero_format(t.pencil.A)
         assert type(t.X) is type(t.Y) is np.ndarray
         for got, want in zip((t.X, t.pencil.D, t.pencil.A, t.Y),
                              (ref.X, ref.pencil.D, ref.pencil.A, ref.Y)):
@@ -491,7 +499,7 @@ def test_held_inputs_give_held_d_and_a_that_read_as_the_dense_output(rule, which
     for g, w in zip((got.X, got.pencil.D, got.pencil.A, got.Y),
                     (want.X, want.pencil.D, want.pencil.A, want.Y)):
         if isinstance(g, NonzeroMatrix):
-            assert _stored_as_nonzeros(g)
+            assert in_nonzero_format(g)
             g, w = g.toarray(), _unsigned_zeros(w)
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert (got.pencil.block_meta, got.grade) == (want.pencil.block_meta, want.grade)

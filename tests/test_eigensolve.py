@@ -392,18 +392,17 @@ def test_held_pencil_with_singular_d_takes_the_same_shift_and_spectrum():
 
 
 def test_identity_and_finiteness_are_read_off_the_stored_nonzeros(monkeypatch):
-    from matpencil import eigensolve
-    from matpencil.matpoly import NonzeroMatrix
+    from matpencil.matpoly import NonzeroMatrix, _is_identity
     # a held matrix is never made dense to be checked
     monkeypatch.setattr(NonzeroMatrix, "toarray", lambda self: pytest.fail("made dense"))
     n, diag = 3, np.array([0, 4, 8])
     eye = NonzeroMatrix((n, n), diag, np.ones(n))
-    assert eigensolve._is_identity(eye)
+    assert _is_identity(eye)
     with_zero = NonzeroMatrix((n, n), np.array([0, 1, 4, 8]), np.array([1.0, 0.0, 1.0, 1.0]))
-    assert eigensolve._is_identity(with_zero)  # an explicitly stored 0 is still a zero
+    assert _is_identity(with_zero)  # an explicitly stored 0 is still a zero
     for keys, vals in (([0, 4], [1.0, 1.0]), ([0, 4, 8], [1.0, 2.0, 1.0]),
                        ([0, 2, 4, 8], [1.0, 1.0, 1.0, 1.0]), ([0, 4, 8], [1.0, np.nan, 1.0])):
-        assert not eigensolve._is_identity(NonzeroMatrix((n, n), np.array(keys), np.array(vals)))
+        assert not _is_identity(NonzeroMatrix((n, n), np.array(keys), np.array(vals)))
     for bad in (np.nan, np.inf):
         a = NonzeroMatrix((n, n), np.array([1, 5]), np.array([bad, 1.0]))
         for backend in ("shift-invert", "qz"):

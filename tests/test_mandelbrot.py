@@ -347,6 +347,23 @@ def test_pencil_det_at_a_numpy_integer_point_is_exact():
     assert got > 2 ** 200
 
 
+def test_pencil_det_at_reads_a_held_pencil_from_its_nonzeros(monkeypatch):
+    import tracemalloc
+    from matpencil.matpoly import NonzeroMatrix
+    m = mp.mandelbrot_matrix(11)
+    eye = NonzeroMatrix((m.dim, m.dim), np.arange(m.dim) * (m.dim + 1), np.ones(m.dim, np.int8))
+    p = mp.Pencil(eye, m.entries)
+    monkeypatch.setattr(NonzeroMatrix, "toarray", lambda self: pytest.fail("made dense"))
+    tracemalloc.start()
+    try:
+        got = [mp.pencil_det_at(p, z) for z in range(-3, 4)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [mp.mandelbrot_poly_at(11, z) for z in range(-3, 4)]
+    assert peak < 2 * 2 ** 20  # a dense object copy of D or A alone takes 8 MiB
+
+
 def test_pencil_det_at_a_float_point_on_an_exact_pencil_is_exact():
     # the float point is the Fraction it equals; slogdet gave 18.999999999999996
     p = mp.Pencil(np.eye(3, dtype=np.int64), mp.mandelbrot_matrix(3).entries)
@@ -718,36 +735,16 @@ def test_outputs_at_the_top_levels_keep_their_digests(n):
     assert rep.corner_value == -1 and rep.zero_block_ok and rep.height1
 
 
-def test_sum_by_key_equals_a_dictionary_sum():
-    # a sorted list followed by a short sorted list, with shared keys,
-    # cancellations and empty sides: the shape of each level's pieces
-    from matpencil import mandelbrot
-    rng = np.random.default_rng(3)
-    for size, extra in [(0, 0), (0, 4), (5, 0), (1, 1), (40, 12), (200, 30)]:
-        for _ in range(20):
-            keys = np.concatenate([np.sort(rng.choice(300, size, replace=False)),
-                                   np.sort(rng.choice(300, extra, replace=False))]).astype(np.int64)
-            vals = rng.choice(np.array([-1, 1], np.int8), size + extra)
-            want = {}
-            for k, v in zip(keys.tolist(), vals.tolist()):
-                want[k] = want.get(k, 0) + v
-            want = sorted((k, v) for k, v in want.items() if v)
-            before = keys.copy(), vals.copy()
-            got_keys, got_vals = mandelbrot._sum_by_key(keys, vals)
-            assert got_vals.dtype == np.int8
-            assert list(zip(got_keys.tolist(), got_vals.tolist())) == want
-            assert all(map(np.array_equal, (keys, vals), before))  # the inputs are unchanged
-
-
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_inverse_structure_sums_once_per_level_and_once_for_the_product(monkeypatch, n):
     from matpencil import mandelbrot
-    real, calls = mandelbrot._sum_by_key, []
+    from matpencil.matpoly import NonzeroMatrix
+    real, calls = NonzeroMatrix.summed, []
 
-    def counted(keys, vals):
+    def counted(shape, keys, vals):
         calls.append(len(keys))
-        return real(keys, vals)
+        return real(shape, keys, vals)
 
-    monkeypatch.setattr(mandelbrot, "_sum_by_key", counted)
+    monkeypatch.setattr(NonzeroMatrix, "summed", staticmethod(counted))
     assert mandelbrot.inverse_structure(n).height1
     assert len(calls) == n - 1  # n - 2 levels, then the check of M_n @ inverse

@@ -6,8 +6,8 @@ from matpencil import fixtures, jsonio
 from matpencil.errors import StructuralError
 from matpencil.matpoly import NonzeroMatrix
 
-from helpers import (chebyshev_to_monomial, det_poly, height_report_reference, rand_lagrange,
-                     rand_mono)
+from helpers import (chebyshev_to_monomial, det_poly, height_report_reference, held,
+                     in_nonzero_format, rand_lagrange, rand_mono)
 
 
 def test_eval_monomial_scalar():
@@ -307,6 +307,58 @@ def test_nonzero_matrix_holds_float_values():
         assert not arr.flags.writeable
     finite = NonzeroMatrix.from_dense(np.nan_to_num(dense))
     assert (finite.min(), finite.max()) == (-2.5, 4.0)
+
+
+def test_summed_equals_a_dictionary_sum():
+    # a sorted list followed by a short sorted list, with shared keys,
+    # cancellations and empty sides: the shape of each Mandelbrot level's pieces
+    rng = np.random.default_rng(3)
+    for size, extra in [(0, 0), (0, 4), (5, 0), (1, 1), (40, 12), (200, 30)]:
+        for _ in range(20):
+            keys = np.concatenate([np.sort(rng.choice(300, size, replace=False)),
+                                   np.sort(rng.choice(300, extra, replace=False))]).astype(np.int64)
+            vals = rng.choice(np.array([-1, 1], np.int8), size + extra)
+            want = {}
+            for k, v in zip(keys.tolist(), vals.tolist()):
+                want[k] = want.get(k, 0) + v
+            want = sorted((k, v) for k, v in want.items() if v)
+            before = keys.copy(), vals.copy()
+            got = NonzeroMatrix.summed((15, 20), keys, vals)
+            assert got.shape == (15, 20) and got.values.dtype == np.int8
+            assert list(zip(got.keys.tolist(), got.values.tolist())) == want
+            assert all(map(np.array_equal, (keys, vals), before))  # the inputs are unchanged
+
+
+def test_entries_read_held_and_dense_alike():
+    from matpencil.matpoly import _entries
+    dense = np.array([[0.0, -2.5, 0.0], [-0.0, 0.0, 1e-300], [np.nan, 0.0, 4.0]])
+    for m in (dense, NonzeroMatrix.from_dense(dense)):
+        rows, cols, vals = _entries(m)
+        assert rows.tolist() == [0, 1, 2, 2] and cols.tolist() == [1, 2, 0, 2]
+        assert vals.tobytes() == np.array([-2.5, 1e-300, np.nan, 4.0]).tobytes()
+    rows, cols, vals = _entries(NonzeroMatrix((0, 0), np.zeros(0, np.int64), np.zeros(0)))
+    assert rows.size == cols.size == vals.size == 0
+
+
+def test_every_held_matrix_the_package_makes_is_in_the_nonzero_format():
+    from matpencil import experiments
+    made = [m for t in experiments.family_triple(6) for m in (t.pencil.D, t.pencil.A)]
+    for n in range(2, 11):
+        made += [mp.mandelbrot_matrix(n).entries, mp.inverse_structure(n).inverse]
+    rng = np.random.default_rng(17)
+    ta = held(mp.frobenius_triple(rand_mono(rng, 2, 3)))
+    tb = held(mp.chebyshev_triple(mp.MatPoly.chebyshev_poly(rand_mono(rng, 2, 2).data)))
+    d0, c0 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    for t in (mp.scalar_shift_left(ta, d0, c0), mp.scalar_shift_right(ta, d0, c0),
+              mp.product(ta, tb, "F1"), mp.product(ta, tb, "F2"),
+              mp.composite(ta, tb, d0, c0), mp.composite(ta, tb, np.zeros((2, 2)), c0)):
+        made += [t.pencil.D, t.pencil.A]
+    bad = [i for i, m in enumerate(made) if not in_nonzero_format(m)]
+    assert bad == []
+    # the check sees each fault
+    for keys, vals in (([1, 0], [1, 1]), ([0, 0], [1, 1]), ([0, 4], [1, 1]),
+                       ([-1, 2], [1, 1]), ([0, 2], [1, 0])):
+        assert not in_nonzero_format(NonzeroMatrix((2, 2), np.array(keys), np.array(vals)))
 
 
 def _points_with_node(rng, nodes):

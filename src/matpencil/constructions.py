@@ -8,6 +8,9 @@ and carries X, Y realizing its inverse as a resolvent.
 
 One dtype rule (`matpoly._common`) covers every output: X, Y, D and A are float64
 when all inputs are real or integer, and complex128 once any input is complex.
+Each constructor applies it once, in one `_common` call over all its inputs,
+before any block arithmetic: a real block negated and then made complex would
+carry +0.0 imaginary parts where the complex block negated carries -0.0.
 One form rule goes beside it: when any block of A or D is held as its nonzeros
 (`NonzeroMatrix`), the output's D and A are held as their nonzeros too, and
 dense inputs give dense outputs; X and Y, r x N, are always dense.  Zeros,
@@ -41,11 +44,11 @@ from .matpoly import eval_at  # noqa: F401
 from .pencil import pivot_condition, resolvent_eval, verify_triple  # noqa: F401
 
 
-def _square(mat, r: int, name: str) -> np.ndarray:
-    (arr,) = _common(mat)
-    if arr.shape != (r, r):
-        raise StructuralError(f"{name} must be {r}x{r}, got {arr.shape}")
-    return arr
+def _square(mat, r: int, name: str):
+    """mat itself, once its shape is checked; the constructor's `_common` casts it."""
+    if np.shape(mat) != (r, r):
+        raise StructuralError(f"{name} must be {r}x{r}, got {np.shape(mat)}")
+    return mat
 
 
 def _matrices(t: StandardTriple) -> tuple:
@@ -64,21 +67,17 @@ class _Outer(NamedTuple):
     left: np.ndarray
     right: np.ndarray
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.result_type(self.left, self.right)
-
 
 def _triple(sizes: list[int], a_blocks: dict, d_blocks: list, x_blocks: dict,
             y_blocks: dict, grade: int | None) -> StandardTriple:
     """The triple whose pencil has block sizes `sizes`: A has the blocks
     a_blocks[i, j], D = blockdiag(d_blocks), and X (one block row) and Y (one
-    block column) have the blocks x_blocks[j] and y_blocks[i].  All four are
-    assembled in the one dtype of their blocks; D and A are held as their
+    block column) have the blocks x_blocks[j] and y_blocks[i].  The blocks
+    share one dtype, the one the constructor's `_common` chose, and all four
+    are assembled in it, read off X's first block; D and A are held as their
     nonzeros when a block of either is."""
-    blocks = [*a_blocks.values(), *d_blocks, *x_blocks.values(), *y_blocks.values()]
-    dt = np.result_type(*{b.dtype for b in blocks})
-    r = next(iter(x_blocks.values())).shape[0]
+    x_first = next(iter(x_blocks.values()))
+    r, dt = x_first.shape[0], x_first.dtype
     held = NonzeroMatrix in map(type, (*a_blocks.values(), *d_blocks))
     square = _assemble_nonzeros if held else _assemble
     A = square(sizes, sizes, dt, a_blocks)

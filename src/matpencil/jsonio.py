@@ -19,18 +19,25 @@ from .matpoly import LAGRANGE, CallablePoly, MatPoly, _common, eval_at
 from .pencil import Pencil, StandardTriple
 
 
-_REAL = (int, float)
+def _is_int(v) -> bool:
+    """v is a JSON integer; Python's json reads true and false as bools, which
+    are ints too."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, float) or _is_int(v)
 
 
 def number_from_json(v) -> float | complex:
     """A number as a float, or an [re, im] pair as a complex; anything else,
-    or an integer beyond float64's range, is malformed input."""
+    a boolean or an integer beyond float64's range among it, is malformed input."""
     try:
-        if isinstance(v, _REAL):
+        if _is_real(v):
             return float(v)
         if isinstance(v, list) and len(v) == 2:
             re, im = v
-            if isinstance(re, _REAL) and isinstance(im, _REAL):
+            if _is_real(re) and _is_real(im):
                 return complex(re, im)
     except OverflowError:
         raise StructuralError("a number lies beyond float64's range") from None
@@ -84,7 +91,7 @@ def _field(obj, key: str):
 def _int_field(obj, key: str) -> int:
     """obj[key], which must be a JSON integer (not a float, not a boolean)."""
     value = _field(obj, key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise StructuralError(f"{key} must be an integer, got {value!r:.80}")
     return value
 
@@ -123,8 +130,22 @@ def pencil_to_json(p: Pencil) -> dict:
 
 
 def pencil_from_json(obj: dict) -> Pencil:
-    return Pencil(matrix_from_json(_field(obj, "D")), matrix_from_json(_field(obj, "A")),
-                  obj.get("block_meta"))
+    """A pencil; an optional "N" must be a JSON integer equal to D's size, and
+    an optional "block_meta" an object whose optional "blocks" is a list of
+    positive JSON integers that sum to N."""
+    p = Pencil(matrix_from_json(_field(obj, "D")), matrix_from_json(_field(obj, "A")),
+               obj.get("block_meta"))
+    if "N" in obj and _int_field(obj, "N") != p.N:
+        raise StructuralError(f"N is {obj['N']}, but D is {p.N}x{p.N}")
+    meta = obj.get("block_meta", {})
+    if not isinstance(meta, dict):
+        raise StructuralError(f"block_meta must be an object, got {meta!r:.80}")
+    blocks = meta.get("blocks", [p.N])  # absent, it claims nothing
+    if (not isinstance(blocks, list) or not all(_is_int(b) and b > 0 for b in blocks)
+            or sum(blocks) != p.N):
+        raise StructuralError(f"block_meta blocks must be positive integers that sum "
+                              f"to N = {p.N}, got {blocks!r:.80}")
+    return p
 
 
 def triple_to_json(t: StandardTriple) -> dict:

@@ -229,6 +229,24 @@ def test_verify_triple_file_grade_exit_code(capsys, tmp_path, grade, code):
         assert run(capsys, *argv)[0] == code
 
 
+_Z_PLUS_1 = {"basis": "monomial", "dim": 1, "grade": 1, "data": [[[1]], [[1]]]}
+
+
+@pytest.mark.parametrize("argv, text, word", [
+    (["verify", "--expr"], {"frobenius": {**_Z_PLUS_1, "data": [[[True]], [[1]]]}}, "number"),
+    (["verify", "--expr"], {"frobenius": {**_Z_PLUS_1, "data": [[[[1, False]]], [[1]]]}},
+     "number"),
+    (["eig"], {"D": [[1]], "A": [[-1]], "N": 7}, "N is 7"),
+    (["eig"], {"D": [[1]], "A": [[-1]], "block_meta": 5}, "block_meta"),
+    (["eig"], {"X": [[1]], "pencil": {"D": [[1]], "A": [[-1]], "block_meta": {"blocks": [5]}},
+               "Y": [[1]]}, "block_meta"),
+], ids=["boolean_cell", "boolean_pair_part", "pencil_N", "block_meta", "triple_blocks"])
+def test_boolean_cell_or_malformed_pencil_exit_code(capsys, tmp_path, argv, text, word):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(text))
+    assert word in _one_line_error(capsys, *argv, str(path))
+
+
 def test_height_non_integer_csv_cell_exit_code(capsys, tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n")

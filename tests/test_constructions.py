@@ -422,27 +422,43 @@ _RULES = {
 }
 
 
+def _matrices(t):
+    return t.X, t.pencil.D, t.pencil.A, t.Y
+
+
 @pytest.mark.parametrize("rule", list(_RULES))
 @pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("data", ["real", "integer", "complex", "mixed"])
+@pytest.mark.parametrize("data", ["real", "integer", "complex", "mixed", "real_lists",
+                                  "complex_lists"])
 def test_assembly_matches_the_np_block_reference(rule, r, data):
     # "mixed": a real first factor, a complex second one, integer d0 and a
-    # complex c0; the factors differ in size so that no block is square by luck
+    # complex c0; the factors differ in size so that no block is square by luck.
+    # "*_lists": d0 and c0 as Python int lists, which must build the same
+    # bytes as the same values in float64 arrays
     rng = np.random.default_rng(r)
 
     def draw(shape, kind):
         if kind == "integer":
             return rng.integers(-3, 4, shape)
+        if kind == "list":
+            return rng.integers(-3, 4, shape).tolist()
         x = rng.standard_normal(shape)
         return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
 
-    kinds = {"mixed": ("real", "complex", "integer", "complex")}.get(data, (data,) * 4)
+    kinds = {"mixed": ("real", "complex", "integer", "complex"),
+             "real_lists": ("real", "real", "list", "list"),
+             "complex_lists": ("complex", "complex", "list", "list")}.get(data, (data,) * 4)
     ta = mp.frobenius_triple(mp.MatPoly.monomial_poly(draw((3, r, r), kinds[0])))
     tb = mp.frobenius_triple(mp.MatPoly.monomial_poly(draw((2, r, r), kinds[1])))
     d0, c0 = draw((r, r), kinds[2]), draw((r, r), kinds[3])
     t = _RULES[rule](ta, tb, d0, c0)
     *want, meta = composition_reference(rule, ta, tb, d0, c0)
-    for name, got, ref in zip("XDAY", (t.X, t.pencil.D, t.pencil.A, t.Y), want):
+    if kinds[2] == "list":
+        floats = _RULES[rule](ta, tb, np.array(d0, float), np.array(c0, float))
+        assert all(type(x) is list for x in (d0, c0))  # the build did not convert them
+        for got, ref in zip(_matrices(t), _matrices(floats)):
+            assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+    for name, got, ref in zip("XDAY", _matrices(t), want):
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
         assert got.tobytes() == ref.tobytes(), name
     assert t.pencil.block_meta == meta
@@ -483,7 +499,7 @@ def test_family_nonzero_chain_matches_the_dense_chain():
 
 
 @pytest.mark.parametrize("rule", list(_RULES))
-@pytest.mark.parametrize("which", ["a", "b", "both"])
+@pytest.mark.parametrize("which", ["a", "b", "both", "d0"])
 def test_held_inputs_give_held_d_and_a_that_read_as_the_dense_output(rule, which):
     rng = np.random.default_rng(151)
     ta = mp.frobenius_triple(rand_mono(rng, 2, 3))
@@ -491,13 +507,16 @@ def test_held_inputs_give_held_d_and_a_that_read_as_the_dense_output(rule, which
     d0, c0 = rand_mat(rng, 2), rand_mat(rng, 2)
     want = _RULES[rule](ta, tb, d0, c0)
     assert type(want.pencil.D) is type(want.pencil.A) is np.ndarray  # dense in, dense out
-    got = _RULES[rule](held(ta) if which != "b" else ta, held(tb) if which != "a" else tb,
-                       d0, c0)
-    reads_b = rule in ("F1", "F2", "composite")  # the shifts read a alone
-    assert isinstance(got.pencil.A, NonzeroMatrix) == (which != "b" or reads_b)
+    got = _RULES[rule](held(ta) if which in ("a", "both") else ta,
+                       held(tb) if which in ("b", "both") else tb,
+                       NonzeroMatrix.from_dense(d0) if which == "d0" else d0, c0)
+    reads = {"a": True, "both": True,
+             "b": rule in ("F1", "F2", "composite"),  # the shifts read a alone
+             "d0": rule not in ("F1", "F2")}  # the products take no d0
+    assert isinstance(got.pencil.A, NonzeroMatrix) == reads[which]
+    assert isinstance(got.pencil.D, NonzeroMatrix) == reads[which]
     assert type(got.X) is type(got.Y) is np.ndarray
-    for g, w in zip((got.X, got.pencil.D, got.pencil.A, got.Y),
-                    (want.X, want.pencil.D, want.pencil.A, want.Y)):
+    for g, w in zip(_matrices(got), _matrices(want)):
         if isinstance(g, NonzeroMatrix):
             assert in_nonzero_format(g)
             g, w = g.toarray(), _unsigned_zeros(w)

@@ -9,7 +9,7 @@ import pytest
 import matpencil as mp
 from matpencil import constructions, errors, jsonio
 from matpencil.errors import ContractError, StructuralError
-from matpencil.matpoly import _as_stack
+from matpencil.matpoly import NonzeroMatrix, _as_stack
 
 
 def _mono(r, grade):
@@ -34,6 +34,11 @@ _LEAF = {"frobenius": jsonio.matpoly_to_json(_mono(1, 1))}
 # (id, call, expected error type, message pattern)
 _CHECKS = [
     ("square", lambda: constructions._square(np.eye(3), 2, "d0"), StructuralError, "d0 must be 2x2"),
+    ("square_list", lambda: mp.composite(_triple(2), _triple(2), [[1, 0]], np.eye(2)),
+     StructuralError, r"d0 must be 2x2, got \(1, 2\)"),
+    ("square_held", lambda: mp.scalar_shift_left(_triple(2), np.eye(2),
+                                                 NonzeroMatrix.from_dense(np.eye(3))),
+     StructuralError, r"c0 must be 2x2, got \(3, 3\)"),
     ("product_r", lambda: mp.product(_triple(1), _triple(2)), StructuralError, "share"),
     ("product_variant", lambda: mp.product(_triple(1), _triple(1), "F3"), ContractError,
      "variant"),

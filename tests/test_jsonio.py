@@ -133,9 +133,10 @@ def test_expression_mixed_basis_leaves():
     assert mp.verify_triple(triple, poly, rng=10).passed
 
 
-@pytest.mark.parametrize("value", ["x", [1], [1, 2, 3], None, ["1", 0], {"re": 1}],
+@pytest.mark.parametrize("value", ["x", [1], [1, 2, 3], None, ["1", 0], {"re": 1},
+                                   True, [True, 1], [1, False]],
                          ids=["string", "short_pair", "long_pair", "null", "string_part",
-                              "object"])
+                              "object", "boolean", "boolean_re", "boolean_im"])
 def test_malformed_number_is_structural_error(value):
     from matpencil.errors import StructuralError
     with pytest.raises(StructuralError):
@@ -144,6 +145,50 @@ def test_malformed_number_is_structural_error(value):
         jsonio.matrix_from_json([[value]])
     with pytest.raises(StructuralError):
         jsonio.vector_from_json([value])
+
+
+_PENCIL_2 = {"D": [[1, 0], [0, 1]], "A": [[0, 1], [1, 0]], "N": 2,
+             "block_meta": {"blocks": [1, 1]}}
+_ABSENT = object()
+
+
+def _pencil_with(patch):
+    obj = {**_PENCIL_2, **patch}
+    return {key: value for key, value in obj.items() if value is not _ABSENT}
+
+
+@pytest.mark.parametrize("patch", [
+    {}, {"N": _ABSENT}, {"block_meta": _ABSENT}, {"block_meta": {}},
+    {"block_meta": {"blocks": [2], "note": "x"}}, {"block_meta": {"note": "x"}},
+], ids=["both", "no_N", "no_block_meta", "empty_block_meta", "one_block", "no_blocks"])
+def test_pencil_n_and_block_meta_are_optional_and_kept(patch):
+    obj = _pencil_with(patch)
+    p = jsonio.pencil_from_json(obj)
+    assert p.N == 2 and p.block_meta == obj.get("block_meta")
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"N": 7}, "N is 7, but D is 2x2"), ({"N": 2.0}, "N must be an integer"),
+    ({"N": True}, "N must be an integer"), ({"N": "2"}, "N must be an integer"),
+    ({"block_meta": 5}, "block_meta must be an object"),
+    ({"block_meta": None}, "block_meta must be an object"),
+    ({"block_meta": [1, 1]}, "block_meta must be an object"),
+    ({"block_meta": {"blocks": [5, "x"]}}, "blocks must be positive integers"),
+    ({"block_meta": {"blocks": 2}}, "blocks must be positive integers"),
+    ({"block_meta": {"blocks": [3]}}, "blocks must be positive integers that sum to N = 2"),
+    ({"block_meta": {"blocks": [1, 0, 1]}}, "blocks must be positive integers"),
+    ({"block_meta": {"blocks": [-1, 3]}}, "blocks must be positive integers"),
+    ({"block_meta": {"blocks": [1.0, 1.0]}}, "blocks must be positive integers"),
+    ({"block_meta": {"blocks": [True, 1]}}, "blocks must be positive integers"),
+], ids=["N_disagrees", "N_float", "N_bool", "N_string", "meta_number", "meta_null",
+        "meta_list", "blocks_string", "blocks_number", "blocks_sum", "blocks_zero",
+        "blocks_negative", "blocks_float", "blocks_bool"])
+def test_malformed_pencil_n_or_block_meta_is_structural_error(patch, message):
+    from matpencil.errors import StructuralError
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        jsonio.pencil_from_json(_pencil_with(patch))
+    with pytest.raises(StructuralError, match=re.escape(message)):  # inside a triple too
+        jsonio.triple_from_json({"X": [[1, 0]], "pencil": _pencil_with(patch), "Y": [[1], [0]]})
 
 
 _LAGRANGE_3 = {"lagrange": {"nodes": [0, 1, 2], "weights": [0.5, -1, 0.5]}}

@@ -5,6 +5,11 @@ pieces (shifted products, sums, and the glued z*a*d0*b + c0 form), keep the
 standard triple realizing the inverse polynomial as a resolvent, solve the
 pencils, and verify every construction against brute-force determinant
 oracles, including the exact-integer Mandelbrot matrix family.
+
+Importing the package loads numpy only: scipy.linalg loads on the first QZ
+solve, scipy.optimize on the first `match_roots` call in which two
+eigenvalues share a nearest reference, and numpy.polynomial on the first
+`mandelbrot_poly_coeffs` call.
 """
 
 from .errors import (ContractError, DegenerateInputError, ResourceLimitError,

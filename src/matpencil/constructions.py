@@ -30,6 +30,7 @@ of A.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import ContractError, StructuralError
 from .matpoly import LAGRANGE, CHEBYSHEV, MONOMIAL, MatPoly, NonzeroMatrix, _common, _entries
-from .pencil import Pencil, StandardTriple
+from .pencil import Pencil, StandardTriple, _check_numeric
 # unused here; bench/spans.py patches these names
 from .matpoly import eval_at  # noqa: F401
 from .pencil import pivot_condition, resolvent_eval, verify_triple  # noqa: F401
@@ -46,8 +47,12 @@ from .pencil import pivot_condition, resolvent_eval, verify_triple  # noqa: F401
 
 def _square(mat, r: int, name: str):
     """mat itself, once its shape is checked; the constructor's `_common` casts it."""
-    if np.shape(mat) != (r, r):
-        raise StructuralError(f"{name} must be {r}x{r}, got {np.shape(mat)}")
+    try:
+        shape = np.shape(mat)
+    except ValueError:  # a nested list with rows of different lengths
+        shape = "ragged rows"
+    if shape != (r, r):
+        raise StructuralError(f"{name} must be {r}x{r}, got {shape}")
     return mat
 
 
@@ -146,13 +151,13 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
         raise ContractError(f"deg c = {c.grade} must be below deg a = {ta.grade}")
     X, D, A, Y, cs = _common(*map(np.asarray, _matrices(ta)), c.data)
     G = A.copy()
-    u, err = Y, np.linalg.norm(Y)  # err: the scale of u's rounding error
+    u, factors = Y, (Y,)  # u and the factors whose norms scale its rounding error
     for k in range(c.grade + 1):
         if np.any(cs[k] != 0):
             G -= u @ cs[k] @ X
         if k < c.grade:
-            w = _chain_step(D, X, u, err)
-            u, err = A @ w, np.linalg.norm(A) * np.linalg.norm(w)
+            w = _chain_step(D, X, u, factors)
+            u, factors = A @ w, (A, w)
     return StandardTriple(X.copy(), Pencil(D.copy(), G, ta.pencil.block_meta),
                           Y.copy(), grade=ta.grade)
 
@@ -161,13 +166,17 @@ def add_lower_degree(ta: StandardTriple, c: MatPoly) -> StandardTriple:
 CHAIN_TOL = 1e-12
 
 
-def _chain_step(D, X, u, err: float) -> np.ndarray:
+def _chain_step(D, X, u, factors: tuple) -> np.ndarray:
     """w with D w = u and X w = 0: u itself where that holds exactly (a
     companion chain), else the least-squares solution of the stacked system,
     whose residual must lie within CHAIN_TOL of the scale of its terms and of
-    u's own rounding error `err`."""
+    u's own rounding error, the product of the norms of u's `factors`.  That
+    solve needs numeric data: an object (e.g. Fraction) chain that leaves the
+    exact companion path raises StructuralError."""
     if np.array_equal(D @ u, u) and not np.any(X @ u):
         return u
+    _check_numeric(D, X, u)
+    err = math.prod(map(np.linalg.norm, factors))
     M = np.vstack([D, X])
     rhs = np.vstack([u, np.zeros((X.shape[0], u.shape[1]), u.dtype)])
     w = np.linalg.lstsq(M, rhs, rcond=None)[0]

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from ._compose import composite_coeffs
 from .constructions import composite, frobenius_triple, chebyshev_triple, lagrange_triple
 from .eigensolve import EigenReport, generalized_eigen, match_roots, sigma_ratio
 from .errors import ContractError
-from .matpoly import MatPoly, NonzeroMatrix, height_report
+from .matpoly import MatPoly, NonzeroMatrix, _common, height_report
 from .oracle import interp_charpoly, scalar_roots
 from .pencil import Pencil, StandardTriple
 
@@ -69,14 +68,13 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     recurrence (never through expanded coefficients) and take
     sigma_min / sigma_max.
 
-    The levels are independent eigenproblems, solved and scored on
-    `_family_workers(k_max)` threads.  On two, the calling thread takes the
-    height reports and then solves the top level, while one pool thread
-    solves the others, largest first; LAPACK releases the GIL, so the top
-    level overlaps the smaller ones.  On one, the pool thread solves every
-    level.  Every level is handed rng, as in a sequential loop: family
-    pencils have D = I and draw nothing from it, so the results do not
-    depend on the scheduling.
+    The levels are independent eigenproblems, each solved and reported by
+    `_solve_level` on one of `_family_workers(k_max)` threads.  On two, the
+    calling thread solves the top level while one pool thread solves the
+    others, largest first; LAPACK releases the GIL, so the top level overlaps
+    the smaller ones.  On one, the pool thread solves every level.  Every
+    level is handed rng, as in a sequential loop: family pencils have D = I
+    and draw nothing from it, so the results do not depend on the scheduling.
 
     The triples hold D and A as their nonzeros (`family_triple`), and the
     height reports read those: a dense A exists only inside its own level's
@@ -93,32 +91,25 @@ def run_family(k_max: int = 6, rng=None) -> list[FamilyLevelReport]:
     top = k_max if _family_workers(k_max) == 2 else None
     pool = ThreadPoolExecutor(1)
     try:
-        solves = {k: pool.submit(_solve_level, k, triples[k - 1].pencil, rng)
+        solves = {k: pool.submit(_solve_level, k, triples[k - 1], rng)
                   for k in range(k_max, 0, -1) if k != top}
-        heights = [height_report(t.pencil.A) for t in triples]
-        if top is not None:
-            top_solve = _solve_level(top, triples[top - 1].pencil, rng)
-        reports = []
-        for k, (triple, hr) in enumerate(zip(triples, heights), start=1):
-            eig, elapsed = top_solve if k == top else solves[k].result()
-            res = eig.residuals
-            reports.append(FamilyLevelReport(
-                k, triple.N, len(eig.finite), eig.infinite_count,
-                float(res.max()) if res.size else 0.0,
-                hr.height, hr.t_metric, elapsed, eig))
+        top_report = None if top is None else _solve_level(top, triples[top - 1], rng)
+        return [top_report if k == top else solves[k].result() for k in range(1, k_max + 1)]
     finally:
         pool.shutdown(cancel_futures=True)
-    return reports
 
 
-def _solve_level(k: int, pencil: Pencil, rng) -> tuple[EigenReport, float]:
-    """One family level: eigenvalues with their residuals, and the solve's
-    wall time."""
+def _solve_level(k: int, triple: StandardTriple, rng) -> FamilyLevelReport:
+    """Level k's report: its eigenvalues with their residuals, the height of
+    its A, and the solve's own wall time."""
     t0 = time.perf_counter()
-    eig = generalized_eigen(pencil, rng=rng)
+    eig = generalized_eigen(triple.pencil, rng=rng)
     elapsed = time.perf_counter() - t0
-    eig.residuals = sigma_ratio(fixtures.family_eval(k, eig.finite))
-    return eig, elapsed
+    eig.residuals = res = sigma_ratio(fixtures.family_eval(k, eig.finite))
+    hr = height_report(triple.pencil.A)
+    return FamilyLevelReport(k, triple.N, len(eig.finite), eig.infinite_count,
+                             float(res.max()) if res.size else 0.0,
+                             hr.height, hr.t_metric, elapsed, eig)
 
 
 #: the variables OpenBLAS takes its thread count from, in the order it reads them
@@ -164,13 +155,36 @@ class QuinticComparison:
     residual_dtype: str  # dtype z a(z) b(z) + I was evaluated in: complex256, or complex128
 
 
+def mono_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a(z) b(z), stacks (deg+1, r, r) low-to-high, in their
+    `_common` dtype; order matters, the factors are matrices."""
+    a, b = _common(a, b)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1,) + a.shape[1:], dtype=a.dtype)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai @ bj
+    return out
+
+
+def composite_coeffs(a: np.ndarray, d0, b: np.ndarray, c0) -> np.ndarray:
+    """Coefficients of z * a(z) * d0 * b(z) + c0, expanded: the quintic's
+    baseline, and the one place the package multiplies coefficients out."""
+    a, d0 = _common(a, d0)
+    prod, c0 = _common(mono_mul(a @ d0, b), c0)
+    out = np.zeros((prod.shape[0] + 1,) + prod.shape[1:], dtype=prod.dtype)
+    out[1:] = prod
+    out[0] += c0
+    return out
+
+
 def run_random_quintic() -> QuinticComparison:
     """Compare the glued linearization of z a(z) b(z) + I against the plain
     second companion of the numerically expanded degree-7 polynomial.
 
     Both eigenvalue sets are scored with the same residual, in one stack:
     evaluate z a(z) b(z) + I from the cubic factors directly, in _WIDE, and
-    take the singular value ratio.
+    take the singular value ratio.  Both pencils are float64 and solved by
+    real QZ, which draws nothing, so no seed changes the result.
     """
     r = 5
     c0 = np.eye(r)

@@ -1,8 +1,7 @@
 """Square matrix polynomials in monomial, barycentric Lagrange, or Chebyshev form.
 
 A MatPoly is the object whose eigenvalues (roots of det a(z)) everything else
-chases.  Operations here are pure: evaluation, roots-of-unity interpolation,
-and entry-height metrics.
+chases.  Operations here are pure: evaluation and entry-height metrics.
 """
 
 from __future__ import annotations
@@ -106,11 +105,11 @@ def _entries(mat) -> tuple:
 
 
 def _is_identity(mat) -> bool:
-    """mat is exactly the identity; a NonzeroMatrix is read off its nonzeros."""
+    """mat is exactly the identity; a NonzeroMatrix is read off its nonzeros,
+    which hold no zero (a stored zero reads as not the identity)."""
     if isinstance(mat, NonzeroMatrix):
-        n, stored = mat.shape[0], mat.values != 0
-        return (np.array_equal(mat.keys[stored], np.arange(n) * (n + 1))
-                and bool(np.all(mat.values[stored] == 1)))
+        n = mat.shape[0]
+        return np.array_equal(mat.keys, np.arange(n) * (n + 1)) and bool(np.all(mat.values == 1))
     return np.count_nonzero(mat) == mat.shape[0] and bool(np.all(np.diagonal(mat) == 1))
 
 
@@ -126,8 +125,11 @@ def _common(*arrays) -> list:
 
 def barycentric_weights(nodes) -> np.ndarray:
     """Weights beta_k = 1 / prod_{j != k} (tau_k - tau_j) for given nodes, in
-    their `_common` dtype: real nodes give float64 weights."""
+    their `_common` dtype: real nodes give float64 weights.  StructuralError
+    when two nodes are equal."""
     nodes = _common(nodes)[0].ravel()
+    if len(set(nodes.tolist())) != nodes.size:
+        raise StructuralError("lagrange nodes must be pairwise distinct")
     w = np.empty_like(nodes)
     for k in range(nodes.size):
         w[k] = 1.0 / np.prod(nodes[k] - np.delete(nodes, k))
@@ -262,16 +264,6 @@ def eval_at(p, z) -> np.ndarray:
     at_node = hit.any(axis=-1)
     acc[at_node] = p.data[hit.argmax(axis=-1)[at_node]]
     return acc
-
-
-def _interp_roots_of_unity(det_at, degree: int) -> np.ndarray:
-    """Coefficients (low-to-high) of det_at, a polynomial of degree <= `degree`,
-    from its values at the (degree+1)-th roots of unity, where the Vandermonde
-    system is unitary up to scaling (a well-conditioned inverse DFT).  det_at
-    maps the array of points to the array of their values."""
-    # negative angles so the sample vector is the DFT of the coefficient vector
-    pts = np.exp(-2j * np.pi * np.arange(degree + 1) / (degree + 1))
-    return np.fft.ifft(det_at(pts))
 
 
 @dataclass

@@ -14,15 +14,16 @@ import numpy as np
 
 from ._exact import forward_interp, pencil_dets
 from .errors import ContractError, VerificationError
-from .matpoly import _interp_roots_of_unity, eval_at
+from .matpoly import eval_at
 from .pencil import Pencil, _check_numeric, _check_sampling, _det_deviation, _is_exact, _slice_len
 
 
 def interp_charpoly(p: Pencil):
     """Coefficients (low-to-high) of det(zD - A), degree <= N.
 
-    Float path: N+1 roots of unity, whose determinants are taken in slices
-    of `pencil._slice_len` points, and an inverse DFT.  Integer and object
+    Float path: the determinants at the N+1 roots of unity, taken in slices
+    of `pencil._slice_len` points, and an inverse DFT (the Vandermonde system
+    there is unitary up to scaling, so well conditioned).  Integer and object
     (e.g. Fraction) pencils take the exact path: `pencil_dets` at the points
     0..N, then `forward_interp`.  An integer-dtype pencil gets Python int
     coefficients (VerificationError unless integers), an object one Fractions.
@@ -35,9 +36,10 @@ def interp_charpoly(p: Pencil):
         if any(isinstance(c, Fraction) for c in coeffs):
             raise VerificationError("interpolation of integer data produced a non-integer")
         return coeffs
-    step = _slice_len(n)
-    return _interp_roots_of_unity(lambda pts: np.concatenate(
-        [np.linalg.det(p.at(pts[lo:lo + step])) for lo in range(0, n + 1, step)]), n)
+    # negative angles make the values the DFT of the coefficients
+    pts, step = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1)), _slice_len(n)
+    return np.fft.ifft(np.concatenate(
+        [np.linalg.det(p.at(pts[lo:lo + step])) for lo in range(0, n + 1, step)]))
 
 
 @dataclass

@@ -7,11 +7,11 @@ import numpy as np
 
 import matpencil as mp
 from matpencil import experiments, fixtures
-from matpencil._compose import composite_coeffs, mono_mul
+from matpencil.experiments import composite_coeffs, mono_mul
 from matpencil._exact import pencil_dets
 from matpencil.errors import ContractError, VerificationError
 from matpencil.matpoly import (CHEBYSHEV, LAGRANGE, MONOMIAL, HeightReport, MatPoly,
-                               NonzeroMatrix, _common, _interp_roots_of_unity)
+                               NonzeroMatrix, _common)
 from matpencil.pencil import Pencil, StandardTriple
 
 __all__ = ["rand_mat", "rand_mono", "rand_lagrange", "rand_chebyshev",
@@ -115,8 +115,9 @@ def chebyshev_to_monomial(cheb_coeffs):
 def det_poly(p):
     """Coefficients (low-to-high) of det p(z) from det(eval_at(p, .)) at the
     roots of unity and an inverse DFT (test oracle)."""
-    return _interp_roots_of_unity(lambda pts: np.linalg.det(mp.eval_at(p, pts)),
-                                  p.dim * p.grade)
+    # negative angles make the values the DFT of the coefficients
+    pts = np.exp(-2j * np.pi * np.arange(p.dim * p.grade + 1) / (p.dim * p.grade + 1))
+    return np.fft.ifft(np.linalg.det(mp.eval_at(p, pts)))
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 import matpencil as mp
 from matpencil import fixtures
-from matpencil.errors import ContractError
+from matpencil.errors import ContractError, StructuralError
 from matpencil.matpoly import NonzeroMatrix
 
 from helpers import (composite_coeffs, composition_reference, dense_family_chain,
@@ -153,6 +153,30 @@ def test_add_rejects_a_chain_that_d_and_x_cannot_carry():
     assert mp.add_lower_degree(t, rand_mono(rng, 2, 1)).N == t.N
     with pytest.raises(ContractError, match="chain"):
         mp.add_lower_degree(t, rand_mono(rng, 2, 2))
+
+
+def _fractions(*coeffs):
+    return np.array([[[Fr(c)]] for c in coeffs], dtype=object)
+
+
+def test_add_is_exact_on_fraction_data_along_the_companion_chain():
+    # (z^2 + 2z + 1/3) + (z/5 + 1/2)
+    a = mp.MatPoly.monomial_poly(_fractions(Fr(1, 3), 2, 1))
+    t = mp.add_lower_degree(mp.frobenius_triple(a),
+                            mp.MatPoly.monomial_poly(_fractions(Fr(1, 2), Fr(1, 5))))
+    assert mp.interp_charpoly(t.pencil) == [Fr(5, 6), Fr(11, 5), 1]
+
+
+def test_add_rejects_fraction_data_where_the_chain_needs_a_solve():
+    # a grade-4 colleague triple keeps w_k = u_k for two steps, not for the third
+    b = mp.MatPoly.chebyshev_poly(_fractions(Fr(1, 2), Fr(1, 3), 1, Fr(2, 7), Fr(3, 5)))
+    t = mp.chebyshev_triple(b)
+    # T_4 = 8z^4 - 8z^2 + 1 and T_3 = 4z^3 - 3z, plus 1 + z + z^2
+    two = mp.add_lower_degree(t, mp.MatPoly.monomial_poly(_fractions(1, 1, 1)))
+    assert mp.interp_charpoly(two.pencil) == [Fr(11, 10), Fr(10, 21), Fr(-9, 5), Fr(8, 7),
+                                              Fr(24, 5)]
+    with pytest.raises(StructuralError, match="numeric data"):
+        mp.add_lower_degree(t, mp.MatPoly.monomial_poly(_fractions(1, 1, 1, 1)))
 
 
 # --- composite ----------------------------------------------------------------

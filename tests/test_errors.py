@@ -36,6 +36,8 @@ _CHECKS = [
     ("square", lambda: constructions._square(np.eye(3), 2, "d0"), StructuralError, "d0 must be 2x2"),
     ("square_list", lambda: mp.composite(_triple(2), _triple(2), [[1, 0]], np.eye(2)),
      StructuralError, r"d0 must be 2x2, got \(1, 2\)"),
+    ("square_ragged", lambda: mp.composite(_triple(2), _triple(2), [[1, 2], [3]], np.eye(2)),
+     StructuralError, "d0 must be 2x2, got ragged rows"),
     ("square_held", lambda: mp.scalar_shift_left(_triple(2), np.eye(2),
                                                  NonzeroMatrix.from_dense(np.eye(3))),
      StructuralError, r"c0 must be 2x2, got \(3, 3\)"),
@@ -77,6 +79,8 @@ _CHECKS = [
      StructuralError, "count"),
     ("basis_distinct", lambda: mp.MatPoly.lagrange_poly([1, 1], [1, 1], np.zeros((2, 1, 1))),
      StructuralError, "distinct"),
+    ("weights_distinct", lambda: mp.barycentric_weights([0.0, 1.0, 1.0]), StructuralError,
+     "lagrange nodes must be pairwise distinct"),
     ("basis_no_nodes", lambda: mp.MatPoly("monomial", np.zeros((1, 1, 1)), nodes=np.zeros(2)),
      StructuralError, "takes no nodes"),
     ("as_stack", lambda: _as_stack(np.zeros((2, 2, 3))), StructuralError, "square"),

@@ -60,7 +60,7 @@ def test_fixture_sample_entries_spot_checks():
 
 
 def test_quintic_b_choice_cancels_top_product_coefficients():
-    from matpencil._compose import mono_mul
+    from matpencil.experiments import mono_mul
     a = np.stack(fixtures.QUINTIC_A)
     b = np.stack(fixtures.quintic_b_coeffs())
     ab = mono_mul(a, b)

@@ -81,3 +81,9 @@ def test_every_key_the_json_writers_emit_is_in_the_json_formats_section():
                                        jsonio.triple_to_json(triple))))
     assert {"lagrange", "nodes", "block_meta", "blocks", "pencil", "grade"} <= emitted
     assert sorted(key for key in emitted if f'"{key}"' not in section) == []
+
+
+def test_readme_stays_within_its_size_budget():
+    # the contract fits in 16 KiB; mechanisms belong in docstrings and
+    # measurement history in CHANGES.md
+    assert len(README.encode()) <= 16_384

@@ -128,14 +128,14 @@ def pencil_dets(D, A, points) -> list:
     """[det(z*D - A) for z in points], exact for integer or object matrices
     D, A, dense or held, and exact points.  When D is diagonal and -A upper
     Hessenberg with a ±1 subdiagonal, -A is laid out once from its nonzeros
-    and each point swaps in the diagonal z d_ii - a_ii for Hyman's method (a
-    dense D's d_ii as stored); any other pencil is made dense for Bareiss."""
+    and each point swaps in the diagonal z d_ii - a_ii for Hyman's method;
+    any other pencil is made dense for Bareiss."""
     n = D.shape[0]
     (d_rows, d_cols, d_vals), (rows, cols, vals) = _entries(D), _entries(A)
     layout = (d_rows == d_cols).all() and unit_hessenberg(n, rows, cols, -_as_python(vals))
     if layout:
         diag, sub, above = layout
-        d_diag = _as_python(np.diagonal(D) if isinstance(D, np.ndarray) else np.zeros(n, D.dtype))
+        d_diag = _as_python(np.zeros(n, D.dtype))
         d_diag[d_rows] = _as_python(d_vals)
         pairs = list(zip(d_diag.tolist(), diag))
         return [hessenberg_det([z * e + f for e, f in pairs], sub, above) for z in points]

@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,24 +30,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@contextmanager
-def _file_errors(path):
-    """An OSError on `path` (missing, unreadable, unwritable, a file where a
-    directory is wanted) is malformed input: StructuralError."""
-    try:
-        yield
-    except OSError as exc:
-        raise StructuralError(f"{path}: {exc.strerror or exc}") from None
-
-
 def _read_text(path) -> str:
-    with _file_errors(path):
-        return Path(path).read_text()
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _file_errors(path):
-        path.write_text(text)
+    """The text of `path`; bytes that are not UTF-8 are malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _load_json(path: str) -> dict:
@@ -68,8 +55,7 @@ _BEYOND_FLOAT64 = re.compile(r"\s*[+-]?0*[1-9]\d{309,}\s*")
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    with _file_errors(out):
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -125,12 +111,12 @@ def _emit(args, stem: str, report, **fields):
         return
     out = _outdir(args)
     if "csv" in args.emit:
-        _write_text(out / f"{stem}.csv", eigen_csv(report))
+        (out / f"{stem}.csv").write_text(eigen_csv(report))
     if "svg" in args.emit:
-        _write_text(out / f"{stem}.svg", eigen_svg(report))
+        (out / f"{stem}.svg").write_text(eigen_svg(report))
     if "json" in args.emit:
-        _write_text(out / f"{stem}.json",
-                    jsonio.dumps({**jsonio.eigenreport_to_json(report), **fields}))
+        (out / f"{stem}.json").write_text(
+            jsonio.dumps({**jsonio.eigenreport_to_json(report), **fields}))
 
 
 def cmd_mandelbrot(args) -> int:
@@ -155,7 +141,7 @@ def cmd_mandelbrot(args) -> int:
         out = _outdir(args)
         for name, mat in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
             _write_csv(out / name, mat)
-        _write_text(out / f"m{args.n}_report.json", jsonio.dumps({
+        (out / f"m{args.n}_report.json").write_text(jsonio.dumps({
             "n": rep.n, "dim": dim, "corner_value": rep.corner_value,
             "zero_block_ok": rep.zero_block_ok, "height1": rep.height1,
             "charpoly_identity": bool(ok),
@@ -171,7 +157,7 @@ def _write_csv(path: Path, mat: NonzeroMatrix) -> None:
     zeros = "0," * ncols
     bounds = np.searchsorted(rows, np.arange(nrows + 1)).tolist()
     cols, vals = cols.tolist(), vals.tolist()
-    with _file_errors(path), open(path, "w") as f:
+    with open(path, "w") as f:
         for i in range(nrows):
             parts, at = [], 0
             for k in range(bounds[i], bounds[i + 1]):
@@ -186,7 +172,7 @@ def cmd_build(args) -> int:
     triple, _ = jsonio.build_expression(expr)
     payload = jsonio.dumps(jsonio.triple_to_json(triple))
     if args.out:
-        _write_text(_outdir(args) / "triple.json", payload)
+        (_outdir(args) / "triple.json").write_text(payload)
     else:
         print(payload, end="")
     return 0
@@ -335,6 +321,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ContractError, StructuralError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a missing or unreadable input, an --out that cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
     except RecursionError:  # deep JSON nesting, or a deep expression's evaluation
         print("error: the input is nested too deeply", file=sys.stderr)

@@ -157,19 +157,15 @@ def triple_to_json(t: StandardTriple) -> dict:
 
 
 def triple_from_json(obj: dict) -> StandardTriple:
-    """A triple; an optional "grade" must be an integer, and an optional
-    "weighted": true (resolvent X (zD-A)^-1 D Y, a form older files carry) is
-    read as the same resolvent with Y replaced by D Y."""
-    t = StandardTriple(matrix_from_json(_field(obj, "X")),
-                       pencil_from_json(_field(obj, "pencil")),
-                       matrix_from_json(_field(obj, "Y")),
-                       _int_field(obj, "grade") if "grade" in obj else None)
-    weighted = obj.get("weighted", False)
-    if not isinstance(weighted, bool):
-        raise StructuralError(f"weighted must be true or false, got {weighted!r:.80}")
-    if weighted:
-        t.Y = t.pencil.D @ t.Y
-    return t
+    """A triple; an optional "grade" must be an integer.  A "weighted" key
+    (older files' X (zD-A)^-1 D Y) is malformed input: fold D into Y."""
+    if isinstance(obj, dict) and "weighted" in obj:
+        raise StructuralError('a triple\'s "weighted" key is no longer read: '
+                              'fold D into Y (Y <- D Y) and drop the key')
+    return StandardTriple(matrix_from_json(_field(obj, "X")),
+                          pencil_from_json(_field(obj, "pencil")),
+                          matrix_from_json(_field(obj, "Y")),
+                          _int_field(obj, "grade") if "grade" in obj else None)
 
 
 def eigenreport_to_json(rep: EigenReport) -> dict:
@@ -214,30 +210,26 @@ def build_expression(node: dict):
     if op is None:
         raise StructuralError(f"expression node has no op or leaf: {list(node)}")
     ta, pa = build_expression(_field(node, "a"))
-    if op in ("shift_left", "shift_right"):
-        d0 = matrix_from_json(_field(node, "d0"))
-        c0 = matrix_from_json(_field(node, "c0"))
-        if op == "shift_left":
-            t = constructions.scalar_shift_left(ta, d0, c0)
-            fn = lambda z: z[..., None, None] * (d0 @ eval_at(pa, z)) + c0
-        else:
-            t = constructions.scalar_shift_right(ta, d0, c0)
-            fn = lambda z: z[..., None, None] * (eval_at(pa, z) @ d0) + c0
-        return t, CallablePoly(ta.r, pa.grade + 1, fn)
-    if op == "add":
+    if op in ("product", "composite"):
+        tb, pb = build_expression(_field(node, "b"))
+    if op in ("shift_left", "shift_right", "composite"):
+        d0, c0 = (matrix_from_json(_field(node, key)) for key in ("d0", "c0"))
+    if op == "shift_left":
+        t = constructions.scalar_shift_left(ta, d0, c0)
+        fn = lambda z: z[..., None, None] * (d0 @ eval_at(pa, z)) + c0
+    elif op == "shift_right":
+        t = constructions.scalar_shift_right(ta, d0, c0)
+        fn = lambda z: z[..., None, None] * (eval_at(pa, z) @ d0) + c0
+    elif op == "add":
         c = matpoly_from_json(_field(node, "c"))
         t = constructions.add_lower_degree(ta, c)
         fn = lambda z: eval_at(pa, z) + eval_at(c, z)
-        return t, CallablePoly(ta.r, pa.grade, fn)
-    tb, pb = build_expression(_field(node, "b"))
-    if op == "product":
+    elif op == "product":
         t = constructions.product(ta, tb, node.get("variant", "F2"))
         fn = lambda z: eval_at(pa, z) @ eval_at(pb, z)
-        return t, CallablePoly(ta.r, pa.grade + pb.grade, fn)
-    if op == "composite":
-        d0 = matrix_from_json(_field(node, "d0"))
-        c0 = matrix_from_json(_field(node, "c0"))
+    elif op == "composite":
         t = constructions.composite(ta, tb, d0, c0)
         fn = lambda z: z[..., None, None] * (eval_at(pa, z) @ d0 @ eval_at(pb, z)) + c0
-        return t, CallablePoly(ta.r, pa.grade + pb.grade + 1, fn)
-    raise StructuralError(f"unknown expression op {op!r}")
+    else:
+        raise StructuralError(f"unknown expression op {op!r}")
+    return t, CallablePoly(t.r, t.grade, fn)

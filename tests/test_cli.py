@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -197,11 +200,11 @@ def test_eig_reads_pencil_of_triple_file(capsys, tmp_path):
     np.testing.assert_allclose(json.loads(out)["finite"], [[-2.0, 0.0]], atol=1e-12)
 
 
-@pytest.mark.parametrize("weighted, code", [(True, 0), (False, 2), (None, 2), ("yes", 1)],
+@pytest.mark.parametrize("weighted, code", [(True, 1), (False, 1), (None, 2), ("yes", 1)],
                          ids=["true", "false", "absent", "string"])
 def test_verify_reads_weighted_triple_file(capsys, tmp_path, weighted, code):
-    # a(z) = 2z + 1; with "weighted": true the file's resolvent is
-    # X (zD - A)^-1 D Y = 1 / (2z + 1), without it 0.5 / (2z + 1)
+    # a(z) = 2z + 1; the file's resolvent 0.5 / (2z + 1) fails the check, and a
+    # "weighted" key, whatever its value, is malformed input
     triple = {"X": [[1]], "pencil": {"D": [[2]], "A": [[-1]]}, "Y": [[0.5]], "grade": 1}
     if weighted is not None:
         triple["weighted"] = weighted
@@ -424,6 +427,17 @@ def test_missing_input_file_exit_code(capsys, tmp_path, argv):
     assert "No such file" in _one_line_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", [["eig", "in.json"], ["build", "in.json"],
+                                  ["verify", "--expr", "in.json"], ["height", "in.json"],
+                                  ["height", "in.csv"]],
+                         ids=["eig", "build", "verify_expr", "height_json", "height_csv"])
+def test_non_utf8_input_file_exit_code(capsys, tmp_path, argv):
+    path = tmp_path / argv[-1]
+    path.write_bytes(b"\xff\xfe\x00[1]")  # a UTF-16 byte-order mark, no UTF-8
+    err = _one_line_error(capsys, *argv[:-1], str(path))
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 @pytest.mark.parametrize("argv, strerror", [
     (["--out", "{file}", "mandelbrot", "3"], "File exists"),
     (["--out", "{file}/sub", "build", "{expr}"], "Not a directory"),
@@ -519,6 +533,45 @@ def test_quintic_artifacts_byte_identical_across_same_seed_runs(capsys, tmp_path
         outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
     assert len(outs[0]) == 6
     assert outs[0] == outs[1]
+
+
+def test_family_artifacts_byte_identical_across_same_seed_runs_and_layouts(
+        capsys, tmp_path, monkeypatch):
+    # two runs on one solver thread, then two on two: the worker count reads
+    # the BLAS thread cap and the usable CPUs, both set here
+    from matpencil import experiments
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    outs = []
+    for run_no, blas, workers in ((0, "2", 1), (1, "2", 1), (2, "1", 2), (3, "1", 2)):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert experiments._family_workers(5) == workers
+        d = tmp_path / str(run_no)
+        code, _, _ = run(capsys, "--seed", "3", "--emit", "csv", "--emit", "svg",
+                         "--emit", "json", "--out", str(d), "family", "--kmax", "5")
+        assert code == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+    assert len(outs[0]) == 15
+    assert all(out == outs[0] for out in outs[1:])
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # the [project.scripts] entry runs cli.main; run it as its own process, so
+    # the exit status and stderr are the ones a shell sees
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "zero.json").write_text(json.dumps(jsonio.pencil_to_json(
+        mp.Pencil(np.zeros((1, 1)), np.zeros((1, 1))))))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv, code, word in ((["mandelbrot", "3"], 0, None),
+                             (["eig", "missing.json"], 1, "No such file"),
+                             (["eig", "bad.json"], 1, "not UTF-8"),
+                             (["eig", "zero.json"], 2, "admissible shift")):
+        proc = subprocess.run([sys.executable, "-m", "matpencil.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [] if word is None else (len(errors) == 1 and word in errors[0])
 
 
 def test_mixed_subcommand_end_to_end(capsys, tmp_path):

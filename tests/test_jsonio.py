@@ -46,19 +46,21 @@ def _scalar_triple_json(weighted):
     return obj if weighted is None else {**obj, "weighted": weighted}
 
 
-def test_weighted_triple_file_folds_d_into_y():
-    # "weighted": true means X (zD - A)^-1 D Y, read as Y <- D Y
-    t = jsonio.triple_from_json(_scalar_triple_json(True))
-    np.testing.assert_array_equal(t.Y, [[2]])
-    assert mp.resolvent_eval(t, 1.0)[0, 0] == pytest.approx(1.0)
-    for weighted in (False, None):
-        t = jsonio.triple_from_json(_scalar_triple_json(weighted))
-        assert mp.resolvent_eval(t, 1.0)[0, 0] == pytest.approx(0.5)
+@pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+def test_weighted_key_is_malformed_input(value):
+    # older files' "weighted": true meant X (zD - A)^-1 D Y; the reader no
+    # longer folds D into Y, and says so
+    from matpencil.errors import StructuralError
+    with pytest.raises(StructuralError, match='"weighted".*fold D into Y'):
+        jsonio.triple_from_json(_scalar_triple_json(value))
+    t = jsonio.triple_from_json(_scalar_triple_json(None))
+    assert mp.resolvent_eval(t, 1.0)[0, 0] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("value", ["yes", 1, None, [True]],
                          ids=["string", "integer", "null", "list"])
 def test_weighted_must_be_a_boolean(value):
+    # the old boolean check's cases; a boolean is rejected too (above)
     from matpencil.errors import StructuralError
     with pytest.raises(StructuralError):
         jsonio.triple_from_json({**_scalar_triple_json(None), "weighted": value})

@@ -53,12 +53,6 @@ def _load_json(path: str) -> dict:
 _BEYOND_FLOAT64 = re.compile(r"\s*[+-]?0*[1-9]\d{309,}\s*")
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -109,7 +103,7 @@ def _emit(args, stem: str, report, **fields):
     """Write the requested artifacts; `fields` are extra keys of the JSON one."""
     if not args.emit:
         return
-    out = _outdir(args)
+    out = Path(args.out)
     if "csv" in args.emit:
         (out / f"{stem}.csv").write_text(eigen_csv(report))
     if "svg" in args.emit:
@@ -138,7 +132,7 @@ def cmd_mandelbrot(args) -> int:
     print(f"corner of inverse: {rep.corner_value}; inverse height 1: {rep.height1}; "
           f"zero block: {rep.zero_block_ok}; charpoly identity on -3..3: {ok}")
     if args.out:
-        out = _outdir(args)
+        out = Path(args.out)
         for name, mat in ((f"m{args.n}.csv", m), (f"m{args.n}_inverse.csv", rep.inverse)):
             _write_csv(out / name, mat)
         (out / f"m{args.n}_report.json").write_text(jsonio.dumps({
@@ -172,7 +166,7 @@ def cmd_build(args) -> int:
     triple, _ = jsonio.build_expression(expr)
     payload = jsonio.dumps(jsonio.triple_to_json(triple))
     if args.out:
-        (_outdir(args) / "triple.json").write_text(payload)
+        (Path(args.out) / "triple.json").write_text(payload)
     else:
         print(payload, end="")
     return 0
@@ -318,6 +312,8 @@ def main(argv=None) -> int:
         parser.error(f"--seed must be a non-negative integer, not {args.seed}")
     try:
         _check_sampling(1 if args.points is None else args.points, args.tol)
+        if args.out:  # made before the command runs, so a bad --out costs no work
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.fn(args)
     except (ContractError, StructuralError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -281,38 +281,24 @@ class HeightReport:
 
 
 def height_report(mat) -> HeightReport:
-    """Height, t_metric and the two height-1 flags of a matrix; an entry
-    beyond float64's range raises ContractError.  A `NonzeroMatrix` is read
-    from its stored values, and its missing entries count as zeros."""
+    """Height, t_metric and the two height-1 flags of a matrix, read from one
+    float64 magnitude array; an entry beyond float64's range raises
+    ContractError.  A `NonzeroMatrix` is read from its stored values, and its
+    missing entries count as zeros.  A NaN entry makes the height NaN and is
+    left out of t_metric; an entry that rounds to 0.0 in float64 counts as
+    zero for t_metric only."""
     held = isinstance(mat, NonzeroMatrix)
     arr = mat.values if held else np.asarray(mat)
     size = mat.size if held else arr.size
-    height, smallest = _extremes(arr) if arr.size else (0.0, None)
-    t_metric = None if smallest is None else smallest / height
+    # counted before the magnitudes exist, so one mask at most lives beside them
     zero_or_minus_one = (size - arr.size + int(np.count_nonzero(arr == 0))
                          + int(np.count_nonzero(arr == -1)))
-    return HeightReport(height, t_metric, zero_or_minus_one == size,
-                        zero_or_minus_one + int(np.count_nonzero(arr == 1)) == size)
-
-
-def _extremes(arr: np.ndarray) -> tuple[float, float | None]:
-    """(height, smallest nonzero magnitude or None) of non-empty data, from
-    its signed extremes, one comparison mask at a time.
-
-    Real floats that float64 holds exactly (float16/32/64) are read as they
-    are, with no copy.  Other data (integer, bool, complex, object, and
-    extended floats, whose entries round to float64 one by one) is read as
-    one float64 magnitude array.  A NaN entry makes both extremes, and so the
-    height, NaN, and no mask holds it; abs() keeps -0.0 out of the height.
-    """
-    if not (arr.dtype.kind == "f" and np.can_cast(arr.dtype, np.float64)):
-        try:
-            arr = np.abs(arr).astype(float, copy=False)
-        except OverflowError:
-            raise ContractError("matrix entries must lie within float64's range") from None
-    height = max(abs(float(arr.min())), abs(float(arr.max())))
-    smallest = min(float(arr.min(where=arr > 0, initial=np.inf)),
-                   -float(arr.max(where=arr < 0, initial=-np.inf)))
-    if smallest == np.inf and not np.isinf(arr).any():
-        return height, None  # no nonzero entry besides NaN
-    return height, smallest
+    flags = zero_or_minus_one == size, zero_or_minus_one + int(np.count_nonzero(arr == 1)) == size
+    try:  # signed integers are widened first: np.abs wraps int8 -128 and int64 min
+        mags = np.abs(arr.astype(float) if arr.dtype.kind == "i" else arr).astype(float, copy=False)
+    except OverflowError:
+        raise ContractError("matrix entries must lie within float64's range") from None
+    height = float(mags.max(initial=0.0))
+    positive = mags > 0  # NaN is not
+    t_metric = float(mags.min(where=positive, initial=np.inf)) / height if positive.any() else None
+    return HeightReport(height, t_metric, *flags)

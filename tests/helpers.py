@@ -179,7 +179,8 @@ def height_report_reference(mat):
     """matpoly.height_report as it was before it dropped its full-size
     temporaries: two float copies and three boolean masks (test oracle)."""
     arr = np.asarray(mat)
-    mags = np.abs(arr).astype(float)
+    # signed integers widened first: np.abs wraps int8 -128 and int64 min
+    mags = np.abs(arr.astype(float) if arr.dtype.kind == "i" else arr).astype(float)
     height = float(mags.max()) if arr.size else 0.0
     nz = mags[mags > 0]
     t_metric = float(nz.min() / height) if nz.size else None

@@ -179,8 +179,8 @@ def test_build_zero_polynomial_is_a_valid_linearization(capsys, tmp_path):
 
 
 def _one_line_error(capsys, *argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     return err
 
@@ -442,7 +442,10 @@ def test_non_utf8_input_file_exit_code(capsys, tmp_path, argv):
     (["--out", "{file}", "mandelbrot", "3"], "File exists"),
     (["--out", "{file}/sub", "build", "{expr}"], "Not a directory"),
     (["--emit", "json", "--out", "{file}", "eig", "{pencil}"], "File exists"),
-], ids=["mandelbrot_out_is_a_file", "build_out_below_a_file", "eig_emit_out_is_a_file"])
+    (["--emit", "json", "--out", "{file}", "family", "--kmax", "8"], "File exists"),
+    (["--emit", "json", "--out", "{file}", "quintic"], "File exists"),
+], ids=["mandelbrot_out_is_a_file", "build_out_below_a_file", "eig_emit_out_is_a_file",
+        "family_emit_out_is_a_file", "quintic_emit_out_is_a_file"])
 def test_out_that_cannot_be_a_directory_exit_code(capsys, tmp_path, argv, strerror):
     paths = {"file": tmp_path / "file.txt", "expr": tmp_path / "expr.json",
              "pencil": tmp_path / "pencil.json"}

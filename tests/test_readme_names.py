@@ -2,9 +2,11 @@
 private name (`_` then a letter, so the math `||M||_1` is no name) is
 defined there, and each `<module>.<name>` of a matpencil module is bound at
 the top level of that module; each test id of the "Reproducing the paper"
-table names a test of its file; each key the JSON writers emit is quoted in
-the "JSON formats" section.  Built on `ast` and the writers themselves; a
-rename, deletion or new key that leaves README behind fails here."""
+table names a test of its file, and each of its `verify --expr` lines, one
+for every `docs/expr/` file, prints the verdict and point count it quotes;
+each key the JSON writers emit is quoted in the "JSON formats" section.
+Built on `ast`, the CLI and the writers themselves; a rename, deletion or
+new key that leaves README behind fails here."""
 
 import ast
 import re
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import matpencil as mp
-from matpencil import jsonio
+from matpencil import cli, jsonio
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {path.stem: ast.parse(path.read_text())
@@ -22,6 +24,7 @@ README = (ROOT / "README.md").read_text()
 # inline code spans, with the fenced blocks taken out first
 SPANS = re.findall(r"`([^`\n]+)`",
                    re.sub(r"```.*?```", "", README, flags=re.S))
+TABLE = README.split("## Reproducing the paper")[1].split("\n## ")[0]
 
 
 def _bound(nodes) -> set[str]:
@@ -54,12 +57,26 @@ def test_every_module_attribute_in_readme_is_bound_in_its_module():
 
 
 def test_every_test_the_reproduction_table_names_exists():
-    table = README.split("## Reproducing the paper")[1].split("\n## ")[0]
-    ids = re.findall(r"`(tests/\w+\.py)::(\w+)`", table)
+    ids = re.findall(r"`(tests/\w+\.py)::(\w+)`", TABLE)
     assert len(ids) == 9
     missing = [f"{path}::{name}" for path, name in ids if not (ROOT / path).is_file()
                or name not in _bound(ast.parse((ROOT / path).read_text()).body)]
     assert missing == []
+
+
+def test_every_verify_line_of_the_reproduction_table_prints_what_it_quotes(
+        capsys, monkeypatch):
+    # the deviations move with the BLAS build, so only the verdict and the
+    # point count are compared
+    rows = re.findall(r"`matpencil verify --expr (docs/expr/\w+\.json)` \| ([^|\n]*) \|", TABLE)
+    assert sorted(path for path, _ in rows) == sorted(
+        path.relative_to(ROOT).as_posix() for path in (ROOT / "docs" / "expr").glob("*.json"))
+    monkeypatch.chdir(ROOT)
+    for path, prints in rows:
+        assert cli.main(["verify", "--expr", path]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        points = re.search(r"over (\d+) points", prints).group(1)
+        assert first.startswith("det identity: pass ") and first.endswith(f" over {points} points)")
 
 
 def _keys(value) -> set[str]:
